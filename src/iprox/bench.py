@@ -331,7 +331,9 @@ def emit_csv(records, path):
 
 def emit_plot_data(records, path, axis="q_ratio"):
     """Write (axis value, mean iterations per solver) rows, sorted by the
-    axis; records are grouped when several share an axis value."""
+    axis; records are grouped when several share an axis value. As in
+    :func:`emit_csv`, a solver's column renders as the sentinel when any
+    trial of the group did not converge."""
     if not records:
         raise ValueError("no records to write")
     groups = {}
@@ -345,10 +347,16 @@ def emit_plot_data(records, path, axis="q_ratio"):
     lines = [f"{axis},iter_ladmm,iter_iladmm"]
     for key in sorted(groups):
         recs = groups[key]
-        i1 = float(np.mean([r.mean_iter_ladmm for r in recs]))
-        i2 = float(np.mean([r.mean_iter_iladmm for r in recs]))
-        lines.append(f"{key:g},{i1:.4f},{i2:.4f}")
+        i1 = _group_mean([r.mean_iter_ladmm for r in recs],
+                         all(r.all_converged_ladmm for r in recs))
+        i2 = _group_mean([r.mean_iter_iladmm for r in recs],
+                         all(r.all_converged_iladmm for r in recs))
+        lines.append(f"{key:g},{i1},{i2}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf8")
+
+
+def _group_mean(values, converged):
+    return f"{float(np.mean(values)):.4f}" if converged else SENTINEL
 
 
 def write_records_json(records, path):

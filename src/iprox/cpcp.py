@@ -18,6 +18,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -46,12 +47,16 @@ def degrees_of_freedom(m, n, r, nnz):
 def counts_from_ratios(m, n, q_ratio, nnz_ratio):
     """Measurement and support counts from area ratios.
 
-    ``q`` truncates ``q_ratio * m * n``; ``nnz`` rounds. Both conventions
-    are fixed so grids regenerate identically everywhere.
+    ``q`` is the floor of ``q_ratio * m * n`` taken exactly, with the
+    ratio read as the decimal it prints as (0.57 of 100 x 100 is 5700,
+    where the float product truncates to 5699); ``nnz`` rounds the float
+    product. Both conventions are fixed so grids regenerate identically
+    everywhere.
     """
     if not 0 < q_ratio <= 1 or not 0 < nnz_ratio <= 1:
         raise ValueError("ratios must lie in (0, 1]")
-    return int(q_ratio * m * n), int(round(nnz_ratio * m * n))
+    q = math.floor(Fraction(repr(float(q_ratio))) * m * n)
+    return q, int(round(nnz_ratio * m * n))
 
 
 @dataclass
@@ -240,12 +245,15 @@ def triple_gnorm_sq(meas, beta, tau, eta, dL, dS, dp):
     - 2 <A dS, dp> + ||dp||^2 / beta``; nonnegative whenever
     ``tau, eta <= 1`` since the measurement rows are orthonormal.
     """
-    aL = meas.apply(dL)
-    aS = meas.apply(dS)
+    return _gnorm_sq(beta, tau, eta, dL, dS, dp, meas.apply(dL), meas.apply(dS))
+
+
+def _gnorm_sq(beta, tau, eta, dL, dS, dp, adL, adS):
+    # the formula of triple_gnorm_sq, given adL = A dL and adS = A dS
     return (
-        beta * (float(np.sum(dL * dL)) / tau - float(aL @ aL))
+        beta * (float(np.sum(dL * dL)) / tau - float(adL @ adL))
         + (beta / eta) * float(np.sum(dS * dS))
-        - 2.0 * float(aS @ dp)
+        - 2.0 * float(adS @ dp)
         + float(dp @ dp) / beta
     )
 
@@ -273,10 +281,15 @@ def _solve(inst, tau, eta, alpha, controller, tol, max_iter, keep_gnorm):
     alpha_of, needs_dsq = _alpha_fn(alpha)
     meas, b, lam = inst.meas, inst.b, inst.lam
 
+    # A is linear, so the measurements AL = A L and AS = A S are carried
+    # with the iterates and extrapolated by the same combination; each
+    # iteration then applies A twice (to L1 and S1) and its adjoint twice.
     L = np.zeros((inst.m, inst.n))
     S = np.zeros((inst.m, inst.n))
     p = np.zeros(meas.measurement_dim)
-    L_prev, S_prev, p_prev = L, S, p
+    AL = np.zeros(meas.measurement_dim)
+    AS = np.zeros(meas.measurement_dim)
+    L_prev, S_prev, p_prev, AL_prev, AS_prev = L, S, p, AL, AS
     nuclear = 0.0
 
     trace = SolverTrace(iterates=None)
@@ -287,32 +300,34 @@ def _solve(inst, tau, eta, alpha, controller, tol, max_iter, keep_gnorm):
 
     for k in range(max_iter):
         if controller.active(k):
-            cur = meas.apply(L + S) - b
+            cur = AL + AS - b
             objective = nuclear + lam * float(np.abs(S).sum())
             controller.apply_rule(float(cur @ cur), objective)
         beta = controller.beta
 
         dsq = 0.0
         if needs_dsq or keep_gnorm:
-            dsq = triple_gnorm_sq(
-                meas, beta, tau, eta, L - L_prev, S - S_prev, p - p_prev
-            )
+            dsq = _gnorm_sq(beta, tau, eta, L - L_prev, S - S_prev, p - p_prev,
+                            AL - AL_prev, AS - AS_prev)
         a = alpha_of(k, dsq)
 
         Lb = L + a * (L - L_prev)
         Sb = S + a * (S - S_prev)
         pb = p + a * (p - p_prev)
+        ALb = AL + a * (AL - AL_prev)
+        ASb = AS + a * (AS - AS_prev)
 
-        r1 = meas.apply(Lb + Sb) - b
-        U = meas.adjoint(r1)
+        # the adjoint pairs A*(r) - A*(p)/beta merge into one adjoint each
+        r1 = ALb + ASb - b
         kappa = tau / beta
-        L1, shrunk = svt_with_values(Lb - tau * U + kappa * meas.adjoint(pb), kappa)
-        r2 = meas.apply(L1 + Sb) - b
+        L1, shrunk = svt_with_values(Lb - tau * meas.adjoint(r1 - pb / beta), kappa)
+        AL1 = meas.apply(L1)
+        r2 = AL1 + ASb - b
         p1 = pb - beta * r2
-        V = meas.adjoint(r2)
         S1 = soft_threshold(
-            Sb - eta * V + (eta / beta) * meas.adjoint(p1), lam * eta / beta
+            Sb - eta * meas.adjoint(r2 - p1 / beta), lam * eta / beta
         )
+        AS1 = meas.apply(S1)
 
         rel = stopping_residual((L1, S1, p1), (Lb, Sb, pb))
         trace.alphas.append(a)
@@ -325,20 +340,22 @@ def _solve(inst, tau, eta, alpha, controller, tol, max_iter, keep_gnorm):
             nuclear_next + lam * float(np.abs(S1).sum())
         )
         if keep_gnorm:
-            trace.extras["gnorm_steps"].append(
-                triple_gnorm_sq(meas, beta, tau, eta, L1 - Lb, S1 - Sb, p1 - pb)
-            )
+            trace.extras["gnorm_steps"].append(_gnorm_sq(
+                beta, tau, eta, L1 - Lb, S1 - Sb, p1 - pb, AL1 - ALb, AS1 - ASb
+            ))
 
-        L_prev, S_prev, p_prev = L, S, p
-        L, S, p = L1, S1, p1
+        L_prev, S_prev, p_prev, AL_prev, AS_prev = L, S, p, AL, AS
+        L, S, p, AL, AS = L1, S1, p1, AL1, AS1
         nuclear = nuclear_next
         trace.iterations = k + 1
         if rel < tol:
             trace.converged = True
             break
 
-    feas = float(np.linalg.norm(meas.apply(L + S) - b))
+    measured = AL + AS
+    feas = float(np.linalg.norm(measured - b))
     bnorm = float(np.linalg.norm(b))
+    trace.extras["measurement"] = measured
     trace.extras["feasibility"] = feas
     trace.extras["relative_feasibility"] = feas / bnorm if bnorm > 0 else feas
     state = CpcpState(
@@ -355,7 +372,12 @@ def ladmm_cpcp(inst, tau=0.99, eta=0.99, controller=None, tol=1e-5,
     Stops when ``||w_{k+1} - w_k|| / (1 + ||w_k||) < tol`` in the combined
     norm, or at ``max_iter`` (then ``converged`` is False). Per-iteration
     squared weighting norms of the steps are recorded only when
-    ``keep_gnorm`` is set; they cost two extra measurement applications.
+    ``keep_gnorm`` is set; they reuse the measurements the iteration
+    carries, so they cost no extra transform.
+
+    ``trace.extras`` also holds ``measurement``, the solver's carried
+    ``A(L + S)`` at the returned pair, from which ``feasibility``
+    ``||A(L + S) - b||`` and ``relative_feasibility`` are computed.
     """
     return _solve(inst, tau, eta, 0.0, controller, tol, max_iter, keep_gnorm)
 

@@ -69,25 +69,50 @@ def svd(mat):
     return u, s, vh.T
 
 
+def _row_butterflies(src, dst, rows, cols):
+    """Walsh-Hadamard stages over the row-index bits of a ``rows x cols``
+    block held flat in ``src``, lowest bit first, ping-ponging between the
+    two buffers. Returns ``(result, scratch)``."""
+    h = 1
+    while h < rows:
+        a = src.reshape(-1, 2, h * cols)
+        b = dst.reshape(-1, 2, h * cols)
+        np.add(a[:, 0], a[:, 1], out=b[:, 0])
+        np.subtract(a[:, 0], a[:, 1], out=b[:, 1])
+        src, dst = dst, src
+        h *= 2
+    return src, dst
+
+
 def fwht(vec):
     """Orthonormal fast Walsh-Hadamard transform in natural order.
 
     The input length must be a power of two. The transform is scaled by
     ``1/sqrt(n)`` so it is orthonormal, hence also self-inverse.
+
+    The length-``2^k`` input is viewed as a row-major
+    ``2^floor(k/2) x 2^ceil(k/2)`` block, so the low index bits are its
+    column bits. The butterflies run in the plain per-stage order, low bit
+    first: the column-bit stages on the transposed block, then the row-bit
+    stages on the block transposed back. Every stage thus adds and
+    subtracts contiguous runs of at least ``2^floor(k/2)`` elements, and
+    each output is the same sequence of floating-point operations as in the
+    per-stage loop, so the result is bitwise identical to it.
     """
     v = np.asarray(vec, dtype=np.float64).ravel()
     n = v.size
     if n == 0 or n & (n - 1):
         raise ValueError(f"Walsh-Hadamard length must be a power of two, got {n}")
-    a = v.copy()
-    h = 1
-    while h < n:
-        a = a.reshape(-1, 2, h)
-        s = a[:, 0, :] + a[:, 1, :]
-        d = a[:, 0, :] - a[:, 1, :]
-        a = np.stack((s, d), axis=1)
-        h *= 2
-    return a.ravel() / math.sqrt(n)
+    k = n.bit_length() - 1
+    rows, cols = 1 << (k // 2), 1 << (k - k // 2)
+    a = np.empty(n)
+    b = np.empty(n)
+    a.reshape(cols, rows)[...] = v.reshape(rows, cols).T
+    a, b = _row_butterflies(a, b, cols, rows)
+    b.reshape(rows, cols)[...] = a.reshape(cols, rows).T
+    b, a = _row_butterflies(b, a, rows, cols)
+    b /= math.sqrt(n)
+    return b
 
 
 def orthonormal_transform(kind, image, inverse=False):

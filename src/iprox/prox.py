@@ -23,10 +23,16 @@ def soft_threshold(v, kappa):
 
 
 def svt_with_values(mat, kappa):
-    """Singular value thresholding, also returning the shrunk spectrum."""
+    """Singular value thresholding, also returning the shrunk spectrum.
+
+    The spectrum is nonincreasing, so the nonzero shrunk values are a
+    prefix; only those triplets are recomposed. ``shrunk`` keeps its full
+    length.
+    """
     u, s, v = svd(mat)
     shrunk = np.maximum(s - kappa, 0.0)
-    return (u * shrunk) @ v.T, shrunk
+    r = int(np.count_nonzero(shrunk))
+    return (u[:, :r] * shrunk[:r]) @ v[:, :r].T, shrunk
 
 
 def svt(mat, kappa):

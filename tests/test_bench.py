@@ -266,6 +266,18 @@ class TestEmitters:
         assert lines[1] == "0.4,200.0000,150.0000"
         assert lines[2] == "0.8,110.0000,85.0000"
 
+    def test_plot_data_sentinel_for_unconverged(self, tmp_path):
+        recs = [
+            self.good_record(q_ratio=0.8, all_converged_ladmm=False),
+            self.good_record(q_ratio=0.8, mean_iter_iladmm=85.0),
+            self.good_record(q_ratio=0.4, all_converged_iladmm=False),
+        ]
+        path = tmp_path / "plot.csv"
+        bench.emit_plot_data(recs, path)
+        lines = path.read_text().splitlines()
+        assert lines[1] == f"0.4,100.0000,{bench.SENTINEL}"
+        assert lines[2] == f"0.8,{bench.SENTINEL},80.0000"
+
     def test_plot_data_skips_errors(self, tmp_path):
         ok = self.good_record()
         bad = self.good_record(error="ValueError: boom")

@@ -49,8 +49,10 @@ class TestCountsAndWeights:
 
     def test_counts_from_ratios(self):
         q, nnz = cpcp.counts_from_ratios(256, 256, 0.6, 0.05)
-        assert q == 39321  # truncation of 39321.6
+        assert q == 39321  # floor of 39321.6
         assert nnz == 3277  # rounding of 3276.8
+        # the float product 0.57 * 100 * 100 is 5699.999...
+        assert cpcp.counts_from_ratios(100, 100, 0.57, 0.05)[0] == 5700
         assert q / cpcp.degrees_of_freedom(256, 256, 5, nnz) == pytest.approx(
             6.7655, abs=1e-4
         )
@@ -222,6 +224,31 @@ class TestNorms:
             got = cpcp.triple_gnorm_sq(inst.meas, beta, tau, eta, dL, dS, dp)
             assert got == pytest.approx(want, abs=1e-10)
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.28])
+    def test_recorded_gnorms_match_triple_gnorm(self, alpha):
+        # the solver weights its steps with carried measurements; rebuild
+        # the same triples from truncated runs and measure them afresh
+        inst = small_instance()
+        tau = eta = 0.99
+
+        def run(k):
+            return cpcp.iladmm_cpcp(inst, alpha=alpha, max_iter=k, tol=0.0,
+                                    keep_gnorm=True)
+
+        _, trace = run(12)
+        for k in (2, 5, 11):
+            beta = trace.extras["beta"][k]
+            a = trace.alphas[k]
+            prev, cur, nxt = run(k - 1)[0], run(k)[0], run(k + 1)[0]
+            d = (cur.L - prev.L, cur.S - prev.S, cur.p - prev.p)
+            Lb, Sb, pb = (x + a * dx for x, dx in zip((cur.L, cur.S, cur.p), d))
+            step = cpcp.triple_gnorm_sq(inst.meas, beta, tau, eta,
+                                        nxt.L - Lb, nxt.S - Sb, nxt.p - pb)
+            assert trace.extras["gnorm_steps"][k] == pytest.approx(step, rel=1e-12)
+            if alpha:
+                dsq = cpcp.triple_gnorm_sq(inst.meas, beta, tau, eta, *d)
+                assert trace.delta[k] == pytest.approx(2.0 * a * dsq, rel=1e-12)
+
     def test_triple_gnorm_nonnegative_below_unit_steps(self):
         inst = small_instance()
         rng = np.random.default_rng(2)
@@ -268,6 +295,18 @@ class TestSolvers:
         assert np.array_equal(plain_state.S, zero_state.S)
         assert np.array_equal(plain_state.p, zero_state.p)
         assert plain_trace.stop_residuals == zero_trace.stop_residuals
+
+    @pytest.mark.parametrize("kind,q", [("dct2", 819), ("wht", 819), ("fft2", 409)])
+    @pytest.mark.parametrize("alpha", [0.0, 0.28])
+    def test_carried_measurements_do_not_drift(self, kind, q, alpha):
+        inst = cpcp.generate_instance(32, 32, 2, 51, kind, q, 5)
+        state, trace = cpcp.iladmm_cpcp(inst, alpha=alpha)
+        assert state.converged
+        fresh = inst.meas.apply(state.L + state.S)
+        drift = np.linalg.norm(trace.extras["measurement"] - fresh)
+        assert drift <= 1e-12 * np.linalg.norm(fresh)
+        assert trace.extras["feasibility"] == pytest.approx(
+            np.linalg.norm(fresh - inst.b), rel=1e-6)
 
     def test_reruns_are_bitwise_identical(self):
         inst = small_instance()
