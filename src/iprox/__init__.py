@@ -5,10 +5,11 @@ benchmark built on partial orthonormal transforms."""
 
 __version__ = "0.1.0"
 
-from . import bench, cpcp, fixtures, numkit, prox, splitting, vi_core
+from . import bench, checks, cpcp, fixtures, numkit, prox, splitting, vi_core
 
 __all__ = [
     "bench",
+    "checks",
     "cpcp",
     "fixtures",
     "numkit",

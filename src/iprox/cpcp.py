@@ -47,16 +47,17 @@ def degrees_of_freedom(m, n, r, nnz):
 def counts_from_ratios(m, n, q_ratio, nnz_ratio):
     """Measurement and support counts from area ratios.
 
-    ``q`` is the floor of ``q_ratio * m * n`` taken exactly, with the
-    ratio read as the decimal it prints as (0.57 of 100 x 100 is 5700,
-    where the float product truncates to 5699); ``nnz`` rounds the float
-    product. Both conventions are fixed so grids regenerate identically
-    everywhere.
+    Both products are taken exactly, with each ratio read as the decimal
+    it prints as. ``q`` is the floor of ``q_ratio * m * n`` (0.57 of
+    100 x 100 is 5700, where the float product truncates to 5699), and
+    ``nnz`` rounds ``nnz_ratio * m * n`` half to even (0.02 of 35 x 35 is
+    24.5, which rounds to 24, where the float product rounds to 25). Both
+    conventions are fixed so grids regenerate identically everywhere.
     """
     if not 0 < q_ratio <= 1 or not 0 < nnz_ratio <= 1:
         raise ValueError("ratios must lie in (0, 1]")
     q = math.floor(Fraction(repr(float(q_ratio))) * m * n)
-    return q, int(round(nnz_ratio * m * n))
+    return q, round(Fraction(repr(float(nnz_ratio))) * m * n)
 
 
 @dataclass
@@ -198,21 +199,6 @@ class BetaController:
         elif ratio > 5.0:
             self.beta = min(2.0 * self.beta, self.beta_max)
         return self.beta
-
-
-def update_beta(controller, state, inst):
-    """Apply the rebalancing rule at ``state`` (inactive past the window).
-
-    Computes the infeasibility ``||A(L + S) - b||^2`` and the objective
-    ``||L||_* + lam ||S||_1`` from scratch; the solver loop uses the same
-    rule with cached quantities.
-    """
-    if not controller.active(state.iters):
-        return controller.beta
-    resid = inst.meas.apply(state.L + state.S) - inst.b
-    _, s, _ = svd(state.L)
-    obj = float(s.sum()) + inst.lam * float(np.abs(state.S).sum())
-    return controller.apply_rule(float(resid @ resid), obj)
 
 
 def combined_norm(L, S, p):

@@ -99,12 +99,6 @@ def nuclear_oracle(weight=1.0):
     return ProxOracle(_eval, _obj)
 
 
-def zero_oracle():
-    """``phi = 0``; the prox is the identity."""
-    return ProxOracle(lambda z, kappa: np.asarray(z, dtype=np.float64).copy(),
-                      lambda w: 0.0)
-
-
 def quadratic_oracle(P, c):
     """``phi(w) = w' P w / 2 + c' w`` for symmetric positive semidefinite P.
 
@@ -125,42 +119,6 @@ def quadratic_oracle(P, c):
         return float(0.5 * ww @ P @ ww + c @ ww)
 
     return ProxOracle(_eval, _obj)
-
-
-def diag_quadratic_oracle(d, c, lo=None, hi=None):
-    """Separable quadratic ``sum_i d_i w_i^2 / 2 + c_i w_i``, optional box.
-
-    With a box the prox stays closed form: the unconstrained coordinate
-    minimizer is clamped, which is exact because the function separates.
-    """
-    d = np.asarray(d, dtype=np.float64).ravel()
-    c = np.asarray(c, dtype=np.float64).ravel()
-    if d.shape != c.shape:
-        raise ValueError("d and c must have matching shapes")
-    if np.any(d < 0):
-        raise ValueError("diagonal curvature must be nonnegative")
-
-    def _eval(z, kappa):
-        zz = np.asarray(z, dtype=np.float64).ravel()
-        w = (zz / kappa - c) / (d + 1.0 / kappa)
-        if lo is not None or hi is not None:
-            w = project_box(
-                w,
-                -np.inf if lo is None else lo,
-                np.inf if hi is None else hi,
-            )
-        return w
-
-    def _obj(w):
-        ww = np.asarray(w, dtype=np.float64).ravel()
-        return float(0.5 * (d * ww * ww).sum() + c @ ww)
-
-    return ProxOracle(_eval, _obj)
-
-
-def box_oracle(lo, hi):
-    """Indicator of a box: the prox is projection, the objective is 0."""
-    return ProxOracle(lambda z, kappa: project_box(z, lo, hi), lambda w: 0.0)
 
 
 def prox_objective_gap(oracle: ProxOracle, z, kappa, probe):

@@ -11,7 +11,6 @@ nonergodic certificates below verify.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -20,7 +19,14 @@ from typing import Optional
 import numpy as np
 
 from .prox import ProxOracle, project_box
-from .vi_core import MixedViProblem, SolverTrace, WeightOperator, gippa_slack
+from .vi_core import (
+    SUMMABLE,
+    InertialSchedule,
+    MixedViProblem,
+    SolverTrace,
+    WeightOperator,
+    gippa_slack,
+)
 
 
 class ExactSubproblemError(RuntimeError):
@@ -238,12 +244,6 @@ def lagrangian(prob, x, y, p):
     return prob.objective(x, y) - float(np.dot(p, prob.feasibility(x, y)))
 
 
-def aug_lagrangian(prob, x, y, p, beta):
-    """Lagrangian plus ``beta/2 ||A x + B y - b||^2``."""
-    r = prob.feasibility(x, y)
-    return lagrangian(prob, x, y, p) + 0.5 * beta * float(r @ r)
-
-
 def to_mixed_vi(prob):
     """Mixed-VI form of the optimality system.
 
@@ -361,72 +361,17 @@ def iladmm_step(prob, params, w, w_prev, alpha):
 
     Extrapolates all three blocks, multiplier included,
     ``wbar = w + alpha (w - w_prev)``, then runs the plain step from
-    ``wbar``. Returns ``(wbar, w_next)``. With ``alpha = 0`` this is
-    bitwise identical to :func:`ladmm_step`.
+    ``wbar``. Returns ``(wbar, w_next)``. With ``alpha = 0``, ``wbar`` is
+    ``w`` and the step is :func:`ladmm_step`.
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    xb = w.x + alpha * (w.x - w_prev.x)
-    yb = w.y + alpha * (w.y - w_prev.y)
-    pb = w.p + alpha * (w.p - w_prev.p)
-    wbar = PrimalDualPoint(xb, yb, pb)
-    return wbar, _ladmm_core(prob, params, xb, yb, pb)
-
-
-def admm_step(prob, beta, w):
-    """One exact alternating step (x, multiplier, y) with penalty ``beta``.
-
-    Exact subproblem solves are available for quadratic unbounded blocks
-    (a dense linear system) or when the block's coupling matrix is the
-    identity (a prox evaluation); anything else raises
-    :class:`ExactSubproblemError`.
-    """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    A, B, b = prob.A, prob.B, prob.b
-
-    def solve_block(P, c, M, rhs_vec):
-        return np.linalg.solve(
-            np.asarray(P, dtype=np.float64) + beta * (M.T @ M), rhs_vec
-        )
-
-    def is_identity(M):
-        return M.shape[0] == M.shape[1] and np.array_equal(M, np.eye(M.shape[0]))
-
-    # x-update: argmin of the augmented Lagrangian at (., y, p)
-    if prob.f_quad is not None and prob.x_bounds is None:
-        Pf, cf = prob.f_quad
-        x1 = solve_block(
-            Pf, cf, A, A.T @ w.p - np.asarray(cf) - beta * (A.T @ (B @ w.y - b))
-        )
-    elif is_identity(A):
-        x1 = prob.f_prox.eval(b - B @ w.y + w.p / beta, 1.0 / beta)
-    else:
-        raise ExactSubproblemError(
-            "exact x-update needs quadratic unbounded f or A = I"
-        )
-
-    p1 = w.p - beta * (A @ x1 + B @ w.y - b)
-
-    if prob.g_quad is not None and prob.y_bounds is None:
-        Pg, cg = prob.g_quad
-        y1 = solve_block(
-            Pg, cg, B, B.T @ p1 - np.asarray(cg) - beta * (B.T @ (A @ x1 - b))
-        )
-    elif is_identity(B):
-        y1 = prob.g_prox.eval(b - A @ x1 + p1 / beta, 1.0 / beta)
-    else:
-        raise ExactSubproblemError(
-            "exact y-update needs quadratic unbounded g or B = I"
-        )
-
-    return PrimalDualPoint(x1, y1, p1)
-
-
-def _relative_step(w_next, ref):
-    num = float(np.linalg.norm(w_next.pack() - ref.pack()))
-    den = 1.0 + float(np.linalg.norm(ref.pack()))
-    return num / den
+    wbar = w
+    if alpha:
+        wbar = PrimalDualPoint(w.x + alpha * (w.x - w_prev.x),
+                               w.y + alpha * (w.y - w_prev.y),
+                               w.p + alpha * (w.p - w_prev.p))
+    return wbar, _ladmm_core(prob, params, wbar.x, wbar.y, wbar.p)
 
 
 def run_ladmm(prob, params, w0=None, tol=1e-5, max_iter=1000, w_star=None,
@@ -436,35 +381,11 @@ def run_ladmm(prob, params, w0=None, tol=1e-5, max_iter=1000, w_star=None,
     Stops when ``||w_{k+1} - w_k|| / (1 + ||w_k||) < tol``. The trace
     stores packed iterates, squared G-norm step residuals, and, when
     ``w_star`` (a :class:`PrimalDualPoint`) is given, the distances
-    ``phi_k = ||w_k - w*||_G^2``.
+    ``phi_k = ||w_k - w*||_G^2``. This is :func:`run_iladmm` at zero
+    extrapolation, which reproduces the plain steps bitwise.
     """
-    G = gladmm_operator(prob, params)
-    w = zeros_point(prob) if w0 is None else w0.copy()
-    star = None if w_star is None else w_star.pack()
-    trace = SolverTrace(
-        iterates=[w.pack()] if keep_iterates else None,
-        phi=None if star is None else [G.quad(w.pack() - star)],
-    )
-    for k in range(max_iter):
-        w1 = ladmm_step(prob, params, w)
-        dw = w1.pack() - w.pack()
-        trace.alphas.append(0.0)
-        trace.lambdas.append(1.0)
-        trace.delta.append(0.0)
-        trace.step_residuals.append(G.quad(dw))
-        rel = _relative_step(w1, w)
-        trace.stop_residuals.append(rel)
-        if trace.iterates is not None:
-            trace.iterates.append(w1.pack())
-        if star is not None:
-            trace.phi.append(G.quad(w1.pack() - star))
-        w = w1
-        trace.iterations = k + 1
-        if rel < tol:
-            trace.converged = True
-            break
-    trace.extras["final"] = w
-    return trace
+    return _run(prob, params, InertialSchedule.constant(0.0), w0, tol,
+                max_iter, w_star, keep_iterates)
 
 
 def run_iladmm(prob, params, schedule, w0=None, tol=1e-5, max_iter=1000,
@@ -474,29 +395,41 @@ def run_iladmm(prob, params, schedule, w0=None, tol=1e-5, max_iter=1000,
     The stopping rule compares against the extrapolated point:
     ``||w_{k+1} - wbar_k|| / (1 + ||wbar_k||) < tol``.
     """
+    return _run(prob, params, schedule, w0, tol, max_iter, w_star, keep_iterates)
+
+
+def _run(prob, params, schedule, w0, tol, max_iter, w_star, keep_iterates):
     G = gladmm_operator(prob, params)
     w = zeros_point(prob) if w0 is None else w0.copy()
-    w_prev = w.copy()
+    w_prev = w
+    v = v_prev = w.pack()
     star = None if w_star is None else w_star.pack()
+    reads_dsq = schedule.kind == SUMMABLE
     trace = SolverTrace(
-        iterates=[w.pack()] if keep_iterates else None,
-        phi=None if star is None else [G.quad(w.pack() - star)],
+        iterates=[v] if keep_iterates else None,
+        phi=None if star is None else [G.quad(v - star)],
     )
     for k in range(max_iter):
-        dw_sq = G.quad(w.pack() - w_prev.pack())
+        # the last step's G-norm costs a dense product: compute it only
+        # when the schedule reads it or the inertia term is nonzero
+        dw_sq = G.quad(v - v_prev) if reads_dsq else 0.0
         alpha_k = schedule.alpha(k, dw_sq)
+        if alpha_k and not reads_dsq:
+            dw_sq = G.quad(v - v_prev)
         wbar, w1 = iladmm_step(prob, params, w, w_prev, alpha_k)
+        v1, vbar = w1.pack(), v if wbar is w else wbar.pack()
         trace.alphas.append(alpha_k)
         trace.lambdas.append(1.0)
         trace.delta.append(2.0 * alpha_k * dw_sq)
-        trace.step_residuals.append(G.quad(w1.pack() - wbar.pack()))
-        rel = _relative_step(w1, wbar)
+        trace.step_residuals.append(G.quad(v1 - vbar))
+        rel = float(np.linalg.norm(v1 - vbar)) / (1.0 + float(np.linalg.norm(vbar)))
         trace.stop_residuals.append(rel)
         if trace.iterates is not None:
-            trace.iterates.append(w1.pack())
+            trace.iterates.append(v1)
         if star is not None:
-            trace.phi.append(G.quad(w1.pack() - star))
+            trace.phi.append(G.quad(v1 - star))
         w_prev, w = w, w1
+        v_prev, v = v, v1
         trace.iterations = k + 1
         if rel < tol:
             trace.converged = True

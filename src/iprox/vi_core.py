@@ -194,19 +194,6 @@ def summable_alpha(k, dw_gnorm_sq, alpha_max, C=1.0):
     return min(alpha_max, C / (k * k * d))
 
 
-def hbf_params(h, gamma):
-    """Step size and extrapolation factor of the damped-oscillator scheme.
-
-    For an explicit discretization with step ``h`` and friction ``gamma``:
-    ``lambda = h^2 / (1 + gamma h)`` and ``alpha = 1 / (1 + gamma h)``.
-    Larger friction gives smaller alpha.
-    """
-    if h <= 0 or gamma <= 0:
-        raise ValueError("h and gamma must be positive")
-    denom = 1.0 + gamma * h
-    return h * h / denom, 1.0 / denom
-
-
 @dataclass
 class SolverTrace:
     """Per-iteration diagnostics shared by the solver loops.

@@ -17,224 +17,64 @@ all) and checks one documented guarantee at its stated tolerance:
     full-size grid is beyond this budget, so the pipeline itself is
     pinned instead)
 
+The checks themselves live in :mod:`iprox.checks`; these gates run them
+at full scale, where ``iprox verify`` runs them at fixture scale.
 Criteria 7 and 8 share one batch of 256 x 256 runs; expect the module to
 take about a minute.
 """
 
 import json
-import time
 
-import numpy as np
 import pytest
 
-from iprox import bench, cpcp, prox
-from iprox import splitting as sp
-from iprox.fixtures import random_qp, strongly_monotone_affine_vi
-from iprox.numkit import SeededRng, make_measurement_op, svd
-from iprox.vi_core import (
-    InertialSchedule,
-    WeightOperator,
-    check_residual_rate_bound,
-    nesterov_ippa,
-    run_inertial_ppa,
-)
+from iprox import bench, checks
 
 
-def report(num, ok, detail):
-    print(f"criterion {num:>2}: {'PASS' if ok else 'FAIL'}  [{detail}]")
-    assert ok, f"criterion {num}: {detail}"
-
-
-# ---------------------------------------------------------------------------
-# shared 256 x 256 recovery runs (criteria 7 and 8)
+def report(num, result):
+    print(f"criterion {num:>2}: {'PASS' if result.ok else 'FAIL'}  [{result.detail}]")
+    assert result.ok, f"criterion {num}: {result.detail}"
 
 
 @pytest.fixture(scope="module")
-def desk_runs():
-    m = n = 256
-    q, nnz = cpcp.counts_from_ratios(m, n, 0.6, 0.05)
-    runs = []
-    for seed in (0, 1, 2, 3, 4):
-        inst = cpcp.generate_instance(m, n, 5, nnz, "dct2", q, seed)
-        out = {"seed": seed}
-        for label, alpha in (("plain", None), ("a028", 0.28), ("a005", 0.05)):
-            if alpha is None:
-                state, _ = cpcp.ladmm_cpcp(
-                    inst, tau=0.99, eta=0.99, tol=1e-5, max_iter=1000
-                )
-            else:
-                state, _ = cpcp.iladmm_cpcp(
-                    inst, tau=0.99, eta=0.99, alpha=alpha, tol=1e-5,
-                    max_iter=1000,
-                )
-            out[label] = cpcp.recovery_metrics(state, inst)
-        runs.append(out)
-    return runs
+def desk_batch():
+    """256 x 256, rank 5, q = 0.6 area, seeds 0-4: plain, 0.28 and 0.05."""
+    return checks.recovery_batch(256, 5, 0.6, seeds=range(5), alphas=(0.28, 0.05))
 
 
 def test_criterion_01_step_characterization():
-    t0 = time.perf_counter()
-    worst = np.inf
-    for seed in range(20):
-        prob, star = random_qp(8, 8, 8, SeededRng(1000 + seed))
-        params = sp.LadmmParams(
-            beta=1.0, tau=0.9 / prob.rho_ata, eta=0.9 / prob.rho_btb
-        )
-        probes = sp.sample_probes(prob, star, 2.0, 100, SeededRng(2000 + seed))
-        w = sp.zeros_point(prob)
-        for _ in range(10):
-            w1 = sp.ladmm_step(prob, params, w)
-            worst = min(worst, sp.vi_residual_check(prob, params, w, w1, probes))
-            w = w1
-    elapsed = time.perf_counter() - t0
-    ok = worst >= -1e-8 and elapsed < 10.0
-    report(1, ok, f"min slack {worst:.2e} over 20 fixtures x 10 steps x 100 "
-                  f"probes in {elapsed:.1f}s")
+    report(1, checks.step_characterization())
 
 
 def test_criterion_02_distance_contraction():
-    worst = -np.inf
-    for seed in range(3):
-        prob, star = random_qp(8, 8, 8, SeededRng(3000 + seed))
-        params = sp.LadmmParams(
-            beta=1.0, tau=0.9 / prob.rho_ata, eta=0.9 / prob.rho_btb
-        )
-        trace = sp.run_ladmm(prob, params, tol=0.0, max_iter=500, w_star=star)
-        phi = np.asarray(trace.phi)
-        res = np.asarray(trace.step_residuals)
-        worst = max(worst, float((phi[1:] - phi[:-1] + res).max()))
-    ok = worst <= 1e-10
-    report(2, ok, f"max contraction violation {worst:.2e} over 3 x 500 steps")
+    report(2, checks.distance_contraction())
 
 
 def test_criterion_03_nonergodic_rate():
-    prob, star = random_qp(4, 4, 3, SeededRng(20240814).derive("qp"))
-    params = sp.LadmmParams(
-        beta=0.1, tau=0.9 / prob.rho_ata, eta=0.9 / prob.rho_btb
-    )
-    trace = sp.run_ladmm(prob, params, tol=0.0, max_iter=500, w_star=star)
-    rep = sp.nonergodic_report(trace, prob, params, star)
-    trend = rep.scaled[499] < rep.scaled[49]
-    ok = rep.ok and trend
-    report(3, ok, f"monotone violations {len(rep.monotonicity_violations)}, "
-                  f"bound violations {len(rep.bound_violations)}, "
-                  f"k*res^2 at 500 / at 50 = {rep.scaled[499] / rep.scaled[49]:.2e}")
+    report(3, checks.nonergodic_rate())
 
 
 def test_criterion_04_ergodic_gap():
-    ks = [50, 100, 200]
-    worst = -np.inf
-    for seed in range(3):
-        prob, star = random_qp(8, 8, 8, SeededRng(4000 + seed))
-        params = sp.LadmmParams(
-            beta=1.0, tau=0.9 / prob.rho_ata, eta=0.9 / prob.rho_btb
-        )
-        trace = sp.run_ladmm(prob, params, tol=0.0, max_iter=220)
-        probes = sp.sample_probes(prob, star, 2.0, 50, SeededRng(5000 + seed))
-        rep = sp.ergodic_report(trace, prob, params, probes, ks=ks)
-        for k in ks:
-            excess = np.asarray(rep.gaps[k]) - np.asarray(rep.bounds[k])
-            worst = max(worst, float(excess.max()))
-    ok = worst <= 1e-8
-    report(4, ok, f"max gap excess {worst:.2e} at k in {ks}, 50 probes, 3 fixtures")
+    report(4, checks.ergodic_gap())
 
 
 def test_criterion_05_accelerated_residual_envelope():
-    ok = True
-    details = []
-    for seed in range(3):
-        rng = SeededRng(6000 + seed)
-        problem, w_star = strongly_monotone_affine_vi(8, rng)
-        G = WeightOperator.from_matrix(np.eye(8))
-        trace = run_inertial_ppa(
-            problem, G, InertialSchedule.constant(0.28),
-            np.ones(8) * 2.0, tol=0.0, max_iter=500,
-        )
-        rep = check_residual_rate_bound(trace, G, w_star)
-        ok = ok and rep.ok and rep.constant == pytest.approx(13.5, rel=1e-12)
-        details.append(len(rep.violations))
-    report(5, ok, f"envelope constant 13.5, violations per fixture {details}")
+    report(5, checks.residual_envelope())
 
 
 def test_criterion_06_accelerated_objective_rate():
-    c = SeededRng(7000).normal(10) * 3.0
-    w0 = np.zeros(10)
-
-    def prox_f(z, lam):
-        return (z + lam * c) / (1.0 + lam)
-
-    def f(w):
-        return 0.5 * float(np.sum((w - c) ** 2))
-
-    trace = nesterov_ippa(prox_f, w0, 500, objective=f)
-    gaps = np.asarray(trace.objective)  # f* = 0 at w = c
-    ks = np.arange(1, 501)
-    scaled = ks * ks * gaps[1:]
-    bound = 4.0 * float(np.sum((w0 - c) ** 2))
-    worst = float(scaled.max())
-    ok = bool(np.all(scaled <= bound + 1e-10))
-    report(6, ok, f"max k^2 gap {worst:.3f} vs bound {bound:.3f} over k <= 500")
+    report(6, checks.objective_rate())
 
 
-def test_criterion_07_desk_scale_recovery(desk_runs):
-    worst_err = 0.0
-    worst_iters = 0
-    all_ok = True
-    for run in desk_runs:
-        for label in ("plain", "a028"):
-            met = run[label]
-            all_ok = all_ok and met.converged and met.iters <= 1000
-            worst_err = max(worst_err, met.rel_l, met.rel_s)
-            worst_iters = max(worst_iters, met.iters)
-    ok = all_ok and worst_err <= 1e-4
-    report(7, ok, f"10 runs at 256x256 converged, max iters {worst_iters}, "
-                  f"max rel err {worst_err:.2e}")
+def test_criterion_07_desk_scale_recovery(desk_batch):
+    report(7, checks.recovery(desk_batch))
 
 
-def test_criterion_08_inertial_speedup(desk_runs):
-    mean_plain = np.mean([r["plain"].iters for r in desk_runs])
-    mean_028 = np.mean([r["a028"].iters for r in desk_runs])
-    mean_005 = np.mean([r["a005"].iters for r in desk_runs])
-    ratio = mean_028 / mean_plain
-    ok = ratio <= 0.90 and mean_028 < mean_005
-    report(8, ok, f"iter ratio {ratio:.3f} (gate 0.90); "
-                  f"mean iters 0.28: {mean_028:.1f} vs 0.05: {mean_005:.1f}")
+def test_criterion_08_inertial_speedup(desk_batch):
+    report(8, checks.inertial_speedup(desk_batch))
 
 
 def test_criterion_09_exact_identities():
-    # zero extrapolation coincides with the plain solver
-    inst = cpcp.generate_instance(32, 32, 2, 51, "dct2", 819, 11)
-    s_plain, _ = cpcp.ladmm_cpcp(inst, max_iter=60, tol=0.0)
-    s_zero, _ = cpcp.iladmm_cpcp(inst, alpha=0.0, max_iter=60, tol=0.0)
-    coincide = max(
-        float(np.abs(s_plain.L - s_zero.L).max()),
-        float(np.abs(s_plain.S - s_zero.S).max()),
-        float(np.abs(s_plain.p - s_zero.p).max()),
-    )
-
-    # measurement rows are orthonormal: the Gram matrix is the identity
-    gram_err = 0.0
-    for kind in ("wht", "dct2"):
-        meas = make_measurement_op(kind, 16, 16, 120, SeededRng(8000).derive(kind))
-        gram = np.column_stack([
-            meas.apply(meas.adjoint(e))
-            for e in np.eye(meas.measurement_dim)
-        ])
-        gram_err = max(gram_err, float(np.abs(gram - np.eye(120)).max()))
-
-    # thresholding acts on the spectrum exactly
-    spec_err = 0.0
-    rng = np.random.default_rng(9000)
-    for kappa in (0.3, 1.0, 2.5):
-        M = rng.normal(size=(30, 20)) * 2.0
-        _, s_in, _ = svd(M)
-        _, s_out, _ = svd(prox.svt(M, kappa))
-        want = prox.soft_threshold(s_in, kappa)
-        spec_err = max(spec_err, float(np.abs(np.sort(s_out) - np.sort(want)).max()))
-
-    ok = coincide <= 1e-14 and gram_err <= 1e-12 and spec_err <= 1e-10
-    report(9, ok, f"zero-alpha gap {coincide:.1e}, measurement gram error "
-                  f"{gram_err:.1e}, spectrum error {spec_err:.1e}")
+    report(9, checks.exact_identities())
 
 
 def test_criterion_10_bench_determinism(tmp_path):
@@ -271,5 +111,7 @@ def test_criterion_10_bench_determinism(tmp_path):
         json.loads((outs[1] / "records.json").read_text())
     )
     ok = csv_same and plot_same and rec_same
-    report(10, ok, "grid rerun byte-identical (tables csv/plot; records up "
-                   "to wall times); full-size grid substituted by this gate")
+    report(10, checks.CheckResult(
+        "bench-determinism", ok,
+        "grid rerun byte-identical (tables csv/plot; records up to wall "
+        "times); full-size grid substituted by this gate"))

@@ -7,6 +7,8 @@ the library implementations never certify themselves.
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from iprox import numkit
 
@@ -178,6 +180,41 @@ class TestMeasurementOp:
         with pytest.raises(ValueError):
             # fft2 has only (16 - 4) / 2 = 6 usable rows on a 4x4 grid
             numkit.make_measurement_op(numkit.FFT2, 4, 4, 7, numkit.SeededRng(0))
+
+
+@st.composite
+def op_shapes(draw):
+    """A kind, an image shape (any up to 17 x 17, powers of two up to
+    16 x 32 for wht) and a measurement count the kind can sample."""
+    kind = draw(st.sampled_from(numkit.KINDS))
+    if kind == numkit.WHT:
+        rows, cols = 1 << draw(st.integers(0, 4)), 1 << draw(st.integers(0, 5))
+    else:
+        rows, cols = draw(st.integers(1, 17)), draw(st.integers(1, 17))
+    pool = (numkit.fft2_half_domain(rows, cols).size if kind == numkit.FFT2
+            else rows * cols)
+    assume(pool >= 1)
+    return kind, rows, cols, draw(st.integers(1, pool))
+
+
+@settings(max_examples=120, deadline=None)
+@given(spec=op_shapes(), seed=st.integers(0, 2**32 - 1))
+@example(spec=(numkit.DCT2, 5, 12, 31), seed=0)
+@example(spec=(numkit.DCT2, 17, 9, 153), seed=1)
+@example(spec=(numkit.FFT2, 7, 10, 34), seed=2)
+@example(spec=(numkit.FFT2, 1, 17, 8), seed=3)
+@example(spec=(numkit.WHT, 16, 32, 300), seed=4)
+@example(spec=(numkit.WHT, 1, 8, 5), seed=5)
+def test_measurement_identities_on_any_shape(spec, seed):
+    kind, rows, cols, q = spec
+    rng = numkit.SeededRng(seed)
+    op = numkit.make_measurement_op(kind, rows, cols, q, rng.derive("op"))
+    x = rng.derive("x").normal(rows, cols)
+    y = rng.derive("y").normal(op.measurement_dim)
+    # rows are orthonormal: A A* = I
+    assert np.abs(op.apply(op.adjoint(y)) - y).max() < 1e-12
+    # adjointness: <A x, y> = <x, A* y>
+    assert abs(float(op.apply(x) @ y) - float(np.sum(x * op.adjoint(y)))) < 1e-10
 
 
 class TestSvd:

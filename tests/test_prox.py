@@ -122,12 +122,6 @@ class TestOracles:
         w = rng.normal(size=5)
         assert oracle.objective(w) == pytest.approx(0.7 * np.abs(w).sum())
 
-    def test_zero_oracle(self):
-        oracle = prox.zero_oracle()
-        z = np.array([1.0, -2.0])
-        assert np.array_equal(oracle.eval(z, 2.5), z)
-        assert oracle.objective(z) == 0.0
-
     def test_quadratic_oracle_solves_stationarity(self):
         rng = np.random.default_rng(7)
         R = rng.normal(size=(5, 5))
@@ -143,26 +137,6 @@ class TestOracles:
         assert oracle.objective(w) == pytest.approx(
             0.5 * w @ P @ w + c @ w, abs=1e-12
         )
-
-    def test_diag_quadratic_oracle_with_bounds(self):
-        d = np.array([1.0, 2.0, 0.5])
-        c = np.array([0.3, -0.7, 0.0])
-        oracle = prox.diag_quadratic_oracle(d, c, lo=-0.2, hi=0.2)
-        z = np.array([5.0, -5.0, 0.01])
-        w = oracle.eval(z, 1.0)
-        assert np.all(w >= -0.2 - 1e-15) and np.all(w <= 0.2 + 1e-15)
-        # interior coordinates satisfy stationarity, clamped ones sit on the bound
-        free = (w > -0.2 + 1e-12) & (w < 0.2 - 1e-12)
-        grad = d * w + c + (w - z)
-        assert np.abs(grad[free]).max() < 1e-12 if free.any() else True
-
-    def test_box_oracle(self):
-        rng = np.random.default_rng(8)
-        oracle = prox.box_oracle(-1.0, 2.0)
-        z = rng.normal(size=10) * 3
-        w = oracle.eval(z, 1.7)
-        assert np.array_equal(w, np.clip(z, -1.0, 2.0))
-        assert oracle.objective(w) == 0.0
 
     def test_nuclear_oracle_matrix_shape(self):
         rng = np.random.default_rng(9)

@@ -25,7 +25,6 @@ from iprox.vi_core import (
     check_h_monotonicity,
     check_residual_rate_bound,
     gippa_slack,
-    hbf_params,
     inertial_ppa_step,
     nesterov_ippa,
     run_inertial_ppa,
@@ -133,24 +132,6 @@ class TestInertialSchedule:
     def test_summable_alpha_rejects_k_zero(self):
         with pytest.raises(ValueError):
             summable_alpha(0, 1.0, 0.5)
-
-
-class TestHbfParams:
-    def test_hand_values(self):
-        lam, alpha = hbf_params(1.0, 1.0)
-        assert lam == pytest.approx(0.5)
-        assert alpha == pytest.approx(0.5)
-
-    def test_friction_shrinks_alpha(self):
-        _, a_light = hbf_params(1.0, 0.5)
-        _, a_heavy = hbf_params(1.0, 5.0)
-        assert a_heavy < a_light
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            hbf_params(0.0, 1.0)
-        with pytest.raises(ValueError):
-            hbf_params(1.0, -1.0)
 
 
 class TestEngineStep:
