@@ -187,7 +187,7 @@ def _environment():
     }
 
 
-def _solver_outcome(state, trace, inst, wall):
+def _solver_outcome(state, inst, wall):
     met = recovery_metrics(state, inst)
     return {
         "iters": int(met.iters),
@@ -205,24 +205,24 @@ def _run_trial(cell, seed, config, alphas):
         inst = generate_instance(size, size, rank, nnz, kind, q, seed)
 
         t0 = time.perf_counter()
-        state, trace = ladmm_cpcp(
+        state, _ = ladmm_cpcp(
             inst, tau=config.tau, eta=config.eta,
             controller=BetaController.for_instance(
                 inst, beta0=config.beta0, s_scale=config.s_scale),
             tol=config.eps, max_iter=config.max_iter,
         )
-        plain = _solver_outcome(state, trace, inst, time.perf_counter() - t0)
+        plain = _solver_outcome(state, inst, time.perf_counter() - t0)
 
         inertial = {}
         for a in alphas:
             t0 = time.perf_counter()
-            state, trace = iladmm_cpcp(
+            state, _ = iladmm_cpcp(
                 inst, tau=config.tau, eta=config.eta, alpha=a,
                 controller=BetaController.for_instance(
                     inst, beta0=config.beta0, s_scale=config.s_scale),
                 tol=config.eps, max_iter=config.max_iter,
             )
-            inertial[a] = _solver_outcome(state, trace, inst, time.perf_counter() - t0)
+            inertial[a] = _solver_outcome(state, inst, time.perf_counter() - t0)
         return {
             "seed": seed,
             "q": inst.q,
@@ -588,7 +588,3 @@ def main(argv=None):
 
 def cli_entry():
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    cli_entry()

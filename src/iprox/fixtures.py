@@ -154,7 +154,7 @@ def prox_identity_vi(oracle: ProxOracle, c):
         if not np.allclose(Gm, np.eye(n), atol=1e-12):
             raise ValueError("closed form available for identity weighting only")
         s = 1.0 + 1.0 / lam
-        return oracle.eval((c + np.asarray(z) / lam) / s, 1.0 / s)
+        return oracle.eval((c + np.asarray(z) / lam) / s, 1.0 / s)[0]
 
     problem = MixedViProblem(
         dim=n,
@@ -163,7 +163,7 @@ def prox_identity_vi(oracle: ProxOracle, c):
         resolvent=resolvent,
         H=WeightOperator.identity(1.0),
     )
-    return problem, oracle.eval(c, 1.0)
+    return problem, oracle.eval(c, 1.0)[0]
 
 
 def random_qp(n1, n2, m, rng, curvature=1.0):

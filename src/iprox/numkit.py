@@ -202,6 +202,13 @@ class MeasurementOp:
         idx.setflags(write=False)
         object.__setattr__(self, "indices", idx)
 
+    # the largest eigenvalue of A* A; the rows are orthonormal
+    spectral_bound = 1.0
+
+    @property
+    def input_shape(self):
+        return (self.image_rows, self.image_cols)
+
     @property
     def q(self):
         """Number of selected transform coefficients."""

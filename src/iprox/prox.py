@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -29,6 +29,8 @@ def svt_with_values(mat, kappa):
     prefix; only those triplets are recomposed. ``shrunk`` keeps its full
     length.
     """
+    if kappa < 0:
+        raise ValueError(f"threshold must be nonnegative, got {kappa}")
     u, s, v = svd(mat)
     shrunk = np.maximum(s - kappa, 0.0)
     r = int(np.count_nonzero(shrunk))
@@ -40,8 +42,6 @@ def svt(mat, kappa):
 
     Applies :func:`soft_threshold` to the singular values and recomposes.
     """
-    if kappa < 0:
-        raise ValueError(f"threshold must be nonnegative, got {kappa}")
     out, _ = svt_with_values(mat, kappa)
     return out
 
@@ -60,13 +60,14 @@ def project_box(v, lo, hi):
 class ProxOracle:
     """A convex function given through its proximal map.
 
-    ``eval(z, kappa)`` returns ``argmin_w phi(w) + ||w - z||^2 / (2 kappa)``
-    and ``objective(w)`` returns ``phi(w)``. Set constraints folded into
-    the oracle are handled inside ``eval``; ``objective`` reports only the
-    finite part.
+    ``eval(z, kappa)`` returns ``(w, phi(w))`` for
+    ``w = argmin_w phi(w) + ||w - z||^2 / (2 kappa)``, so a solver reads
+    the value off the prox step, and ``objective(w)`` returns ``phi(w)``.
+    Set constraints folded into the oracle are handled inside ``eval``;
+    ``objective`` reports only the finite part.
     """
 
-    eval: Callable[[np.ndarray, float], np.ndarray]
+    eval: Callable[[np.ndarray, float], tuple]
     objective: Callable[[np.ndarray], float]
 
 
@@ -75,11 +76,12 @@ def l1_oracle(weight=1.0):
     if weight < 0:
         raise ValueError("weight must be nonnegative")
 
-    def _eval(z, kappa):
-        return soft_threshold(z, weight * kappa)
-
     def _obj(w):
         return weight * float(np.abs(w).sum())
+
+    def _eval(z, kappa):
+        w = soft_threshold(z, weight * kappa)
+        return w, _obj(w)
 
     return ProxOracle(_eval, _obj)
 
@@ -90,7 +92,8 @@ def nuclear_oracle(weight=1.0):
         raise ValueError("weight must be nonnegative")
 
     def _eval(z, kappa):
-        return svt(z, weight * kappa)
+        w, shrunk = svt_with_values(z, weight * kappa)
+        return w, weight * float(shrunk.sum())
 
     def _obj(w):
         _, s, _ = svd(w)
@@ -109,14 +112,16 @@ def quadratic_oracle(P, c):
     n = c.size
     if P.shape != (n, n):
         raise ValueError(f"P must be {n}x{n}, got {P.shape}")
-
-    def _eval(z, kappa):
-        zz = np.asarray(z, dtype=np.float64).ravel()
-        return np.linalg.solve(P + np.eye(n) / kappa, zz / kappa - c)
+    eye = np.eye(n)
 
     def _obj(w):
         ww = np.asarray(w, dtype=np.float64).ravel()
         return float(0.5 * ww @ P @ ww + c @ ww)
+
+    def _eval(z, kappa):
+        zz = np.asarray(z, dtype=np.float64).ravel()
+        w = np.linalg.solve(P + eye / kappa, zz / kappa - c)
+        return w, _obj(w)
 
     return ProxOracle(_eval, _obj)
 
@@ -128,7 +133,7 @@ def prox_objective_gap(oracle: ProxOracle, z, kappa, probe):
     ``phi(probe) + ||probe - z||^2/(2 kappa)`` minus the same expression
     at ``eval(z, kappa)``.
     """
-    w = oracle.eval(z, kappa)
+    w, _ = oracle.eval(z, kappa)
     z = np.asarray(z, dtype=np.float64)
     probe = np.asarray(probe, dtype=np.float64)
 

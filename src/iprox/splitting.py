@@ -1,18 +1,20 @@
 """Linearized ADMM, its inertial variant, and their certificates.
 
 The problem class: ``min f(x) + g(y)`` subject to ``A x + B y = b`` with
-``x in X``, ``y in Y`` for closed convex sets. The solvers update in the
-x, then multiplier, then y order; each primal subproblem linearizes the
-quadratic coupling term, so only the proximal maps of f and g are needed.
-Every step is a proximal point step under a fixed weighting G (see
-:func:`gladmm_operator`), which is what the contraction, ergodic, and
-nonergodic certificates below verify.
+``x in X``, ``y in Y`` for closed convex sets. ``A`` and ``B`` are dense
+matrices or linear operators, such as the partial transforms of
+:mod:`iprox.numkit`. The solvers update in the x, then multiplier, then y
+order; each primal subproblem linearizes the quadratic coupling term, so
+only the proximal maps of f and g are needed. Every step is a proximal
+point step under a weighting G (see :func:`gladmm_operator`), which is
+what the contraction, ergodic, and nonergodic certificates below verify.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -33,20 +35,33 @@ class ExactSubproblemError(RuntimeError):
     """Raised when a step needs a subproblem with no closed form here."""
 
 
+class _MatrixOp:
+    """A dense matrix as a linear operator on vectors."""
+
+    def __init__(self, M):
+        self.apply, self.adjoint = M.__matmul__, M.T.__matmul__
+        self.input_shape = (M.shape[1],)
+        # largest eigenvalue of M' M (exact, dense)
+        self.spectral_bound = float(np.linalg.eigvalsh(M.T @ M).max())
+
+
 @dataclass
 class SeparableProblem:
     """Two-block separable problem data.
 
-    ``f_prox`` and ``g_prox`` must solve their prox subproblems exactly,
-    with any set constraint on the block folded in; ``x_bounds`` and
-    ``y_bounds`` (pairs ``(lo, hi)`` or None) describe the same sets for
-    membership tests and probe projection. ``f_quad``/``g_quad`` optionally
-    carry dense quadratic data ``(P, c)`` enabling exact (non-linearized)
-    subproblem solves and the fixture resolvent.
+    ``A`` and ``B`` are dense matrices, or linear operators with
+    ``apply``, ``adjoint``, the ``input_shape`` of their blocks and a
+    ``spectral_bound`` on the largest eigenvalue of ``A* A`` (1 for a
+    partial orthonormal transform). ``f_prox`` and ``g_prox`` must solve
+    their prox subproblems exactly, with any set constraint on the block
+    folded in; ``x_bounds`` and ``y_bounds`` (pairs ``(lo, hi)`` or None)
+    describe the same sets for membership tests and probe projection.
+    ``f_quad``/``g_quad`` optionally carry dense quadratic data ``(P, c)``
+    enabling the fixture resolvent; the dense forms need matrices.
     """
 
-    A: np.ndarray
-    B: np.ndarray
+    A: object
+    B: object
     b: np.ndarray
     f_prox: ProxOracle
     g_prox: ProxOracle
@@ -56,39 +71,45 @@ class SeparableProblem:
     g_quad: Optional[tuple] = None
 
     def __post_init__(self):
-        self.A = np.asarray(self.A, dtype=np.float64)
-        self.B = np.asarray(self.B, dtype=np.float64)
         self.b = np.asarray(self.b, dtype=np.float64).ravel()
-        if self.A.ndim != 2 or self.B.ndim != 2:
-            raise ValueError("A and B must be matrices")
-        if self.A.shape[0] != self.B.shape[0] or self.A.shape[0] != self.b.size:
-            raise ValueError(
-                f"row mismatch: A {self.A.shape}, B {self.B.shape}, b {self.b.shape}"
-            )
+        for name in ("A", "B"):
+            M = getattr(self, name)
+            if not hasattr(M, "apply"):
+                M = np.asarray(M, dtype=np.float64)
+                if M.ndim != 2 or M.shape[0] != self.b.size:
+                    raise ValueError(f"{name} {M.shape} is not a matrix "
+                                     f"with {self.b.size} rows")
+                setattr(self, name, M)
+
+    @cached_property
+    def _ops(self):
+        return tuple(M if hasattr(M, "apply") else _MatrixOp(M)
+                     for M in (self.A, self.B))
 
     @property
     def n1(self):
-        return self.A.shape[1]
+        return math.prod(self._ops[0].input_shape)
 
     @property
     def n2(self):
-        return self.B.shape[1]
+        return math.prod(self._ops[1].input_shape)
 
     @property
     def m(self):
-        return self.A.shape[0]
+        return self.b.size
 
-    @cached_property
+    @property
     def rho_ata(self):
-        """Largest eigenvalue of ``A' A`` (exact, dense)."""
-        return float(np.linalg.eigvalsh(self.A.T @ self.A).max())
+        """Largest eigenvalue of ``A' A``, or the operator's bound."""
+        return self._ops[0].spectral_bound
 
-    @cached_property
+    @property
     def rho_btb(self):
-        return float(np.linalg.eigvalsh(self.B.T @ self.B).max())
+        return self._ops[1].spectral_bound
 
     def feasibility(self, x, y):
-        return self.A @ x + self.B @ y - self.b
+        A, B = self._ops
+        return A.apply(x) + B.apply(y) - self.b
 
     def objective(self, x, y):
         return self.f_prox.objective(x) + self.g_prox.objective(y)
@@ -115,9 +136,6 @@ class PrimalDualPoint:
         w = np.asarray(w, dtype=np.float64).ravel()
         return PrimalDualPoint(w[:n1], w[n1 : n1 + n2], w[n1 + n2 :])
 
-    def copy(self):
-        return PrimalDualPoint(self.x.copy(), self.y.copy(), self.p.copy())
-
 
 def zeros_point(prob):
     return PrimalDualPoint(
@@ -143,55 +161,123 @@ class LadmmParams:
             raise ValueError("beta, tau, eta must all be positive")
 
 
-def _check_step_bounds(prob, params):
-    margin = 1e-12
-    if params.tau * prob.rho_ata > 1.0 + margin or params.eta * prob.rho_btb > 1.0 + margin:
-        warnings.warn(
-            "step sizes exceed 1/spectral-radius: the weighting is "
-            "indefinite and no convergence certificate applies",
-            stacklevel=3,
-        )
-    elif params.tau * prob.rho_ata > 1.0 - 1e-9 or params.eta * prob.rho_btb > 1.0 - 1e-9:
-        warnings.warn(
-            "boundary step size: the weighting is only positive "
-            "semidefinite",
-            stacklevel=3,
-        )
+@dataclass
+class BetaController:
+    """The loop's penalty, rebalanced during the first ``active_iters``
+    iterations and then frozen; ``active_iters = 0`` keeps it fixed.
+
+    It moves by factors of two (doubled when the tuning ratio exceeds 5,
+    halved below 0.1), always kept inside ``[beta_min, beta_max]``, and
+    freezes after the active window so the proximal weighting stops
+    changing.
+
+    The ratio compares the penalty against the balance point recorded at
+    the first tuned iterate: ``balance = 2 * s_scale * obj_1 / feas_sq_1``
+    is the penalty that would weight the quadratic infeasibility term to
+    ``s_scale`` times the objective there, and ``ratio = balance / beta``.
+    The infeasibility itself decays geometrically while the objective
+    settles, so a ratio re-read from the current iterate has no stable
+    landing point; the frozen snapshot turns the rule into a bounded
+    geometric walk from the initial penalty to the balance zone.
+    """
+
+    beta: float
+    s_scale: float = 10.0
+    active_iters: int = 30
+    beta_min: float = 1e-3
+    beta_max: float = 1e2
+    balance: Optional[float] = None
+
+    def __post_init__(self):
+        if self.beta <= 0:
+            raise ValueError("beta must be positive")
+        if self.s_scale <= 0:
+            raise ValueError("s_scale must be positive")
+        self.beta = float(min(max(self.beta, self.beta_min), self.beta_max))
+
+    @classmethod
+    def for_instance(cls, inst, beta0=None, s_scale=10.0):
+        """Start a CPCP instance at ``0.1 q / ||b||_1``."""
+        if beta0 is None:
+            b1 = float(np.abs(inst.b).sum())
+            # all-zero measurements: any penalty works, the zero start is optimal
+            beta0 = 0.1 * inst.q / b1 if b1 > 0 else 1.0
+        return cls(beta=float(beta0), s_scale=float(s_scale))
+
+    def active(self, k):
+        """Whether the rule still applies before step ``k`` (0-based).
+
+        Tuning starts at the first computed iterate (k = 1); the start
+        point carries no objective/infeasibility balance to read.
+        """
+        return 1 <= k <= self.active_iters
+
+    def apply_rule(self, feas_sq, objective_value):
+        """One rebalancing update from the current infeasibility and
+        objective; a nonpositive objective or a feasible iterate is
+        treated as ratio 0 (the penalty backs off)."""
+        if objective_value > 0 and feas_sq > 0:
+            if self.balance is None:
+                self.balance = 2.0 * self.s_scale * objective_value / feas_sq
+            ratio = self.balance / self.beta
+        else:
+            ratio = 0.0
+        if ratio < 0.1:
+            self.beta = max(0.5 * self.beta, self.beta_min)
+        elif ratio > 5.0:
+            self.beta = min(2.0 * self.beta, self.beta_max)
+        return self.beta
+
+
+def _check_step_bounds(prob, tau, eta):
+    scaled = max(tau * prob.rho_ata, eta * prob.rho_btb)
+    if scaled > 1.0 + 1e-12:
+        warnings.warn("step sizes exceed 1/spectral-radius: the weighting is "
+                      "indefinite and no convergence certificate applies",
+                      stacklevel=3)
+    elif scaled > 1.0 - 1e-9:
+        warnings.warn("boundary step size: the weighting is only positive "
+                      "semidefinite", stacklevel=3)
+
+
+def _sq(u):
+    return float(np.vdot(u, u))
+
+
+def _gquad(beta, tau, eta, d, sq=None):
+    """``<d, G d>`` for ``d = (dx, dy, dp, A dx, B dy)``; ``sq`` may pass
+    the squared block norms ``(|dx|^2, |dy|^2, |dp|^2)`` already formed."""
+    dx, dy, dp, adx, bdy = d
+    xx, yy, pp = sq or map(_sq, (dx, dy, dp))
+    return (beta * (xx / tau - float(adx @ adx)) + (beta / eta) * yy
+            - 2.0 * float(bdy @ dp) + pp / beta)
 
 
 def gladmm_operator(prob, params, check=True):
     """Weighting G under which one linearized step is one proximal step.
 
     Block form: ``diag(beta (I/tau - A'A), [beta/eta I, -B'; -B, I/beta])``
-    acting on packed ``(x, y, p)``. Evaluation is matrix-free;
-    ``materialize`` builds the dense matrix for small problems.
+    acting on packed ``(x, y, p)``. Evaluation is matrix-free and works
+    for operator problems too; ``materialize`` builds the dense matrix for
+    small matrix problems.
     """
     if check:
-        _check_step_bounds(prob, params)
-    A, B = prob.A, prob.B
+        _check_step_bounds(prob, params.tau, params.eta)
+    opA, opB = prob._ops
     beta, tau, eta = params.beta, params.tau, params.eta
     n1, n2 = prob.n1, prob.n2
 
     def apply(w):
-        pt = PrimalDualPoint.unpack(w, n1, n2)
-        gx = beta * (pt.x / tau - A.T @ (A @ pt.x))
-        gy = (beta / eta) * pt.y - B.T @ pt.p
-        gp = -(B @ pt.y) + pt.p / beta
-        return np.concatenate([gx, gy, gp])
+        x, y, p, ax, by = _carried(prob, PrimalDualPoint.unpack(w, n1, n2))
+        gx = beta * (x / tau - opA.adjoint(ax))
+        gy = (beta / eta) * y - opB.adjoint(p)
+        return np.concatenate([gx.ravel(), gy.ravel(), -by + p / beta])
 
     def quad(w):
-        pt = PrimalDualPoint.unpack(w, n1, n2)
-        ax = A @ pt.x
-        by = B @ pt.y
-        return (
-            beta * (pt.x @ pt.x / tau - ax @ ax)
-            + (beta / eta) * (pt.y @ pt.y)
-            - 2.0 * float(by @ pt.p)
-            + pt.p @ pt.p / beta
-        )
+        return _gquad(beta, tau, eta, _carried(prob, PrimalDualPoint.unpack(w, n1, n2)))
 
     def materialize():
-        m = prob.m
+        A, B, m = prob.A, prob.B, prob.m
         G = np.zeros((n1 + n2 + m, n1 + n2 + m))
         G[:n1, :n1] = beta * (np.eye(n1) / tau - A.T @ A)
         G[n1 : n1 + n2, n1 : n1 + n2] = (beta / eta) * np.eye(n2)
@@ -331,18 +417,33 @@ def to_mixed_vi(prob):
     )
 
 
-def _ladmm_core(prob, params, xb, yb, pb):
-    """The five updates from an (extrapolated or plain) base point."""
-    A, B, b = prob.A, prob.B, prob.b
-    beta, tau, eta = params.beta, params.tau, params.eta
+def _step(prob, beta, tau, eta, xb, yb, pb, axb, byb):
+    """The five updates from a base point, given ``axb = A xb`` and
+    ``byb = B yb``; returns ``(x1, y1, p1, A x1, B y1, f(x1) + g(y1))``.
 
-    u = A.T @ (A @ xb + B @ yb - b)
-    x1 = prob.f_prox.eval(xb - tau * u + (tau / beta) * (A.T @ pb), tau / beta)
-    r = A @ x1 + B @ yb - b
-    p1 = pb - beta * r
-    v = B.T @ r
-    y1 = prob.g_prox.eval(yb - eta * v + (eta / beta) * (B.T @ p1), eta / beta)
-    return PrimalDualPoint(x1, y1, p1)
+    Each adjoint pair ``A'r - A'p/beta`` is merged into one adjoint of
+    ``r - p/beta``, so a step applies A and B once each and their
+    adjoints once each.
+    """
+    opA, opB = prob._ops
+    r1 = axb + byb - prob.b
+    x1, fx = prob.f_prox.eval(xb - tau * opA.adjoint(r1 - pb / beta), tau / beta)
+    ax1 = opA.apply(x1)
+    r2 = ax1 + byb - prob.b
+    p1 = pb - beta * r2
+    y1, gy = prob.g_prox.eval(yb - eta * opB.adjoint(r2 - p1 / beta), eta / beta)
+    return x1, y1, p1, ax1, opB.apply(y1), fx + gy
+
+
+def _carried(prob, w):
+    """``(x, y, p, A x, B y)`` at ``w``, or at zero when ``w`` is None
+    (with no operator call); blocks take the operators' input shapes."""
+    opA, opB = prob._ops
+    if w is None:
+        zero = np.zeros(prob.m)
+        return np.zeros(opA.input_shape), np.zeros(opB.input_shape), zero, zero, zero
+    x, y = w.x.reshape(opA.input_shape), w.y.reshape(opB.input_shape)
+    return x, y, w.p, opA.apply(x), opB.apply(y)
 
 
 def ladmm_step(prob, params, w):
@@ -350,10 +451,10 @@ def ladmm_step(prob, params, w):
 
     Both primal updates are proximal maps at gradient-style base points,
     e.g. the x-update is
-    ``f_prox(x - tau u + (tau/beta) A'p, tau/beta)`` with
-    ``u = A'(A x + B y - b)``.
+    ``f_prox(x - tau A'(A x + B y - b - p/beta), tau/beta)``.
     """
-    return _ladmm_core(prob, params, w.x, w.y, w.p)
+    x1, y1, p1, *_ = _step(prob, params.beta, params.tau, params.eta, *_carried(prob, w))
+    return PrimalDualPoint(x1, y1, p1)
 
 
 def iladmm_step(prob, params, w, w_prev, alpha):
@@ -371,7 +472,14 @@ def iladmm_step(prob, params, w, w_prev, alpha):
         wbar = PrimalDualPoint(w.x + alpha * (w.x - w_prev.x),
                                w.y + alpha * (w.y - w_prev.y),
                                w.p + alpha * (w.p - w_prev.p))
-    return wbar, _ladmm_core(prob, params, wbar.x, wbar.y, wbar.p)
+    x1, y1, p1, *_ = _step(prob, params.beta, params.tau, params.eta, *_carried(prob, wbar))
+    return wbar, PrimalDualPoint(x1, y1, p1)
+
+
+def stopping_residual(step_sq, ref_sq):
+    """Relative step size ``||step|| / (1 + ||ref||)`` from the squared
+    Euclidean norms of the step and of the reference point."""
+    return math.sqrt(step_sq) / (1.0 + math.sqrt(ref_sq))
 
 
 def run_ladmm(prob, params, w0=None, tol=1e-5, max_iter=1000, w_star=None,
@@ -384,8 +492,9 @@ def run_ladmm(prob, params, w0=None, tol=1e-5, max_iter=1000, w_star=None,
     ``phi_k = ||w_k - w*||_G^2``. This is :func:`run_iladmm` at zero
     extrapolation, which reproduces the plain steps bitwise.
     """
-    return _run(prob, params, InertialSchedule.constant(0.0), w0, tol,
-                max_iter, w_star, keep_iterates)
+    return _run(prob, _fixed_penalty(params.beta), params.tau, params.eta,
+                InertialSchedule.constant(0.0), tol, max_iter, w0, w_star,
+                keep_iterates)
 
 
 def run_iladmm(prob, params, schedule, w0=None, tol=1e-5, max_iter=1000,
@@ -395,46 +504,103 @@ def run_iladmm(prob, params, schedule, w0=None, tol=1e-5, max_iter=1000,
     The stopping rule compares against the extrapolated point:
     ``||w_{k+1} - wbar_k|| / (1 + ||wbar_k||) < tol``.
     """
-    return _run(prob, params, schedule, w0, tol, max_iter, w_star, keep_iterates)
+    return _run(prob, _fixed_penalty(params.beta), params.tau, params.eta,
+                schedule, tol, max_iter, w0, w_star, keep_iterates)
 
 
-def _run(prob, params, schedule, w0, tol, max_iter, w_star, keep_iterates):
-    G = gladmm_operator(prob, params)
-    w = zeros_point(prob) if w0 is None else w0.copy()
-    w_prev = w
-    v = v_prev = w.pack()
-    star = None if w_star is None else w_star.pack()
+def _fixed_penalty(beta):
+    return BetaController(beta, active_iters=0, beta_min=beta, beta_max=beta)
+
+
+def _run(prob, penalty, tau, eta, schedule, tol, max_iter, w0=None, w_star=None,
+         keep_iterates=False, stop=stopping_residual):
+    """The linearized ADMM loop behind every solver of the package.
+
+    ``penalty`` is a :class:`BetaController` (fixed when its active
+    window is empty). ``A x`` and ``B y`` are carried and extrapolated
+    with the iterates; the weighted inertia term reuses the differences
+    of the extrapolation and the weighted step residual the squared block
+    norms of ``stop(step_sq, ref_sq)``, the stopping rule, so neither
+    costs an operator call. ``trace.objective`` is read off the prox
+    oracles; ``trace.extras`` holds the penalty per step (``beta``), the
+    carried ``measurement`` ``A x + B y``, its ``feasibility`` and
+    ``relative_feasibility``, and the returned point (``final``).
+    """
+    if tau <= 0 or eta <= 0:
+        raise ValueError("tau and eta must be positive")
+    _check_step_bounds(prob, tau, eta)
+    cur = prev = _carried(prob, w0)
+    star = None if w_star is None else _carried(prob, w_star)
     reads_dsq = schedule.kind == SUMMABLE
+
+    def gquad_to(u, v):
+        return _gquad(penalty.beta, tau, eta, [a - c for a, c in zip(u, v)])
+
+    # the helpers below keep their differences local, so none is held
+    # through the next step
+
+    def extrapolate(k):
+        """``(alpha_k, ||w_k - w_{k-1}||_G^2, base point)``; the last step
+        is formed only when the schedule reads it or alpha_k is nonzero,
+        and is turned into the base point in place."""
+        a, dsq = (None if reads_dsq else schedule.alpha(k)), 0.0
+        if a is None or a:
+            d = [u - v for u, v in zip(cur, prev)]
+            dsq = _gquad(penalty.beta, tau, eta, d)
+            a = schedule.alpha(k, dsq)
+        if not a:
+            return a, dsq, cur
+        for u, du in zip(cur, d):
+            du *= a
+            du += u
+        return a, dsq, tuple(d)
+
+    def step_norms(nxt, base):
+        """The stopping residual and ``||w_{k+1} - wbar_k||_G^2``."""
+        step = [u - v for u, v in zip(nxt, base)]
+        sq = [_sq(u) for u in step[:3]]
+        rel = stop(sum(sq), sum(_sq(u) for u in base[:3]))
+        return rel, _gquad(penalty.beta, tau, eta, step, sq)
+
     trace = SolverTrace(
-        iterates=[v] if keep_iterates else None,
-        phi=None if star is None else [G.quad(v - star)],
+        iterates=[PrimalDualPoint(*cur[:3]).pack()] if keep_iterates else None,
+        phi=None if star is None else [gquad_to(cur, star)],
+        objective=[],
+        extras={"beta": []},
     )
+    objective = None  # f + g at the current point, once a step has run
     for k in range(max_iter):
-        # the last step's G-norm costs a dense product: compute it only
-        # when the schedule reads it or the inertia term is nonzero
-        dw_sq = G.quad(v - v_prev) if reads_dsq else 0.0
-        alpha_k = schedule.alpha(k, dw_sq)
-        if alpha_k and not reads_dsq:
-            dw_sq = G.quad(v - v_prev)
-        wbar, w1 = iladmm_step(prob, params, w, w_prev, alpha_k)
-        v1, vbar = w1.pack(), v if wbar is w else wbar.pack()
-        trace.alphas.append(alpha_k)
+        if penalty.active(k):
+            r = cur[3] + cur[4] - prob.b
+            penalty.apply_rule(float(r @ r), objective)
+        beta = penalty.beta
+        a, dsq, base = extrapolate(k)
+        *nxt, objective = _step(prob, beta, tau, eta, *base)
+        rel, step_sq = step_norms(nxt, base)
+        trace.alphas.append(a)
         trace.lambdas.append(1.0)
-        trace.delta.append(2.0 * alpha_k * dw_sq)
-        trace.step_residuals.append(G.quad(v1 - vbar))
-        rel = float(np.linalg.norm(v1 - vbar)) / (1.0 + float(np.linalg.norm(vbar)))
+        trace.delta.append(2.0 * a * dsq)
+        trace.step_residuals.append(step_sq)
         trace.stop_residuals.append(rel)
-        if trace.iterates is not None:
-            trace.iterates.append(v1)
+        trace.objective.append(objective)
+        trace.extras["beta"].append(beta)
+        if keep_iterates:
+            trace.iterates.append(PrimalDualPoint(*nxt[:3]).pack())
         if star is not None:
-            trace.phi.append(G.quad(v1 - star))
-        w_prev, w = w, w1
-        v_prev, v = v, v1
+            trace.phi.append(gquad_to(nxt, star))
+        prev, cur = cur, nxt
         trace.iterations = k + 1
         if rel < tol:
             trace.converged = True
             break
-    trace.extras["final"] = w
+
+    measured = cur[3] + cur[4]
+    feas = float(np.linalg.norm(measured - prob.b))
+    bnorm = float(np.linalg.norm(prob.b))
+    trace.extras["measurement"] = measured
+    trace.extras["feasibility"] = feas
+    trace.extras["relative_feasibility"] = feas / bnorm if bnorm > 0 else feas
+    trace.extras["final"] = PrimalDualPoint(*cur[:3])
     return trace
 
 

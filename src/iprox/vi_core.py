@@ -203,7 +203,8 @@ class SolverTrace:
     per-step lists hold K entries. ``step_residuals`` are squared G-norms
     of ``w_{k+1} - wbar_k``; ``stop_residuals`` the relative stopping
     quantities; ``delta`` the weighted inertia terms
-    ``2 alpha_k ||w_k - w_{k-1}||_G^2``.
+    ``2 alpha_k ||w_k - w_{k-1}||_G^2``; ``objective`` from the initial
+    point here, after each step (K entries) in :mod:`iprox.splitting`.
     """
 
     iterates: Optional[list] = None

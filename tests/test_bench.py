@@ -6,11 +6,16 @@ range; determinism checks compare complete artifacts byte for byte.
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import iprox
 from iprox import bench
 from iprox.cpcp import counts_from_ratios, degrees_of_freedom
 
@@ -388,6 +393,18 @@ class TestCli:
         assert (out / "alpha_records.json").exists()
         text = capsys.readouterr().out
         assert "alpha" in text and "0.28" in text
+
+    def test_module_entry_point(self):
+        # ``python -m iprox`` runs the CLI, loading each module once
+        src = str(Path(iprox.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-m", "iprox", "--help"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert "verify" in proc.stdout
 
     def test_list_parsers(self):
         assert bench._parse_float_list("0.1, 0.2,") == (0.1, 0.2)

@@ -130,18 +130,86 @@ class TestOracles:
         oracle = prox.quadratic_oracle(P, c)
         z = rng.normal(size=5)
         kappa = 0.8
-        w = oracle.eval(z, kappa)
+        w, value = oracle.eval(z, kappa)
         # stationarity: P w + c + (w - z) / kappa = 0
         grad = P @ w + c + (w - z) / kappa
         assert np.abs(grad).max() < 1e-10
         assert oracle.objective(w) == pytest.approx(
             0.5 * w @ P @ w + c @ w, abs=1e-12
         )
+        assert value == oracle.objective(w)
 
     def test_nuclear_oracle_matrix_shape(self):
         rng = np.random.default_rng(9)
         oracle = prox.nuclear_oracle(weight=1.2)
         Z = rng.normal(size=(5, 4))
-        W = oracle.eval(Z, 0.5)
+        W, value = oracle.eval(Z, 0.5)
         assert W.shape == Z.shape
+        assert value == pytest.approx(1.2 * nuclear_norm(W), abs=1e-10)
         assert oracle.objective(W) == pytest.approx(1.2 * nuclear_norm(W), abs=1e-10)
+
+
+# property tests of the oracle contract: ``eval`` returns the point and
+# the function value there, and the point minimizes the prox objective
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+seeds = st.integers(0, 2**32 - 1)
+shapes = st.tuples(st.integers(1, 8), st.integers(1, 8))
+kappas = st.floats(1e-3, 10.0)
+weights = st.floats(0.0, 5.0)
+
+
+def draw(seed, shape):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=shape) * 10.0 ** rng.uniform(-2.0, 2.0)
+
+
+def make_oracle(kind, weight, seed, shape):
+    if kind == "l1":
+        return prox.l1_oracle(weight)
+    if kind == "nuclear":
+        return prox.nuclear_oracle(weight)
+    n = shape[0] * shape[1]
+    R = np.random.default_rng(seed + 1).normal(size=(n, n))
+    return prox.quadratic_oracle(R @ R.T * weight, draw(seed + 2, n))
+
+
+oracle_kinds = st.sampled_from(["l1", "nuclear", "quadratic"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=oracle_kinds, weight=weights, seed=seeds, shape=shapes, kappa=kappas)
+def test_oracle_value_is_objective_at_point(kind, weight, seed, shape, kappa):
+    oracle = make_oracle(kind, weight, seed, shape)
+    z = draw(seed, shape if kind != "quadratic" else shape[0] * shape[1])
+    w, value = oracle.eval(z, kappa)
+    assert value == pytest.approx(oracle.objective(w), rel=1e-12, abs=1e-300)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=oracle_kinds, weight=weights, seed=seeds, shape=shapes, kappa=kappas,
+       step=st.sampled_from([1e-6, 1e-2, 1.0, 10.0]))
+def test_prox_objective_gap_nonnegative(kind, weight, seed, shape, kappa, step):
+    oracle = make_oracle(kind, weight, seed, shape)
+    dims = shape if kind != "quadratic" else shape[0] * shape[1]
+    z = draw(seed, dims)
+    w, _ = oracle.eval(z, kappa)
+    rng = np.random.default_rng(seed + 3)
+    for probe in (w + step * rng.normal(size=np.shape(w)), draw(seed + 4, dims)):
+        gap = prox.prox_objective_gap(oracle, z, kappa, probe)
+        assert gap >= -1e-10
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=seeds, shape=shapes, kappa=kappas)
+def test_svt_spectrum_is_thresholded_input_spectrum(seed, shape, kappa):
+    M = draw(seed, shape)
+    _, s_in, _ = svd(M)
+    W, shrunk = prox.svt_with_values(M, kappa)
+    assert np.array_equal(shrunk, prox.soft_threshold(s_in, kappa))
+    _, s_out, _ = svd(W)
+    assert np.allclose(np.sort(s_out), np.sort(shrunk), rtol=0.0,
+                       atol=1e-12 * max(1.0, float(s_in.max(initial=0.0))))

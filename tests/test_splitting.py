@@ -6,7 +6,6 @@ that independent oracle. The weighting operators are pinned to a
 hand-computed 3x3 matrix and cross-checked against their dense forms.
 """
 
-import math
 import warnings
 
 import numpy as np
@@ -80,12 +79,6 @@ class TestPrimalDualPoint:
         assert np.array_equal(back.x, pt.x)
         assert np.array_equal(back.y, pt.y)
         assert np.array_equal(back.p, pt.p)
-
-    def test_copy_is_independent(self):
-        pt = sp.PrimalDualPoint(np.zeros(2), np.zeros(2), np.zeros(1))
-        cp = pt.copy()
-        cp.x[0] = 7.0
-        assert pt.x[0] == 0.0
 
     def test_zeros_point(self):
         prob, _ = tiny_qp()
