@@ -22,8 +22,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numkit import RNG_ALGORITHM, SeededRng, make_measurement_op, svd
-from .prox import ProxOracle, l1_oracle, nuclear_oracle, soft_threshold, svt_with_values
+from .numkit import RNG_ALGORITHM, SeededRng, make_measurement_op, singular_values
+from .prox import (ProxOracle, SvtWarmStart, l1_oracle, nuclear_oracle, soft_threshold,
+                   svt_with_values)
 from .splitting import BetaController, SeparableProblem, _run, stopping_residual
 from .vi_core import InertialSchedule
 
@@ -135,19 +136,23 @@ class CpcpState:
     converged: bool = False
 
 
-def separable_problem(inst):
+def separable_problem(inst, warm=None):
     """The instance as a :class:`~iprox.splitting.SeparableProblem`:
     ``A = B = inst.meas``, ``f = ||.||_*``, ``g = lam ||.||_1``.
 
     The nuclear norm is read off the shrunk spectrum, so the objective
     costs no second SVD. The oracles call this module's
     ``svt_with_values`` and ``soft_threshold`` by name, so wrappers
-    installed on those attributes see each call.
+    installed on those attributes see each call. Every SVT of the problem
+    shares ``warm``, a :class:`~iprox.prox.SvtWarmStart` (a fresh one when
+    not given), so a problem serves one solve.
     """
     lam = inst.lam
+    if warm is None:
+        warm = SvtWarmStart()
 
     def nuclear(z, kappa):
-        L, shrunk = svt_with_values(z, kappa)
+        L, shrunk = svt_with_values(z, kappa, warm)
         return L, float(shrunk.sum())
 
     def sparse(z, kappa):
@@ -166,8 +171,11 @@ def _run_cpcp(inst, tau, eta, alpha, controller, tol, max_iter):
         alpha = InertialSchedule.constant(float(alpha))
     if controller is None:
         controller = BetaController.for_instance(inst)
-    trace = _run(separable_problem(inst), controller, tau, eta, alpha, tol,
+    warm = SvtWarmStart()
+    trace = _run(separable_problem(inst, warm), controller, tau, eta, alpha, tol,
                  max_iter, stop=stopping_residual)
+    trace.extras["svt_rank"] = warm.ranks
+    trace.extras["svt_full"] = warm.full
     final = trace.extras["final"]
     return CpcpState(final.x.reshape(inst.m, inst.n), final.y.reshape(inst.m, inst.n),
                      final.p, controller.beta, trace.iterations, trace.converged), trace
@@ -180,7 +188,9 @@ def ladmm_cpcp(inst, tau=0.99, eta=0.99, controller=None, tol=1e-5,
     Stops when ``||w_{k+1} - w_k|| / (1 + ||w_k||) < tol`` in the combined
     norm, or at ``max_iter`` (then ``converged`` is False). The trace is
     the one the :mod:`iprox.splitting` loop fills; its ``extras`` hold the
-    carried ``measurement`` ``A(L + S)`` and the ``feasibility``.
+    carried ``measurement`` ``A(L + S)``, the ``feasibility``, and per
+    iteration the SVT output rank (``svt_rank``) and whether that SVT ran
+    the full SVD (``svt_full``) or the certified top-k path.
     """
     return _run_cpcp(inst, tau, eta, 0.0, controller, tol, max_iter)
 
@@ -236,10 +246,8 @@ def subgradient_certificate(Z, L1, kappa):
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     W = (np.asarray(Z, dtype=np.float64) - L1) / kappa
-    _, sw, _ = svd(W)
-    _, sl, _ = svd(L1)
-    spectral_excess = float(sw.max(initial=0.0)) - 1.0
-    pairing_gap = abs(float(np.sum(W * L1)) - float(sl.sum()))
+    spectral_excess = float(singular_values(W).max(initial=0.0)) - 1.0
+    pairing_gap = abs(float(np.sum(W * L1)) - float(singular_values(L1).sum()))
     return spectral_excess, pairing_gap
 
 

@@ -62,11 +62,25 @@ def svd(mat):
     try:
         u, s, vh = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
-        raise SvdError(
-            "SVD did not converge: shape=%s frobenius=%.6e max_abs=%.6e"
-            % (m.shape, np.linalg.norm(m), np.abs(m).max(initial=0.0))
-        ) from exc
+        raise _svd_error(m) from exc
     return u, s, vh.T
+
+
+def singular_values(mat):
+    """Singular values of ``mat`` in nonincreasing order, without the
+    vectors; same input check and :class:`SvdError` as :func:`svd`."""
+    m = as_matrix(mat, "svd input")
+    try:
+        return np.linalg.svd(m, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise _svd_error(m) from exc
+
+
+def _svd_error(m):
+    return SvdError(
+        "SVD did not converge: shape=%s frobenius=%.6e max_abs=%.6e"
+        % (m.shape, np.linalg.norm(m), np.abs(m).max(initial=0.0))
+    )
 
 
 def _row_butterflies(src, dst, rows, cols):

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from iprox import cpcp
+from iprox import cpcp, prox
 from iprox.numkit import SeededRng, make_measurement_op
 from iprox.prox import svt
 from iprox.splitting import LadmmParams, gladmm_operator
@@ -285,6 +285,33 @@ class TestSolvers:
             inst = cpcp.generate_instance(*args)
             assert cpcp.ladmm_cpcp(inst)[0].iters == plain
             assert cpcp.iladmm_cpcp(inst, alpha=0.28)[0].iters == inertial
+
+    @pytest.mark.parametrize("args", [(32, 32, 2, 51, "dct2", 819, 7),
+                                      (64, 64, 2, 205, "fft2", 1843, 2)])
+    @pytest.mark.parametrize("alpha", [0.0, 0.28])
+    def test_certified_svts_match_the_full_svt(self, monkeypatch, args, alpha):
+        # every SVT along the trajectory, against the full SVT of its input
+        calls = []
+
+        def spy(z, kappa, warm):
+            out = prox.svt_with_values(z, kappa, warm)
+            calls.append((z.copy(), kappa, out, warm.full[-1]))
+            return out
+
+        monkeypatch.setattr(cpcp, "svt_with_values", spy)
+        state, trace = cpcp.iladmm_cpcp(cpcp.generate_instance(*args), alpha=alpha)
+        assert state.converged
+        assert len(calls) == trace.iterations
+        assert trace.extras["svt_full"] == [c[3] for c in calls]
+        assert trace.extras["svt_rank"] == [int(np.count_nonzero(c[2][1])) for c in calls]
+        certified = [c for c in calls if not c[3]]
+        assert certified
+        for z, kappa, (W, shrunk), _ in certified:
+            W0, shrunk0 = prox.svt_with_values(z, kappa)
+            r = int(np.count_nonzero(shrunk0))
+            assert int(np.count_nonzero(shrunk)) == r
+            assert np.abs(shrunk - shrunk0).max() <= 1e-10 * max(shrunk0[0], 1e-300)
+            assert np.linalg.norm(W - W0) <= 1e-10 * np.linalg.norm(W0)
 
     def test_zero_alpha_is_bitwise_plain(self):
         inst = small_instance()

@@ -240,6 +240,18 @@ class TestSvd:
         M[1, 1] = np.nan
         with pytest.raises(ValueError):
             numkit.svd(M)
+        with pytest.raises(ValueError, match="non-finite"):
+            numkit.singular_values(M)
+
+    def test_singular_values_match_svd(self):
+        rng = np.random.default_rng(21)
+        for shape in [(6, 6), (9, 5), (4, 11)]:
+            M = rng.normal(size=shape)
+            s = numkit.singular_values(M)
+            assert s.shape == (min(shape),)
+            assert np.abs(s - numkit.svd(M)[1]).max() < 1e-12
+        with pytest.raises(ValueError, match="2-D"):
+            numkit.singular_values(np.ones(3))
 
 
 class TestSeededRng:

@@ -213,3 +213,113 @@ def test_svt_spectrum_is_thresholded_input_spectrum(seed, shape, kappa):
     _, s_out, _ = svd(W)
     assert np.allclose(np.sort(s_out), np.sort(shrunk), rtol=0.0,
                        atol=1e-12 * max(1.0, float(s_in.max(initial=0.0))))
+
+
+# property tests of the warm-started SVT: whatever state it is handed, it
+# returns the SVT of the full path within 1e-10, or falls back to that path
+
+
+def spectral_matrix(seed, shape, top, kappa, tail=0.9):
+    """A matrix with ``top`` singular values in [1.5, 10] kappa and the
+    rest in [0, tail] kappa, so the threshold sits in a spectral gap; also
+    returns the right singular vectors, by singular value."""
+    rng = np.random.default_rng(seed)
+    m, n = shape
+    p = min(m, n)
+    U = np.linalg.qr(rng.normal(size=(m, p)))[0]
+    V = np.linalg.qr(rng.normal(size=(n, p)))[0]
+    s = np.sort(np.concatenate([rng.uniform(1.5, 10.0, top),
+                                rng.uniform(0.0, tail, p - top)]))[::-1] * kappa
+    return (U * s) @ V.T, V
+
+
+def assert_same_svt(got, want):
+    (W, shrunk), (W0, shrunk0) = got, want
+    r = int(np.count_nonzero(shrunk0))
+    assert shrunk.shape == shrunk0.shape
+    assert int(np.count_nonzero(shrunk)) == r
+    if r == 0:
+        assert not W.any()
+        return
+    assert np.abs(shrunk[:r] - shrunk0[:r]).max() <= 1e-10 * shrunk0[0]
+    assert np.linalg.norm(W - W0) <= 1e-10 * np.linalg.norm(W0)
+
+
+svt_shapes = st.tuples(st.integers(32, 48), st.integers(32, 48))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, shape=svt_shapes, top=st.integers(0, 8),
+       kappa=st.floats(0.1, 10.0),
+       start=st.sampled_from(["nearby", "unrelated", "too_small"]))
+def test_warm_svt_matches_full_svt(seed, shape, top, kappa, start):
+    Z, _ = spectral_matrix(seed, shape, top, kappa)
+    if start == "nearby":
+        # the state of a solve whose iterates approach Z
+        warm = prox.SvtWarmStart()
+        noise = np.random.default_rng(seed + 1).normal(size=shape)
+        for scale in (1e-4, 1e-8):
+            prox.svt_with_values(Z + scale * kappa * noise, kappa, warm)
+    elif start == "unrelated":
+        warm = prox.SvtWarmStart()
+        other, _ = spectral_matrix(seed + 1, shape, 8 - top, 2.0 * kappa)
+        prox.svt_with_values(other, 2.0 * kappa, warm)
+    else:
+        # a predicted rank below the true one: k = rank + margin Ritz
+        # values all exceed kappa
+        rank = max(0, top - prox._MARGIN)
+        basis = np.random.default_rng(seed + 2).normal(size=(shape[1], top))
+        warm = prox.SvtWarmStart(rank=rank, basis=basis)
+    got = prox.svt_with_values(Z, kappa, warm)
+    assert_same_svt(got, prox.svt_with_values(Z, kappa))
+    assert warm.ranks[-1] == int(np.count_nonzero(got[1]))
+    if start == "too_small" and top >= prox._MARGIN:
+        assert warm.full[-1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=seeds, shape=svt_shapes, kappa=st.floats(0.1, 10.0),
+       above=st.floats(1e-9, 1e-2))
+def test_warm_svt_falls_back_when_a_value_above_kappa_is_missed(seed, shape,
+                                                                kappa, above):
+    # a third singular value just above kappa whose vector the start
+    # basis leaves out: the Ritz triplets are exact and below kappa past
+    # the second, so only the Cholesky test can see the missed value
+    Z, V = spectral_matrix(seed, shape, 2, kappa, tail=0.5)
+    U = Z @ V
+    U[:, 2] *= kappa * (1.0 + above) / np.linalg.norm(U[:, 2])
+    Z = U @ V.T
+    k = 2 + prox._MARGIN
+    warm = prox.SvtWarmStart(rank=2, basis=np.delete(V, 2, axis=1)[:, :k])
+    got = prox.svt_with_values(Z, kappa, warm)
+    assert warm.full == [True]
+    assert int(np.count_nonzero(got[1])) == 3
+    assert_same_svt(got, prox.svt_with_values(Z, kappa))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=seeds, shape=svt_shapes, bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+def test_warm_svt_rejects_non_finite_input_like_the_full_svt(seed, shape, bad):
+    Z, _ = spectral_matrix(seed, shape, 2, 1.0)
+    warm = prox.SvtWarmStart()
+    prox.svt_with_values(Z, 1.0, warm)
+    Z[seed % shape[0], seed % shape[1]] = bad
+    with pytest.raises(ValueError) as full:
+        prox.svt_with_values(Z, 1.0)
+    with pytest.raises(ValueError) as warm_started:
+        prox.svt_with_values(Z, 1.0, warm)
+    assert str(warm_started.value) == str(full.value)
+
+
+def test_warm_svt_certifies_a_repeated_input():
+    Z, _ = spectral_matrix(11, (48, 40), 3, 1.0)
+    warm = prox.SvtWarmStart()
+    first = prox.svt_with_values(Z, 1.0, warm)
+    # without a usable state the SVT is the full path, bit for bit
+    plain = prox.svt_with_values(Z, 1.0)
+    assert np.array_equal(first[0], plain[0]) and np.array_equal(first[1], plain[1])
+    second = prox.svt_with_values(Z, 1.0, warm)
+    assert warm.full == [True, False]
+    assert warm.ranks == [3, 3]
+    assert warm.basis.shape == (40, 3 + prox._MARGIN)
+    assert_same_svt(second, plain)
