@@ -35,8 +35,7 @@ from .cpcp import (
     recovery_metrics,
 )
 from .numkit import KINDS, RNG_ALGORITHM
-
-_GUARANTEED_ALPHA_CAP = 1.0 / 3.0
+from .vi_core import InertialSchedule
 
 CSV_COLUMNS = [
     "m", "n", "r", "nnz_ratio", "q_ratio", "transform", "q_over_dof",
@@ -52,9 +51,9 @@ class RunConfig:
 
     ``sizes`` are square image sizes (m = n). ``alphas`` switches the run
     into sweep mode: every cell is solved once per listed factor, sharing
-    the plain-solver baseline. With ``enforce_guaranteed_alpha`` set (the
-    default for plain benchmarks), factors must stay below 1/3, the range
-    with a convergence certificate; sweeps disable it to probe beyond.
+    the plain-solver baseline. Outside sweep mode the factor must stay
+    below 1/3, the range with a convergence certificate; sweeps may probe
+    beyond.
     """
 
     sizes: tuple
@@ -72,7 +71,6 @@ class RunConfig:
     s_scale: float = 10.0
     seeds: tuple = (0, 1, 2, 3, 4)
     jobs: int = 1
-    enforce_guaranteed_alpha: bool = True
 
     def validate(self):
         if not self.sizes or any(int(s) < 2 for s in self.sizes):
@@ -100,7 +98,8 @@ class RunConfig:
             a = float(a)
             if not 0.0 <= a < 1.0:
                 raise ValueError(f"alpha {a} outside [0, 1)")
-            if self.enforce_guaranteed_alpha and a >= _GUARANTEED_ALPHA_CAP:
+            if (self.alphas is None
+                    and not InertialSchedule.constant(a).guaranteed_regime):
                 raise ValueError(
                     f"alpha {a} is outside the guaranteed range [0, 1/3); "
                     "use sweep mode to probe larger factors"
@@ -131,7 +130,6 @@ class RunConfig:
                 kw[key] = solver[key]
         if "alphas" in solver and solver["alphas"] is not None:
             kw["alphas"] = tuple(float(a) for a in solver["alphas"])
-            kw["enforce_guaranteed_alpha"] = False
         if "seeds" in doc:
             kw["seeds"] = tuple(int(s) for s in doc["seeds"])
         if "jobs" in doc:
@@ -204,32 +202,23 @@ def _run_trial(cell, seed, config, alphas):
         q, nnz = counts_from_ratios(size, size, q_ratio, nnz_ratio)
         inst = generate_instance(size, size, rank, nnz, kind, q, seed)
 
-        t0 = time.perf_counter()
-        state, _ = ladmm_cpcp(
-            inst, tau=config.tau, eta=config.eta,
-            controller=BetaController.for_instance(
-                inst, beta0=config.beta0, s_scale=config.s_scale),
-            tol=config.eps, max_iter=config.max_iter,
-        )
-        plain = _solver_outcome(state, inst, time.perf_counter() - t0)
-
-        inertial = {}
-        for a in alphas:
+        def solve(solver, **kw):
             t0 = time.perf_counter()
-            state, _ = iladmm_cpcp(
-                inst, tau=config.tau, eta=config.eta, alpha=a,
+            state, _ = solver(
+                inst, tau=config.tau, eta=config.eta,
                 controller=BetaController.for_instance(
                     inst, beta0=config.beta0, s_scale=config.s_scale),
-                tol=config.eps, max_iter=config.max_iter,
+                tol=config.eps, max_iter=config.max_iter, **kw,
             )
-            inertial[a] = _solver_outcome(state, inst, time.perf_counter() - t0)
+            return _solver_outcome(state, inst, time.perf_counter() - t0)
+
         return {
             "seed": seed,
             "q": inst.q,
             "nnz": inst.nnz,
             "dof": inst.dof,
-            "ladmm": plain,
-            "iladmm": inertial,
+            "ladmm": solve(ladmm_cpcp),
+            "iladmm": {a: solve(iladmm_cpcp, alpha=a) for a in alphas},
         }
     except Exception as exc:  # cell failures must not kill the grid
         return {"seed": seed, "error": f"{type(exc).__name__}: {exc}",
@@ -534,7 +523,6 @@ def _cmd_sweep(args):
         seeds=_parse_int_list(args.seeds),
         eps=args.eps,
         max_iter=args.max_iter,
-        enforce_guaranteed_alpha=False,
     ).validate()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -22,12 +22,14 @@ import numpy as np
 
 from .prox import ProxOracle, project_box
 from .vi_core import (
-    SUMMABLE,
     InertialSchedule,
     MixedViProblem,
-    SolverTrace,
     WeightOperator,
+    _sq,
+    extrapolate,
     gippa_slack,
+    inertial_loop,
+    stopping_residual,
 )
 
 
@@ -240,10 +242,6 @@ def _check_step_bounds(prob, tau, eta):
                       "semidefinite", stacklevel=3)
 
 
-def _sq(u):
-    return float(np.vdot(u, u))
-
-
 def _gquad(beta, tau, eta, d, sq=None):
     """``<d, G d>`` for ``d = (dx, dy, dp, A dx, B dy)``; ``sq`` may pass
     the squared block norms ``(|dx|^2, |dy|^2, |dp|^2)`` already formed."""
@@ -286,7 +284,7 @@ def gladmm_operator(prob, params, check=True):
         G[n1 + n2 :, n1 + n2 :] = np.eye(m) / beta
         return G
 
-    return WeightOperator(apply, quad, psd=True, materialize=materialize)
+    return WeightOperator(apply, quad, materialize=materialize)
 
 
 def gadmm_operator(prob, beta):
@@ -322,7 +320,7 @@ def gadmm_operator(prob, beta):
         G[n1 + n2 :, n1 + n2 :] = np.eye(m) / beta
         return G
 
-    return WeightOperator(apply, quad, psd=True, materialize=materialize)
+    return WeightOperator(apply, quad, materialize=materialize)
 
 
 def lagrangian(prob, x, y, p):
@@ -476,12 +474,6 @@ def iladmm_step(prob, params, w, w_prev, alpha):
     return wbar, PrimalDualPoint(x1, y1, p1)
 
 
-def stopping_residual(step_sq, ref_sq):
-    """Relative step size ``||step|| / (1 + ||ref||)`` from the squared
-    Euclidean norms of the step and of the reference point."""
-    return math.sqrt(step_sq) / (1.0 + math.sqrt(ref_sq))
-
-
 def run_ladmm(prob, params, w0=None, tol=1e-5, max_iter=1000, w_star=None,
               keep_iterates=True):
     """Iterate :func:`ladmm_step` until the relative step rule fires.
@@ -514,93 +506,48 @@ def _fixed_penalty(beta):
 
 def _run(prob, penalty, tau, eta, schedule, tol, max_iter, w0=None, w_star=None,
          keep_iterates=False, stop=stopping_residual):
-    """The linearized ADMM loop behind every solver of the package.
-
-    ``penalty`` is a :class:`BetaController` (fixed when its active
-    window is empty). ``A x`` and ``B y`` are carried and extrapolated
-    with the iterates; the weighted inertia term reuses the differences
-    of the extrapolation and the weighted step residual the squared block
-    norms of ``stop(step_sq, ref_sq)``, the stopping rule, so neither
-    costs an operator call. ``trace.objective`` is read off the prox
-    oracles; ``trace.extras`` holds the penalty per step (``beta``), the
-    carried ``measurement`` ``A x + B y``, its ``feasibility`` and
-    ``relative_feasibility``, and the returned point (``final``).
+    """Linearized ADMM in :func:`~iprox.vi_core.inertial_loop`, on points
+    ``(x, y, p, A x, B y)``: ``A x`` and ``B y`` are carried, so the
+    weighted norms cost no operator call. ``penalty`` is a
+    :class:`BetaController`, fixed when its active window is empty. A
+    step size other than 1 is rejected, since ``G / lambda`` is not a
+    linearized-ADMM weighting. ``trace.extras`` holds the penalty per step
+    (``beta``), the carried ``measurement`` ``A x + B y``, its
+    ``feasibility`` and ``relative_feasibility``, and the returned point
+    (``final``).
     """
     if tau <= 0 or eta <= 0:
         raise ValueError("tau and eta must be positive")
     _check_step_bounds(prob, tau, eta)
-    cur = prev = _carried(prob, w0)
-    star = None if w_star is None else _carried(prob, w_star)
-    reads_dsq = schedule.kind == SUMMABLE
+    betas = []
 
-    def gquad_to(u, v):
-        return _gquad(penalty.beta, tau, eta, [a - c for a, c in zip(u, v)])
-
-    # the helpers below keep their differences local, so none is held
-    # through the next step
-
-    def extrapolate(k):
-        """``(alpha_k, ||w_k - w_{k-1}||_G^2, base point)``; the last step
-        is formed only when the schedule reads it or alpha_k is nonzero,
-        and is turned into the base point in place."""
-        a, dsq = (None if reads_dsq else schedule.alpha(k)), 0.0
-        if a is None or a:
-            d = [u - v for u, v in zip(cur, prev)]
-            dsq = _gquad(penalty.beta, tau, eta, d)
-            a = schedule.alpha(k, dsq)
-        if not a:
-            return a, dsq, cur
-        for u, du in zip(cur, d):
-            du *= a
-            du += u
-        return a, dsq, tuple(d)
-
-    def step_norms(nxt, base):
-        """The stopping residual and ``||w_{k+1} - wbar_k||_G^2``."""
-        step = [u - v for u, v in zip(nxt, base)]
-        sq = [_sq(u) for u in step[:3]]
-        rel = stop(sum(sq), sum(_sq(u) for u in base[:3]))
-        return rel, _gquad(penalty.beta, tau, eta, step, sq)
-
-    trace = SolverTrace(
-        iterates=[PrimalDualPoint(*cur[:3]).pack()] if keep_iterates else None,
-        phi=None if star is None else [gquad_to(cur, star)],
-        objective=[],
-        extras={"beta": []},
-    )
-    objective = None  # f + g at the current point, once a step has run
-    for k in range(max_iter):
+    def rebalance(k, w, objective):
         if penalty.active(k):
-            r = cur[3] + cur[4] - prob.b
+            r = w[3] + w[4] - prob.b
             penalty.apply_rule(float(r @ r), objective)
-        beta = penalty.beta
-        a, dsq, base = extrapolate(k)
-        *nxt, objective = _step(prob, beta, tau, eta, *base)
-        rel, step_sq = step_norms(nxt, base)
-        trace.alphas.append(a)
-        trace.lambdas.append(1.0)
-        trace.delta.append(2.0 * a * dsq)
-        trace.step_residuals.append(step_sq)
-        trace.stop_residuals.append(rel)
-        trace.objective.append(objective)
-        trace.extras["beta"].append(beta)
-        if keep_iterates:
-            trace.iterates.append(PrimalDualPoint(*nxt[:3]).pack())
-        if star is not None:
-            trace.phi.append(gquad_to(nxt, star))
-        prev, cur = cur, nxt
-        trace.iterations = k + 1
-        if rel < tol:
-            trace.converged = True
-            break
 
-    measured = cur[3] + cur[4]
+    def step(w, w_prev, d, alpha, lam):
+        if lam != 1.0:
+            raise ValueError(f"linearized ADMM takes lambda = 1, got {lam}")
+        betas.append(penalty.beta)
+        base = extrapolate(w, d, alpha)
+        *nxt, objective = _step(prob, penalty.beta, tau, eta, *base)
+        return base, nxt, objective
+
+    trace, last = inertial_loop(
+        step, lambda d, sq=None: _gquad(penalty.beta, tau, eta, d, sq), schedule,
+        _carried(prob, w0), tol, max_iter, blocks=3,
+        w_star=None if w_star is None else _carried(prob, w_star), objective=[],
+        keep_iterates=keep_iterates, before=rebalance, stop=stop,
+    )
+    measured = last[3] + last[4]
     feas = float(np.linalg.norm(measured - prob.b))
     bnorm = float(np.linalg.norm(prob.b))
+    trace.extras["beta"] = betas
     trace.extras["measurement"] = measured
     trace.extras["feasibility"] = feas
     trace.extras["relative_feasibility"] = feas / bnorm if bnorm > 0 else feas
-    trace.extras["final"] = PrimalDualPoint(*cur[:3])
+    trace.extras["final"] = PrimalDualPoint(*last[:3])
     return trace
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
@@ -39,10 +40,9 @@ class WeightOperator:
     large operators stay matrix-free).
     """
 
-    def __init__(self, apply, quad, psd=True, materialize=None):
+    def __init__(self, apply, quad, materialize=None):
         self._apply = apply
         self._quad = quad
-        self.psd = bool(psd)
         self._materialize = materialize
 
     def apply(self, v):
@@ -71,7 +71,7 @@ class WeightOperator:
         def quad(v):
             return scale * float(v @ v)
 
-        return WeightOperator(app, quad, psd=True, materialize=None)
+        return WeightOperator(app, quad)
 
     @staticmethod
     def from_matrix(G):
@@ -85,7 +85,7 @@ class WeightOperator:
         def quad(v):
             return float(v @ (Gm @ v))
 
-        return WeightOperator(app, quad, psd=True, materialize=lambda: Gm.copy())
+        return WeightOperator(app, quad, materialize=lambda: Gm.copy())
 
 
 @dataclass
@@ -196,15 +196,15 @@ def summable_alpha(k, dw_gnorm_sq, alpha_max, C=1.0):
 
 @dataclass
 class SolverTrace:
-    """Per-iteration diagnostics shared by the solver loops.
+    """Per-iteration diagnostics, filled by :func:`inertial_loop`.
 
     Lengths: with ``K = iterations``, ``iterates`` and ``phi`` (when
     present) hold K + 1 entries starting at the initial point, while the
     per-step lists hold K entries. ``step_residuals`` are squared G-norms
     of ``w_{k+1} - wbar_k``; ``stop_residuals`` the relative stopping
     quantities; ``delta`` the weighted inertia terms
-    ``2 alpha_k ||w_k - w_{k-1}||_G^2``; ``objective`` from the initial
-    point here, after each step (K entries) in :mod:`iprox.splitting`.
+    ``2 alpha_k ||w_k - w_{k-1}||_G^2``; ``objective`` K + 1 entries from
+    the VI engine and :func:`nesterov_ippa`, K from :mod:`iprox.splitting`.
     """
 
     iterates: Optional[list] = None
@@ -218,6 +218,98 @@ class SolverTrace:
     extras: dict = field(default_factory=dict)
     converged: bool = False
     iterations: int = 0
+
+
+def stopping_residual(step_sq, ref_sq):
+    """Relative step size ``||step|| / (1 + ||ref||)`` from the squared
+    Euclidean norms of the step and of the reference point."""
+    return math.sqrt(step_sq) / (1.0 + math.sqrt(ref_sq))
+
+
+def _sq(u):
+    return float(np.vdot(u, u))
+
+
+def extrapolate(w, d, alpha):
+    """``w + alpha d`` for a point ``w`` and its last step ``d``, formed in
+    place in ``d``; ``w`` itself when ``alpha`` is 0 (``d`` may be None)."""
+    if not alpha:
+        return w
+    for u, du in zip(w, d):
+        du *= alpha
+        du += u
+    return d
+
+
+def inertial_loop(step, gquad, schedule, w, tol, max_iter, *, blocks=1,
+                  w_star=None, objective=None, keep_iterates=True, before=None,
+                  stop=stopping_residual):
+    """The iteration loop behind every solver of the package, from ``w``.
+
+    A point is a tuple of arrays whose first ``blocks`` entries form the
+    iterate; any further ones are data carried with it, such as ``A x``.
+    Step k reads ``alpha_k`` and ``lambda_k`` off ``schedule``, forms
+    ``d = w_k - w_{k-1}`` only when the schedule reads its squared G-norm
+    or ``alpha_k`` is nonzero (else ``d`` is None), and calls
+    ``step(w_k, w_{k-1}, d, alpha_k, lambda_k)`` for ``(wbar_k, w_{k+1},
+    objective at w_{k+1})``; the step may turn ``d`` into ``wbar_k`` in
+    place (:func:`extrapolate`). ``gquad(d, sq=None)`` is ``||d||_G^2``,
+    ``sq`` being the squared block norms of ``d`` when already formed.
+    ``before(k, w_k, objective at w_k)``, when given, runs first in each
+    step, for updates that change G such as a penalty rule.
+
+    Stops when ``stop(||w_{k+1} - wbar_k||^2, ||wbar_k||^2) < tol``, the
+    norms taken over the blocks, or after ``max_iter`` steps. The trace's
+    objective list starts as ``objective`` (None records none); ``phi`` is
+    recorded when ``w_star`` (a point) is given. Returns the trace and the
+    last point; no difference or extrapolated point outlives its step.
+    """
+    if tol < 0:
+        raise ValueError("tol must be nonnegative")
+
+    def pack(w):
+        return np.concatenate(w[:blocks], axis=None)
+
+    w_prev = w
+    trace = SolverTrace(
+        iterates=[pack(w)] if keep_iterates else None,
+        phi=None if w_star is None else [gquad([u - v for u, v in zip(w, w_star)])],
+        objective=objective,
+    )
+    obj = None
+    for k in range(max_iter):
+        if before is not None:
+            before(k, w, obj)
+        a, dsq, d = (None if schedule.kind == SUMMABLE else schedule.alpha(k)), 0.0, None
+        if a is None or a:
+            d = [u - v for u, v in zip(w, w_prev)]
+            dsq = gquad(d)
+            a = schedule.alpha(k, dsq)
+        lam = schedule.lam(k)
+        if lam <= 0:
+            raise ValueError("lambda must be positive")
+        wbar, nxt, obj = step(w, w_prev, d, a, lam)
+        diff = [u - v for u, v in zip(nxt, wbar)]
+        sq = [_sq(u) for u in diff[:blocks]]
+        rel = stop(sum(sq), sum(_sq(u) for u in wbar[:blocks]))
+        trace.step_residuals.append(gquad(diff, sq))
+        del d, wbar, diff
+        trace.alphas.append(a)
+        trace.lambdas.append(lam)
+        trace.delta.append(2.0 * a * dsq)
+        trace.stop_residuals.append(rel)
+        if trace.objective is not None:
+            trace.objective.append(obj)
+        if trace.iterates is not None:
+            trace.iterates.append(pack(nxt))
+        if trace.phi is not None:
+            trace.phi.append(gquad([u - v for u, v in zip(nxt, w_star)]))
+        w_prev, w = w, nxt
+        trace.iterations = k + 1
+        if rel < tol:
+            trace.converged = True
+            break
+    return trace, w
 
 
 def inertial_ppa_step(problem, G, w_k, w_km1, alpha_k, lam_k):
@@ -241,51 +333,26 @@ def run_inertial_ppa(problem, G, schedule, w0, tol=1e-5, max_iter=1000,
                      w_star=None, objective=None, keep_iterates=True):
     """Run the inertial engine from ``w0`` (the pre-iterate equals ``w0``).
 
+    Each step is :func:`inertial_ppa_step` inside :func:`inertial_loop`.
     Stops when ``||w_next - wbar|| / (1 + ||wbar||) < tol`` or at
     ``max_iter``. When ``w_star`` is given the trace records
     ``phi_k = ||w_k - w*||_G^2``; when ``objective`` is given its values
     are recorded at every iterate.
     """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
     w = np.asarray(w0, dtype=np.float64).copy()
     if w.shape != (problem.dim,):
         raise ValueError(f"w0 must have shape ({problem.dim},), got {w.shape}")
-    w_prev = w.copy()
-    star = None if w_star is None else np.asarray(w_star, dtype=np.float64)
 
-    trace = SolverTrace(
-        iterates=[w.copy()] if keep_iterates else None,
-        phi=None if star is None else [G.quad(w - star)],
+    def step(cur, prev, d, alpha, lam):
+        wbar, w_next = inertial_ppa_step(problem, G, cur[0], prev[0], alpha, lam)
+        return (wbar,), (w_next,), None if objective is None else float(objective(w_next))
+
+    return inertial_loop(
+        step, lambda d, sq=None: G.quad(d[0]), schedule, (w,), tol, max_iter,
+        w_star=None if w_star is None else (np.asarray(w_star, dtype=np.float64),),
         objective=None if objective is None else [float(objective(w))],
-    )
-    for k in range(max_iter):
-        dw_sq = G.quad(w - w_prev)
-        alpha_k = schedule.alpha(k, dw_sq)
-        lam_k = schedule.lam(k)
-        wbar, w_next = inertial_ppa_step(problem, G, w, w_prev, alpha_k, lam_k)
-
-        trace.alphas.append(alpha_k)
-        trace.lambdas.append(lam_k)
-        trace.delta.append(2.0 * alpha_k * dw_sq)
-        trace.step_residuals.append(G.quad(w_next - wbar))
-        rel = float(np.linalg.norm(w_next - wbar)) / (
-            1.0 + float(np.linalg.norm(wbar))
-        )
-        trace.stop_residuals.append(rel)
-        if trace.iterates is not None:
-            trace.iterates.append(w_next.copy())
-        if star is not None:
-            trace.phi.append(G.quad(w_next - star))
-        if trace.objective is not None:
-            trace.objective.append(float(objective(w_next)))
-
-        w_prev, w = w, w_next
-        trace.iterations = k + 1
-        if rel < tol:
-            trace.converged = True
-            break
-    return trace
+        keep_iterates=keep_iterates,
+    )[0]
 
 
 def gippa_slack(problem, G, wbar, w_next, lam, probes):
@@ -385,34 +452,27 @@ def nesterov_ippa(prox_f, w0, n_iters, lam_seq=None, objective=None):
     ``t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2`` and extrapolation factor
     ``alpha_k = (t_k - 1) / t_{k+1}``; each step applies ``prox_f`` at the
     extrapolated point with step ``lam_seq(k)`` (default 1). The objective
-    gap decays as O(1/k^2).
+    gap decays as O(1/k^2). Runs all ``n_iters`` steps of
+    :func:`inertial_loop`, whose residuals here are Euclidean.
 
     Returns a :class:`SolverTrace`; ``extras["t"]`` holds t_0..t_K.
     """
     w = np.asarray(w0, dtype=np.float64).copy()
-    w_prev = w.copy()
-    t = 1.0
-    trace = SolverTrace(
-        iterates=[w.copy()],
+    t = [1.0]
+    for _ in range(n_iters):
+        t.append((1.0 + math.sqrt(1.0 + 4.0 * t[-1] * t[-1])) / 2.0)
+    schedule = SimpleNamespace(
+        kind="t-sequence", alpha=lambda k, d=0.0: (t[k] - 1.0) / t[k + 1],
+        lam=lambda k: 1.0 if lam_seq is None else float(lam_seq(k)))
+
+    def step(cur, prev, d, alpha, lam):
+        (wbar,) = extrapolate(cur, d, alpha)
+        w_next = np.asarray(prox_f(wbar, lam), dtype=np.float64)
+        return (wbar,), (w_next,), None if objective is None else float(objective(w_next))
+
+    trace, _ = inertial_loop(
+        step, lambda d, sq=None: sq[0] if sq else _sq(d[0]), schedule, (w,), 0.0, n_iters,
         objective=None if objective is None else [float(objective(w))],
     )
-    trace.extras["t"] = [t]
-    for k in range(n_iters):
-        lam_k = 1.0 if lam_seq is None else float(lam_seq(k))
-        if lam_k <= 0:
-            raise ValueError("lambda must be positive")
-        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
-        alpha_k = (t - 1.0) / t_next
-        wbar = w + alpha_k * (w - w_prev)
-        w_next = np.asarray(prox_f(wbar, lam_k), dtype=np.float64)
-
-        trace.alphas.append(alpha_k)
-        trace.lambdas.append(lam_k)
-        trace.extras["t"].append(t_next)
-        trace.iterates.append(w_next.copy())
-        if trace.objective is not None:
-            trace.objective.append(float(objective(w_next)))
-
-        w_prev, w, t = w, w_next, t_next
-        trace.iterations = k + 1
+    trace.extras["t"] = t
     return trace

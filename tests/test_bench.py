@@ -68,7 +68,7 @@ class TestRunConfig:
         config = bench.RunConfig.default_grid().validate()
         assert config.sizes == (128, 256)
         assert config.alpha == 0.28
-        assert config.enforce_guaranteed_alpha
+        assert config.alphas is None  # so alpha must stay below 1/3
 
     def test_validation_failures(self):
         bad_cases = [
@@ -93,10 +93,10 @@ class TestRunConfig:
                 tiny_config(**overrides)
 
     def test_sweep_mode_allows_large_alpha(self):
-        config = tiny_config(alphas=(0.1, 0.35), enforce_guaranteed_alpha=False)
+        config = tiny_config(alphas=(0.1, 0.35))
         assert config.alphas == (0.1, 0.35)
         with pytest.raises(ValueError):
-            tiny_config(alphas=(0.1, 0.35))  # enforcement still on
+            tiny_config(alphas=(0.1, 1.0))
 
     def test_from_dict(self):
         config = bench.RunConfig.from_dict(
@@ -116,7 +116,6 @@ class TestRunConfig:
         assert config.transforms == ("wht",)
         assert config.tau == 0.9
         assert config.alphas == (0.1, 0.35)
-        assert not config.enforce_guaranteed_alpha
         assert config.seeds == (3,)
         assert config.jobs == 2
 
@@ -186,7 +185,7 @@ class TestRunGrid:
         records = bench.run_grid(
             tiny_config(
                 sizes=(16,), ranks=(1,), seeds=(0,),
-                alphas=(0.0, 0.28), enforce_guaranteed_alpha=False,
+                alphas=(0.0, 0.28),
                 eps=1e-4,
             )
         )

@@ -242,20 +242,26 @@ class TestProximalEquivalence:
             assert np.abs(via_vi - via_step.pack()).max() < 1e-10
 
     def test_trajectories_coincide(self):
+        # the engine on the optimality VI and the inertial solver record
+        # the same trace, up to rounding
         prob, _ = tiny_qp()
         params = safe_params(prob)
         vi = sp.to_mixed_vi(prob)
         G = sp.gladmm_operator(prob, params)
-        engine = run_inertial_ppa(
-            vi, G, InertialSchedule.constant(0.0),
-            np.zeros(vi.dim), tol=0.0, max_iter=50,
-        )
-        direct = sp.run_ladmm(prob, params, tol=0.0, max_iter=50)
-        worst = max(
-            np.abs(a - b).max()
-            for a, b in zip(engine.iterates, direct.iterates)
-        )
-        assert worst < 1e-10
+        for alpha in (0.0, 0.28):
+            schedule = InertialSchedule.constant(alpha)
+            engine = run_inertial_ppa(vi, G, schedule, np.zeros(vi.dim),
+                                      tol=0.0, max_iter=50)
+            direct = sp.run_iladmm(prob, params, schedule, tol=0.0, max_iter=50)
+            worst = max(
+                np.abs(a - b).max()
+                for a, b in zip(engine.iterates, direct.iterates)
+            )
+            assert worst < 1e-10
+            for name in ("step_residuals", "stop_residuals", "delta"):
+                got, want = getattr(engine, name), getattr(direct, name)
+                assert len(got) == len(want) == 50
+                np.testing.assert_allclose(got, want, rtol=1e-8, atol=0.0)
 
 
 class TestRuns:
@@ -275,6 +281,22 @@ class TestRuns:
         )
         assert trace.converged
         assert np.abs(trace.iterates[-1] - star.pack()).max() < 1e-7
+
+    def test_step_size_other_than_one_rejected(self):
+        # G / lambda is not a linearized-ADMM weighting
+        prob, _ = tiny_qp()
+        params = safe_params(prob)
+        with pytest.raises(ValueError, match="lambda = 1"):
+            sp.run_iladmm(prob, params, InertialSchedule.constant(0.2, lam=2.0))
+        with pytest.raises(ValueError, match="lambda = 1"):
+            sp.run_iladmm(prob, params, InertialSchedule.constant(
+                0.2, lam_seq=lambda k: 1.0 if k < 3 else 1.5))
+        with pytest.raises(ValueError, match="below its floor"):
+            sp.run_iladmm(prob, params, InertialSchedule.constant(
+                0.2, lam_seq=lambda k: 0.5))
+        trace = sp.run_iladmm(prob, params, InertialSchedule.constant(
+            0.2, lam_seq=lambda k: 1.0), tol=0.0, max_iter=5)
+        assert trace.lambdas == [1.0] * 5
 
     def test_zero_alpha_run_is_bitwise_plain(self):
         prob, _ = tiny_qp()

@@ -360,6 +360,14 @@ class TestNesterov:
             return 0.5 * float(np.sum((w - c) ** 2))
 
         trace = nesterov_ippa(prox_f, w0, 300, objective=f)
+        assert trace.iterations == 300 and not trace.converged
+        assert len(trace.objective) == len(trace.iterates) == 301
+        for seq in (trace.alphas, trace.lambdas, trace.stop_residuals,
+                    trace.step_residuals, trace.delta):
+            assert len(seq) == 300
+        # the residuals are Euclidean: ||w_{k+1} - wbar_k||^2
+        w1 = trace.iterates[1]
+        assert trace.step_residuals[0] == pytest.approx(float(w1 @ w1), rel=1e-14)
         gaps = np.asarray(trace.objective)  # f* = 0
         bound = 2.0 * float(np.sum((w0 - c) ** 2))
         for k in range(1, 301):
