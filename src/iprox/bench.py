@@ -35,6 +35,7 @@ from .cpcp import (
     recovery_metrics,
 )
 from .numkit import KINDS, RNG_ALGORITHM
+from .prox import SVT_PATHS
 from .vi_core import InertialSchedule
 
 CSV_COLUMNS = [
@@ -185,14 +186,21 @@ def _environment():
     }
 
 
-def _solver_outcome(state, inst, wall):
+def _solver_outcome(state, trace, inst, wall):
+    """A solve's summary for ``records.json``: the recovery metrics, the
+    wall time, and how its SVTs ran: the number of calls per path
+    (``svt_paths``) and the output rank of the last one (``svt_rank``)."""
     met = recovery_metrics(state, inst)
+    paths = trace.extras["svt_path"]
+    ranks = trace.extras["svt_rank"]
     return {
         "iters": int(met.iters),
         "rel_l": float(met.rel_l),
         "rel_s": float(met.rel_s),
         "converged": bool(met.converged),
         "wall_time": float(wall),
+        "svt_paths": {p: paths.count(p) for p in SVT_PATHS},
+        "svt_rank": int(ranks[-1]) if ranks else 0,
     }
 
 
@@ -204,13 +212,13 @@ def _run_trial(cell, seed, config, alphas):
 
         def solve(solver, **kw):
             t0 = time.perf_counter()
-            state, _ = solver(
+            state, trace = solver(
                 inst, tau=config.tau, eta=config.eta,
                 controller=BetaController.for_instance(
                     inst, beta0=config.beta0, s_scale=config.s_scale),
                 tol=config.eps, max_iter=config.max_iter, **kw,
             )
-            return _solver_outcome(state, inst, time.perf_counter() - t0)
+            return _solver_outcome(state, trace, inst, time.perf_counter() - t0)
 
         return {
             "seed": seed,

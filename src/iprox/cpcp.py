@@ -175,7 +175,7 @@ def _run_cpcp(inst, tau, eta, alpha, controller, tol, max_iter):
     trace = _run(separable_problem(inst, warm), controller, tau, eta, alpha, tol,
                  max_iter, stop=stopping_residual)
     trace.extras["svt_rank"] = warm.ranks
-    trace.extras["svt_full"] = warm.full
+    trace.extras["svt_path"] = warm.paths
     final = trace.extras["final"]
     return CpcpState(final.x.reshape(inst.m, inst.n), final.y.reshape(inst.m, inst.n),
                      final.p, controller.beta, trace.iterations, trace.converged), trace
@@ -189,8 +189,11 @@ def ladmm_cpcp(inst, tau=0.99, eta=0.99, controller=None, tol=1e-5,
     norm, or at ``max_iter`` (then ``converged`` is False). The trace is
     the one the :mod:`iprox.splitting` loop fills; its ``extras`` hold the
     carried ``measurement`` ``A(L + S)``, the ``feasibility``, and per
-    iteration the SVT output rank (``svt_rank``) and whether that SVT ran
-    the full SVD (``svt_full``) or the certified top-k path.
+    iteration the SVT output rank (``svt_rank``) and the path that SVT
+    took (``svt_path``): ``"top"``, the certified top-k path while the
+    rank is small; ``"gram"``, the certified eigh of the Gram matrix,
+    which serves the high-rank phase; or ``"full"``, the full SVD when
+    neither is certified (see :func:`iprox.prox.svt_with_values`).
     """
     return _run_cpcp(inst, tau, eta, 0.0, controller, tol, max_iter)
 

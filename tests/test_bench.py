@@ -16,7 +16,7 @@ import pytest
 import yaml
 
 import iprox
-from iprox import bench
+from iprox import bench, cpcp
 from iprox.cpcp import counts_from_ratios, degrees_of_freedom
 
 
@@ -163,6 +163,20 @@ class TestRunGrid:
         assert rec.mean_rel_l_ladmm < 1e-4
         assert rec.mean_rel_s_iladmm < 1e-4
         assert rec.environment["rng_algorithm"]
+
+    def test_trials_record_svt_paths(self, records):
+        trial = records[0].trials[0]
+        q, nnz = counts_from_ratios(32, 32, 0.8, 0.05)
+        inst = cpcp.generate_instance(32, 32, 2, nnz, "dct2", q, trial["seed"])
+        _, trace = cpcp.ladmm_cpcp(inst, max_iter=400)
+        paths = trace.extras["svt_path"]
+        assert trial["ladmm"]["svt_paths"] == {"top": paths.count("top"),
+                                               "gram": paths.count("gram"),
+                                               "full": paths.count("full")}
+        assert trial["ladmm"]["svt_rank"] == trace.extras["svt_rank"][-1]
+        for trial in records[0].trials:
+            for solve in (trial["ladmm"], trial["iladmm"]):
+                assert sum(solve["svt_paths"].values()) == solve["iters"]
 
     def test_mean_aggregation(self, records):
         rec = records[0]

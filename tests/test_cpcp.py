@@ -290,25 +290,30 @@ class TestSolvers:
                                       (64, 64, 2, 205, "fft2", 1843, 2)])
     @pytest.mark.parametrize("alpha", [0.0, 0.28])
     def test_certified_svts_match_the_full_svt(self, monkeypatch, args, alpha):
-        # every SVT along the trajectory, against the full SVT of its input
+        # every SVT along the trajectory that did not run the full SVD,
+        # against the thresholded full SVD (gesdd) of its input
         calls = []
 
         def spy(z, kappa, warm):
             out = prox.svt_with_values(z, kappa, warm)
-            calls.append((z.copy(), kappa, out, warm.full[-1]))
+            calls.append((z.copy(), kappa, out, warm.paths[-1]))
             return out
 
         monkeypatch.setattr(cpcp, "svt_with_values", spy)
         state, trace = cpcp.iladmm_cpcp(cpcp.generate_instance(*args), alpha=alpha)
         assert state.converged
         assert len(calls) == trace.iterations
-        assert trace.extras["svt_full"] == [c[3] for c in calls]
+        assert trace.extras["svt_path"] == [c[3] for c in calls]
         assert trace.extras["svt_rank"] == [int(np.count_nonzero(c[2][1])) for c in calls]
-        certified = [c for c in calls if not c[3]]
-        assert certified
-        for z, kappa, (W, shrunk), _ in certified:
-            W0, shrunk0 = prox.svt_with_values(z, kappa)
+        paths = {c[3] for c in calls}
+        assert "top" in paths and "gram" in paths
+        for z, kappa, (W, shrunk), path in calls:
+            if path == "full":
+                continue
+            U, s, Vt = np.linalg.svd(z, full_matrices=False)
+            shrunk0 = np.maximum(s - kappa, 0.0)
             r = int(np.count_nonzero(shrunk0))
+            W0 = (U[:, :r] * shrunk0[:r]) @ Vt[:r]
             assert int(np.count_nonzero(shrunk)) == r
             assert np.abs(shrunk - shrunk0).max() <= 1e-10 * max(shrunk0[0], 1e-300)
             assert np.linalg.norm(W - W0) <= 1e-10 * np.linalg.norm(W0)

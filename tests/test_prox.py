@@ -216,7 +216,15 @@ def test_svt_spectrum_is_thresholded_input_spectrum(seed, shape, kappa):
 
 
 # property tests of the warm-started SVT: whatever state it is handed, it
-# returns the SVT of the full path within 1e-10, or falls back to that path
+# returns the thresholded full SVD (gesdd) within 1e-10, or falls back to
+# the paths tried without a state
+
+
+def gesdd_svt(Z, kappa):
+    U, s, Vt = np.linalg.svd(Z, full_matrices=False)
+    shrunk = np.maximum(s - kappa, 0.0)
+    r = int(np.count_nonzero(shrunk))
+    return (U[:, :r] * shrunk[:r]) @ Vt[:r], shrunk
 
 
 def spectral_matrix(seed, shape, top, kappa, tail=0.9):
@@ -271,10 +279,10 @@ def test_warm_svt_matches_full_svt(seed, shape, top, kappa, start):
         basis = np.random.default_rng(seed + 2).normal(size=(shape[1], top))
         warm = prox.SvtWarmStart(rank=rank, basis=basis)
     got = prox.svt_with_values(Z, kappa, warm)
-    assert_same_svt(got, prox.svt_with_values(Z, kappa))
+    assert_same_svt(got, gesdd_svt(Z, kappa))
     assert warm.ranks[-1] == int(np.count_nonzero(got[1]))
     if start == "too_small" and top >= prox._MARGIN:
-        assert warm.full[-1]
+        assert warm.paths[-1] != "top"
 
 
 @settings(max_examples=30, deadline=None)
@@ -292,9 +300,9 @@ def test_warm_svt_falls_back_when_a_value_above_kappa_is_missed(seed, shape,
     k = 2 + prox._MARGIN
     warm = prox.SvtWarmStart(rank=2, basis=np.delete(V, 2, axis=1)[:, :k])
     got = prox.svt_with_values(Z, kappa, warm)
-    assert warm.full == [True]
+    assert warm.paths == ["gram"]
     assert int(np.count_nonzero(got[1])) == 3
-    assert_same_svt(got, prox.svt_with_values(Z, kappa))
+    assert_same_svt(got, gesdd_svt(Z, kappa))
 
 
 @settings(max_examples=30, deadline=None)
@@ -308,18 +316,89 @@ def test_warm_svt_rejects_non_finite_input_like_the_full_svt(seed, shape, bad):
         prox.svt_with_values(Z, 1.0)
     with pytest.raises(ValueError) as warm_started:
         prox.svt_with_values(Z, 1.0, warm)
-    assert str(warm_started.value) == str(full.value)
+    with pytest.raises(ValueError) as gesdd:
+        svd(Z)
+    with pytest.raises(ValueError) as gram:
+        svd(Z, above=1.0)
+    assert str(warm_started.value) == str(full.value) == str(gesdd.value) == str(gram.value)
 
 
 def test_warm_svt_certifies_a_repeated_input():
     Z, _ = spectral_matrix(11, (48, 40), 3, 1.0)
     warm = prox.SvtWarmStart()
     first = prox.svt_with_values(Z, 1.0, warm)
-    # without a usable state the SVT is the full path, bit for bit
+    # without a usable state the SVT takes the path it takes without a
+    # state, bit for bit
     plain = prox.svt_with_values(Z, 1.0)
     assert np.array_equal(first[0], plain[0]) and np.array_equal(first[1], plain[1])
     second = prox.svt_with_values(Z, 1.0, warm)
-    assert warm.full == [True, False]
+    assert warm.paths == ["gram", "top"]
     assert warm.ranks == [3, 3]
     assert warm.basis.shape == (40, 3 + prox._MARGIN)
     assert_same_svt(second, plain)
+
+
+# property tests of the Gram path: the SVT from eigh of the smaller Gram
+# matrix is accepted only when it matches the thresholded full SVD
+# (gesdd); near-threshold or badly scaled inputs go to the full SVD
+
+
+def with_spectrum(seed, shape, s):
+    rng = np.random.default_rng(seed)
+    m, n = shape
+    U = np.linalg.qr(rng.normal(size=(m, s.size)))[0]
+    V = np.linalg.qr(rng.normal(size=(n, s.size)))[0]
+    return (U * s) @ V.T
+
+
+gram_shapes = st.sampled_from(["square", "tall", "wide"]).flatmap(
+    lambda kind: st.integers(32, 48).flatmap(
+        lambda a: st.integers(32, 48).map(
+            lambda b: {"square": (a, a), "tall": (max(a, b) + 1, min(a, b)),
+                       "wide": (min(a, b), max(a, b) + 1)}[kind])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, shape=gram_shapes, top=st.integers(0, 8),
+       kappa=st.floats(0.1, 10.0))
+def test_gram_svt_matches_gesdd(seed, shape, top, kappa):
+    Z, _ = spectral_matrix(seed, shape, top, kappa)
+    assert svd(Z, above=kappa)[3] == "gram"
+    warm = prox.SvtWarmStart()
+    got = prox.svt_with_values(Z, kappa, warm)
+    assert warm.paths == ["gram"]
+    assert_same_svt(got, gesdd_svt(Z, kappa))
+    assert got[0].shape == shape and got[1].shape == (min(shape),)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds, shape=gram_shapes, top=st.integers(1, 8),
+       kappa=st.floats(0.1, 10.0), side=st.sampled_from([-1.0, 1.0]))
+def test_gram_svt_refuses_a_value_at_the_threshold(seed, shape, top, kappa, side):
+    # a singular value at kappa (1 +- 1e-12) lies inside the gap test's
+    # window, which s_1 = 10 kappa makes wider than 2e-12 kappa^2
+    rng = np.random.default_rng(seed)
+    p = min(shape)
+    s = np.sort(np.concatenate([rng.uniform(1.5, 10.0, top - 1), [10.0],
+                                rng.uniform(0.0, 0.9, p - top - 1)]))[::-1]
+    s = np.insert(s, top, 1.0 + side * 1e-12) * kappa
+    Z = with_spectrum(seed, shape, s)
+    warm = prox.SvtWarmStart()
+    got = prox.svt_with_values(Z, kappa, warm)
+    assert warm.paths == ["full"]
+    want = gesdd_svt(Z, kappa)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=seeds, shape=gram_shapes, top=st.integers(1, 8),
+       ratio=st.floats(1e4, 1e8))
+def test_gram_svt_refuses_a_large_ratio_to_kappa(seed, shape, top, ratio):
+    # s_1 / kappa beyond the bound that the residual test could meet
+    Z, _ = spectral_matrix(seed, shape, top, 1.0)
+    kappa = float(np.linalg.norm(Z, 2)) / ratio
+    warm = prox.SvtWarmStart()
+    got = prox.svt_with_values(Z, kappa, warm)
+    assert warm.paths == ["full"]
+    want = gesdd_svt(Z, kappa)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
