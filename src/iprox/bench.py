@@ -34,8 +34,7 @@ from .cpcp import (
     ladmm_cpcp,
     recovery_metrics,
 )
-from .numkit import KINDS, RNG_ALGORITHM
-from .prox import SVT_PATHS
+from .numkit import KINDS, RNG_ALGORITHM, SVT_PATHS
 from .vi_core import InertialSchedule
 
 CSV_COLUMNS = [

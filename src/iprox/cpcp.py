@@ -22,9 +22,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numkit import RNG_ALGORITHM, SeededRng, make_measurement_op, singular_values
-from .prox import (ProxOracle, SvtWarmStart, l1_oracle, nuclear_oracle, soft_threshold,
-                   svt_with_values)
+from .numkit import (RNG_ALGORITHM, SeededRng, SvtWarmStart, make_measurement_op,
+                     singular_values)
+from .prox import ProxOracle, l1_oracle, nuclear_oracle, soft_threshold, svt_with_values
 from .splitting import BetaController, SeparableProblem, _run, stopping_residual
 from .vi_core import InertialSchedule
 
@@ -144,7 +144,7 @@ def separable_problem(inst, warm=None):
     costs no second SVD. The oracles call this module's
     ``svt_with_values`` and ``soft_threshold`` by name, so wrappers
     installed on those attributes see each call. Every SVT of the problem
-    shares ``warm``, a :class:`~iprox.prox.SvtWarmStart` (a fresh one when
+    shares ``warm``, a :class:`~iprox.numkit.SvtWarmStart` (a fresh one when
     not given), so a problem serves one solve.
     """
     lam = inst.lam
@@ -190,10 +190,11 @@ def ladmm_cpcp(inst, tau=0.99, eta=0.99, controller=None, tol=1e-5,
     the one the :mod:`iprox.splitting` loop fills; its ``extras`` hold the
     carried ``measurement`` ``A(L + S)``, the ``feasibility``, and per
     iteration the SVT output rank (``svt_rank``) and the path that SVT
-    took (``svt_path``): ``"top"``, the certified top-k path while the
-    rank is small; ``"gram"``, the certified eigh of the Gram matrix,
-    which serves the high-rank phase; or ``"full"``, the full SVD when
-    neither is certified (see :func:`iprox.prox.svt_with_values`).
+    took (``svt_path``): ``"top"``, the certified subspace iteration on
+    the Gram matrix while the rank is small; ``"gram"``, the certified
+    eigh of the same Gram matrix, which serves the high-rank phase; or
+    ``"full"``, the full SVD when neither is certified (see
+    :func:`iprox.numkit.svd`).
     """
     return _run_cpcp(inst, tau, eta, 0.0, controller, tol, max_iter)
 

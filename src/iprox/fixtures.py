@@ -85,12 +85,6 @@ def affine_vi(M, q, lo=None, hi=None):
             return np.linalg.solve(Meff, -qeff)
         return _box_vi_solve(Meff, qeff, lo_v, hi_v)
 
-    def omega_contains(w, tol=1e-10):
-        if not boxed:
-            return True
-        w = np.asarray(w, dtype=np.float64)
-        return bool(np.all(w >= lo_v - tol) and np.all(w <= hi_v + tol))
-
     def project(w):
         if not boxed:
             return np.asarray(w, dtype=np.float64)
@@ -102,7 +96,6 @@ def affine_vi(M, q, lo=None, hi=None):
         F=F,
         resolvent=resolvent,
         H=H,
-        omega_contains=omega_contains,
         project=project,
     )
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import fft as _spfft
@@ -40,7 +40,45 @@ def as_matrix(a, name="matrix"):
     return m
 
 
-def svd(mat, above=None):
+# the paths an SVT may take, in the order they are tried
+SVT_PATHS = ("top", "gram", "full")
+
+
+@dataclass
+class SvtWarmStart:
+    """What one sequence of SVT calls (one solve) carries from call to call.
+
+    ``rank`` is the last output rank and ``basis`` holds the leading
+    eigenvectors of the last input's Gram matrix (the right singular
+    vectors of a tall input, the left ones of a wide one), from which the
+    next call's top path starts; it is ``None`` before the first call and
+    while the rank is too large for the top path, so no unused vectors
+    are held. ``gap`` is ``sigma_{k+1} / sigma_r`` of the last input for
+    ``k = rank + _MARGIN``, as far as its spectrum is known, else 0.
+    ``ranks`` and ``paths`` log each call's output rank and the path it
+    took, one of :data:`SVT_PATHS`.
+    """
+
+    rank: int | None = None
+    basis: np.ndarray | None = None
+    gap: float = 0.0
+    ranks: list = field(default_factory=list)
+    paths: list = field(default_factory=list)
+
+    def _record(self, rank, vecs, path, s):
+        """Keep the rank, the first ``rank + _MARGIN`` columns of the
+        Gram-side vectors ``vecs`` when the next call can use them, the
+        gap of the spectrum ``s``, and the log entries."""
+        k = rank + _MARGIN
+        size = vecs.shape[0]
+        self.rank = rank
+        self.basis = vecs[:, :k].copy() if 4 * k <= size and size >= _GRAM_MIN else None
+        self.gap = float(s[k] / s[rank - 1]) if rank and k < s.size else 0.0
+        self.ranks.append(rank)
+        self.paths.append(path)
+
+
+def svd(mat, above=None, warm=None):
     """Thin singular value decomposition ``mat = U @ diag(s) @ V.T``.
 
     Parameters
@@ -50,39 +88,44 @@ def svd(mat, above=None):
     above : float, optional
         Only the triplets whose singular values exceed ``above`` are
         wanted, as by singular value thresholding at ``above``.
+    warm : SvtWarmStart, optional
+        Only with ``above``: the state shared by one sequence of calls,
+        from which the top path starts; each call logs its path and its
+        rank ``r`` there.
 
     Returns
     -------
     U : (m, k) ndarray
-    s : (k,) ndarray
-        Singular values in nonincreasing order, ``k = min(m, n)``.
+    s : (p,) ndarray
+        Singular values in nonincreasing order, ``p = min(m, n)``.
     V : (n, k) ndarray
-    path : str
-        Only with ``above``: ``"gram"`` or ``"full"``, the path taken.
 
+    Without ``above`` this is the full SVD (LAPACK ``gesdd``), ``k = p``:
     ``U`` and ``V`` have orthonormal columns and the reconstruction error
     is at machine-precision scale relative to ``max(1, ||mat||_F)``.
 
-    With ``above``, and at least ``_GRAM_MIN`` rows and columns, the
-    decomposition is first tried from the Gram matrix (see
-    :func:`_gram_svd`). If that path is accepted, the ``r`` singular
-    values above ``above`` are exactly ``s[:r]``, and the first ``r``
-    columns of ``U`` and ``V`` are their vectors, within ``2e-11 s[0]`` of
-    the exact thresholded product. One of ``U`` and ``V`` then has only
-    those ``r`` columns, and ``s[r:]`` are estimates. Otherwise the full
-    SVD (LAPACK ``gesdd``) runs, exactly as without ``above``.
+    With ``above``, let ``r`` be the number of singular values above it.
+    Then ``s[:r]`` are those values, the first ``r`` columns of ``U`` and
+    ``V`` are their vectors, and every entry of ``s`` past ``r`` is
+    certified to lie below ``above``. With at least ``_GRAM_MIN`` rows and
+    columns the triplets are first sought from the Gram matrix (see
+    :func:`_gram_svd`); if that is accepted, ``U`` and ``V`` have only the
+    ``r`` columns, within ``2e-11 s[0]`` of the exact thresholded product,
+    and ``s[r:]`` are estimates. Otherwise the full SVD runs, exactly as
+    without ``above``.
     """
     m = as_matrix(mat, "svd input")
     if above is not None and min(m.shape) >= _GRAM_MIN:
-        out = _gram_svd(m, above)
+        out = _gram_svd(m, above, warm)
         if out is not None:
-            return out + ("gram",)
+            return out
     try:
         u, s, vh = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise _svd_error(m) from exc
-    if above is not None:
-        return u, s, vh.T, "full"
+    if warm is not None:
+        warm._record(int(np.count_nonzero(s > above)),
+                     u if m.shape[0] < m.shape[1] else vh.T, "full", s)
     return u, s, vh.T
 
 
@@ -90,7 +133,7 @@ _EPS = float(np.finfo(np.float64).eps)
 # Below 32 on the smaller side, the Gram path's dozen small array calls
 # cost more than gesdd: with a third of the values kept, it took 1.1-3.1
 # times as long at 4-24, 1.04 at 32, 0.77 at 48-64 and 0.5-0.6 at
-# 128-256 (2 CPUs, OpenBLAS 0.3.31)
+# 128-256 (2 CPUs, OpenBLAS 0.3.31). The top path forms the same Gram.
 _GRAM_MIN = 32
 # Gap multiplier c. The computed Gram eigenvalues are those of Z'Z + E:
 # forming Z'Z adds an error at most m eps ||Z||_F^2 (the inner products are
@@ -110,27 +153,51 @@ _GRAM_TOL = 1e-11
 # so the residual test cannot pass for s_1 / kappa beyond about T / (5 eps).
 # Past T / (8 eps), about 5.6e3, the path stops before recomposing.
 _GRAM_RATIO = _GRAM_TOL / (8.0 * _EPS)
+# The top path iterates on k = last rank + _MARGIN vectors, only while
+# 4 k <= n, and gives up after _PASSES passes.
+_MARGIN = 5
+_PASSES = 6
+# A pass shrinks the residual of the r-th pair by about
+# (sigma_{k+1} / sigma_r)^2, so above this gap the _PASSES passes cannot
+# gain one decimal digit, and an attempt succeeds only from a start basis
+# already within a few times the tolerance. On 256^2 wht instances 1 and 2
+# (plain and inertial solves) it cut the abandoned attempts from 15 + 13
+# and 12 + 11 to 4 + 1 and 3 + 2, at the cost of one certified top call.
+_GAP_SKIP = 0.1 ** (1.0 / (2 * _PASSES))
 
 
-def _gram_svd(z, kappa):
-    """The singular triplets of ``z`` above ``kappa`` from ``eigh(Z'Z)``,
-    or ``None``.
+def _gram_svd(z, kappa, warm):
+    """The singular triplets of ``z`` above ``kappa`` from its Gram matrix,
+    as :func:`svd` returns them, or ``None``.
 
-    ``Z`` is the input, transposed when wide, so ``G = Z'Z`` is the
-    smaller Gram. From ``lambda, V = eigh(G)``, the ``r`` eigenvalues
-    above ``kappa^2`` are kept, ``W = Z V_r``, ``s_i = ||w_i||`` and
-    ``U_r = W / s``. The result is accepted only if all three checks hold:
+    ``T`` is the input, transposed when wide, and ``G = T'T`` the smaller
+    Gram, ``n x n``, formed once. Eigenpairs ``(lambda_i, v_i)`` of G, in
+    nonincreasing order, come from one of two paths, tried in turn:
 
-    1. *Gap test*: no eigenvalue lies within
+    - *top*: with a usable ``warm`` state, ``k`` Ritz pairs of G from a
+      subspace iteration (see :func:`_top_pairs`), which certifies on its
+      own that no eigenvalue of G past the ``r``-th reaches
+      ``kappa^2 - delta``;
+    - *gram*: all ``n`` pairs from ``eigh(G)``.
+
+    The ``r`` pairs with ``lambda_i > kappa^2`` are kept, ``W = T V_r``,
+    ``s_i = ||w_i||`` and ``U_r = W / s``. Either path is accepted only if
+    all three checks hold:
+
+    1. *Gap test*: no ``lambda_i`` lies within
        ``delta = c (m + n) eps ||Z||_F^2`` of ``kappa^2``, and every kept
        ``s_i`` exceeds ``kappa``. Each computed eigenvalue is within
-       ``delta`` of a squared singular value (Weyl's inequality), so
-       exactly ``r`` singular values exceed ``kappa``. The computed V is
-       an eigenbasis of a ``G + F`` with ``||F||_2 <= delta`` (up to the
-       rounding of its orthonormality), so also ``||Z x|| < kappa`` for
-       every unit ``x`` orthogonal to ``V_r``.
-    2. *Ratio bound*: ``s_1 / kappa <= _GRAM_RATIO``, past which the
-       squaring has lost the accuracy that check 3 asks for.
+       ``delta`` of a squared singular value (Weyl's inequality), and a
+       Ritz value never exceeds the eigenvalue of the same index (Cauchy
+       interlacing), so at least ``r`` singular values exceed ``kappa``.
+       The computed eigenbasis is one of a ``G + F`` with
+       ``||F||_2 <= delta`` (up to the rounding of its orthonormality),
+       and the top path's certificate bounds the Rayleigh quotient of G
+       off ``V_r`` below ``kappa^2 - delta``, so either way
+       ``||Z x|| < kappa`` for every unit ``x`` orthogonal to ``V_r``:
+       exactly ``r`` singular values exceed ``kappa``.
+    2. *Ratio bound*: ``lambda_1 <= (_GRAM_RATIO kappa)^2``, past which
+       the squaring has lost the accuracy that check 3 asks for.
     3. *Residual and orthonormality*: for ``R = Z'U_r - V_r S_r`` and
        ``Omega = U_r'U_r - I``, both ``||R||_F`` and ``||Omega S_r||_F``
        (column ``j`` of Omega scaled by ``s_j``) are at most
@@ -152,10 +219,9 @@ def _gram_svd(z, kappa):
     kappa)^2``, 2.4e-10 on a 256^2 DCT2 solve, where ``Omega S_r`` stays
     below 1e-12 ``s_1``.
 
-    Returns ``(U, s, V)`` as :func:`svd` does, with ``s`` in
-    nonincreasing order: the kept values first, then the square roots of
-    the other eigenvalues, and the Gram side's full eigenbasis (``V`` of
-    a tall input, ``U`` of a wide one).
+    ``s`` holds the kept values first, then the square roots of the other
+    ``lambda_i``, then zeros up to length ``n``. The accepted path, its
+    rank and the Gram-side pairs are recorded in ``warm``.
     """
     m, n = z.shape
     wide = m < n
@@ -163,19 +229,36 @@ def _gram_svd(z, kappa):
     g = t.T @ t
     # ||Z||_F^2 from the Gram's diagonal, each entry a sum of squares
     delta = _GRAM_GAP * (m + n) * _EPS * float(np.trace(g))
-    try:
-        lam, vecs = np.linalg.eigh(g)
-    except np.linalg.LinAlgError:
-        return None
-    del g
-    lam, vecs = lam[::-1], vecs[:, ::-1]
+    pairs = _top_pairs(g, kappa * kappa, delta, warm)
+    out = None if pairs is None else _accept(t, kappa, delta, *pairs)
+    path = "top"
+    if out is None:
+        try:
+            lam, vecs = np.linalg.eigh(g)
+        except np.linalg.LinAlgError:
+            return None
+        del g
+        out, path = _accept(t, kappa, delta, lam[::-1], vecs[:, ::-1]), "gram"
+        if out is None:
+            return None
+    ur, s, vr, vecs = out
+    if warm is not None:
+        warm._record(vr.shape[1], vecs, path, s)
+    return (vr, s, ur) if wide else (ur, s, vr)
+
+
+def _accept(t, kappa, delta, lam, vecs):
+    """``(U_r, s, V_r, vecs)`` from the pairs ``(lam, vecs)`` of ``T'T``,
+    with the kept columns of ``vecs`` reordered as ``V_r``, if checks 1-3
+    of :func:`_gram_svd` hold, else ``None``."""
     k2 = kappa * kappa
     if not np.abs(lam - k2).min() > delta:
         return None
     if not lam[0] <= (_GRAM_RATIO * kappa) ** 2:
         return None
     r = int(np.count_nonzero(lam > k2))
-    s = np.sqrt(np.maximum(lam, 0.0))
+    s = np.zeros(t.shape[1])
+    s[:lam.size] = np.sqrt(np.maximum(lam, 0.0))
     vr = vecs[:, :r]
     w = t @ vr
     s[:r] = np.linalg.norm(w, axis=0)
@@ -196,7 +279,68 @@ def _gram_svd(z, kappa):
     omega.flat[::r + 1] -= 1.0
     if not (np.linalg.norm(res) <= bound and np.linalg.norm(omega * s[:r]) <= bound):
         return None
-    return (vecs, s, ur) if wide else (ur, s, vecs)
+    return ur, s, vr, vecs
+
+
+def _top_pairs(g, k2, delta, warm):
+    """The top ``k = warm.rank + _MARGIN`` Ritz pairs of the Gram ``g``,
+    as ``(theta, V)`` in nonincreasing order, or ``None``.
+
+    Starts from ``warm.basis``, padded with fixed Gaussian columns to
+    ``k``, and runs at most ``_PASSES`` passes of ``Y = G Q``, QR and
+    Rayleigh-Ritz ``eigh(Q'GQ)``. It refuses when ``k`` Ritz values exceed
+    ``k2 = kappa^2``, and stops once the ``r`` kept pairs would pass the
+    residual test of :func:`_gram_svd`: column ``i`` of ``R`` there is
+    ``(G v_i - theta_i v_i) / s_i``, with ``s_i^2 = theta_i`` up to
+    rounding. It then certifies that no eigenvalue of G past the ``r``-th
+    reaches ``kappa^2 - delta``: ``(kappa^2 - delta) I - (G - V_r Theta_r
+    V_r')`` is positive definite (Cholesky), so by Courant-Fischer
+    ``x'Gx < kappa^2 - delta`` for every unit ``x`` orthogonal to ``V_r``.
+
+    It is not tried when the last spectrum's gap ``warm.gap`` exceeds
+    ``_GAP_SKIP``, about 0.83: the passes would converge too slowly.
+    """
+    if warm is None or warm.basis is None or warm.gap > _GAP_SKIP:
+        return None
+    n = g.shape[0]
+    k = warm.rank + _MARGIN
+    if 4 * k > n or warm.basis.shape[0] != n:
+        return None
+    v = warm.basis[:, :k]
+    if v.shape[1] < k:
+        pad = np.random.default_rng(0).standard_normal((n, k))
+        v = np.hstack([v, pad[:, v.shape[1]:]])
+    y = g @ v
+    err = np.inf
+    for left in range(_PASSES - 1, -1, -1):
+        q = np.linalg.qr(y)[0]
+        gq = g @ q
+        try:
+            theta, x = np.linalg.eigh(q.T @ gq)
+        except np.linalg.LinAlgError:
+            return None
+        theta, x = theta[::-1], x[:, ::-1]
+        r = int(np.count_nonzero(theta > k2))
+        if r >= k:
+            return None
+        v, y = q @ x, gq @ x
+        res = (y[:, :r] - v[:, :r] * theta[:r]) / np.sqrt(theta[:r])
+        last, err = err, (float(np.linalg.norm(res)) / math.sqrt(theta[0]) if r else 0.0)
+        if err <= _GRAM_TOL:
+            break
+        # fail fast: at the rate of the last pass, the residual would not
+        # reach the tolerance within the passes left
+        if err * (err / last) ** left > _GRAM_TOL:
+            return None
+    # besides G, one Gram-sized array is alive, and the Cholesky factor
+    c = (v[:, :r] * theta[:r]) @ v[:, :r].T
+    c -= g
+    c.flat[::n + 1] += k2 - delta
+    try:
+        np.linalg.cholesky(c)
+    except np.linalg.LinAlgError:
+        return None
+    return theta, v
 
 
 def singular_values(mat):

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .numkit import as_matrix, singular_values, svd
+from .numkit import singular_values, svd
 
 
 def soft_threshold(v, kappa):
@@ -22,125 +22,6 @@ def soft_threshold(v, kappa):
     return np.sign(a) * np.maximum(np.abs(a) - kappa, 0.0)
 
 
-# the top-k SVT computes k = last rank + _MARGIN triplets, only while
-# 4 k <= min(m, n), and gives up after _PASSES subspace iterations
-_MARGIN = 5
-_PASSES = 6
-# largest accepted residual ||Z v - s u|| of a kept triplet, relative to s_1
-_RESIDUAL_TOL = 1e-13
-# A pass shrinks the residual of the r-th triplet by about
-# (sigma_{k+1} / sigma_r)^2, so above this gap the _PASSES passes cannot
-# gain one decimal digit, and an attempt succeeds only from a start basis
-# already within a few times the tolerance. On wht seeds 0-2 (24 solves)
-# 13 of 225 attempts above it succeeded and 212 were abandoned.
-_GAP_SKIP = 0.1 ** (1.0 / (2 * _PASSES))
-
-# the paths an SVT may take, in the order they are tried
-SVT_PATHS = ("top", "gram", "full")
-
-
-@dataclass
-class SvtWarmStart:
-    """What one sequence of SVT calls (one solve) carries from call to call.
-
-    ``rank`` is the last output rank and ``basis`` holds the leading
-    right singular vectors of the last input, from which the next call's
-    subspace iteration starts; it is ``None`` before the first call and
-    while the rank is too large for the top-k path, so no unused vectors
-    are held through a full SVD. ``gap`` is ``sigma_{k+1} / sigma_r`` of
-    the last input for ``k = rank + _MARGIN`` when its whole spectrum is
-    known, else 0. ``ranks`` and ``paths`` log each call's output rank
-    and the path it took, one of :data:`SVT_PATHS`.
-    """
-
-    rank: int | None = None
-    basis: np.ndarray | None = None
-    gap: float = 0.0
-    ranks: list = field(default_factory=list)
-    paths: list = field(default_factory=list)
-
-    def _record(self, rank, v, size, path, s=None):
-        """Keep the rank, the first ``rank + _MARGIN`` columns of ``v``
-        when the next call can use them on a matrix whose smaller side is
-        ``size``, the gap of the whole spectrum ``s`` when it is given,
-        and the log entries."""
-        k = rank + _MARGIN
-        self.rank = rank
-        self.basis = v[:, :k].copy() if 4 * k <= size else None
-        self.gap = float(s[k] / s[rank - 1]) if s is not None and rank and k < s.size else 0.0
-        self.ranks.append(rank)
-        self.paths.append(path)
-
-
-def _svt_top(mat, kappa, warm):
-    """The SVT from the top ``k`` singular triplets only, or ``None``.
-
-    Runs block subspace iteration from ``warm.basis`` (padded with fixed
-    Gaussian columns to ``k``) and returns the thresholded Rayleigh-Ritz
-    triplets only if all three checks hold: fewer than ``k`` Ritz values
-    exceed ``kappa``; every kept triplet has residual
-    ``||Z v_i - s_i u_i|| <= 1e-13 s_1``; and ``kappa^2 I - D'D`` is
-    positive definite for ``D = Z - U_r S_r V_r'``. Ritz values never
-    exceed the singular values they approximate, so the first ``r``
-    singular values lie above ``kappa``; by Weyl's inequality the last
-    check proves ``sigma_{r+1}(Z) <= ||D||_2 < kappa``, so no value above
-    the threshold was missed (up to the rounding of ``D'D``, whose
-    effect on the output lies far below the residual tolerance).
-
-    It is not tried when the last spectrum's gap ``warm.gap`` exceeds
-    ``_GAP_SKIP``, about 0.83: the passes would converge too slowly.
-    """
-    if warm.basis is None or warm.gap > _GAP_SKIP:
-        return None
-    z = as_matrix(mat, "svd input")
-    m, n = z.shape
-    k = warm.rank + _MARGIN
-    if 4 * k > min(m, n) or warm.basis.shape[0] != n:
-        return None
-    v = warm.basis[:, :k]
-    if v.shape[1] < k:
-        pad = np.random.default_rng(0).standard_normal((n, k))
-        v = np.hstack([v, pad[:, v.shape[1]:]])
-    y = z @ v
-    err = np.inf
-    for left in range(_PASSES - 1, -1, -1):
-        q = np.linalg.qr(y)[0]
-        try:
-            ub, s, vt = np.linalg.svd(q.T @ z, full_matrices=False)
-        except np.linalg.LinAlgError:
-            return None
-        u, v = q @ ub, vt.T
-        r = int(np.count_nonzero(s > kappa))
-        if r >= k:
-            return None
-        y = z @ v
-        last, err = err, (float(np.linalg.norm(y[:, :r] - u[:, :r] * s[:r], axis=0)
-                                .max()) / s[0] if r else 0.0)
-        if err <= _RESIDUAL_TOL:
-            break
-        # fail fast: at the rate of the last pass, the residual would not
-        # reach the tolerance within the passes left
-        if err * (err / last) ** left > _RESIDUAL_TOL:
-            return None
-    # certify: no singular value of Z beyond the r-th reaches kappa; at
-    # most two arrays of the Gram's size are alive at a time
-    d = (u[:, :r] * s[:r]) @ v[:, :r].T
-    np.subtract(z, d, out=d)
-    g = d.T @ d if m >= n else d @ d.T
-    del d
-    g *= -1.0
-    g.flat[::g.shape[0] + 1] += kappa * kappa
-    try:
-        np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        return None
-    del g
-    shrunk = np.zeros(min(m, n))
-    shrunk[:r] = s[:r] - kappa
-    warm._record(r, v, min(m, n), "top")
-    return (u[:, :r] * shrunk[:r]) @ v[:, :r].T, shrunk
-
-
 def svt_with_values(mat, kappa, warm=None):
     """Singular value thresholding, also returning the shrunk spectrum.
 
@@ -148,32 +29,20 @@ def svt_with_values(mat, kappa, warm=None):
     prefix; only those triplets are recomposed. ``shrunk`` keeps its full
     length.
 
-    Three paths are tried in turn, each exact or refused:
-
-    1. *top*: with a :class:`SvtWarmStart` whose last output rank is small
-       against the matrix, only the top singular triplets, by subspace
-       iteration, certified to hold every singular value above ``kappa``
-       (see :func:`_svt_top`);
-    2. *gram*: ``eigh`` of the smaller Gram matrix, accepted after a gap
-       test, a bound on ``s_1 / kappa`` and a residual and orthonormality
-       test (see :func:`iprox.numkit._gram_svd`);
-    3. *full*: the full SVD.
-
-    ``warm`` is an optional :class:`SvtWarmStart` shared by the calls of
-    one solve; it logs each call's path. Without it, the top path is
-    never tried.
+    The triplets above ``kappa`` come from :func:`iprox.numkit.svd`, one
+    Gram-matrix engine with two ways to the kept vectors, each certified
+    exact or refused, and the full SVD behind them: *top*, a subspace
+    iteration started from ``warm``; *gram*, ``eigh`` of the same Gram
+    matrix; *full*, ``gesdd``. ``warm`` is an optional
+    :class:`~iprox.numkit.SvtWarmStart` shared by the calls of one solve;
+    it logs each call's path and rank. Without it, the top path is never
+    tried.
     """
     if kappa < 0:
         raise ValueError(f"threshold must be nonnegative, got {kappa}")
-    if warm is not None:
-        out = _svt_top(mat, kappa, warm)
-        if out is not None:
-            return out
-    u, s, v, path = svd(mat, above=kappa)
+    u, s, v = svd(mat, above=kappa, warm=warm)
     shrunk = np.maximum(s - kappa, 0.0)
     r = int(np.count_nonzero(shrunk))
-    if warm is not None:
-        warm._record(r, v, s.size, path, s)
     return (u[:, :r] * shrunk[:r]) @ v[:, :r].T, shrunk
 
 

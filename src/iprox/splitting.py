@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .prox import ProxOracle, project_box
+from .prox import ProxOracle
 from .vi_core import (
     InertialSchedule,
     MixedViProblem,
@@ -56,8 +56,7 @@ class SeparableProblem:
     ``spectral_bound`` on the largest eigenvalue of ``A* A`` (1 for a
     partial orthonormal transform). ``f_prox`` and ``g_prox`` must solve
     their prox subproblems exactly, with any set constraint on the block
-    folded in; ``x_bounds`` and ``y_bounds`` (pairs ``(lo, hi)`` or None)
-    describe the same sets for membership tests and probe projection.
+    folded in.
     ``f_quad``/``g_quad`` optionally carry dense quadratic data ``(P, c)``
     enabling the fixture resolvent; the dense forms need matrices.
     """
@@ -67,8 +66,6 @@ class SeparableProblem:
     b: np.ndarray
     f_prox: ProxOracle
     g_prox: ProxOracle
-    x_bounds: Optional[tuple] = None
-    y_bounds: Optional[tuple] = None
     f_quad: Optional[tuple] = None
     g_quad: Optional[tuple] = None
 
@@ -335,7 +332,7 @@ def to_mixed_vi(prob):
     ``F(w) = (-A'p, -B'p, A x + B y - b)`` on packed ``(x, y, p)``; F is
     affine with skew-symmetric linear part, hence monotone with modulus 0.
     The resolvent has a closed form (one dense linear solve) when both
-    blocks carry quadratic data and no bounds; otherwise it raises
+    blocks carry quadratic data; otherwise it raises
     :class:`ExactSubproblemError`.
     """
     n1, n2, m = prob.n1, prob.n2, prob.m
@@ -352,32 +349,7 @@ def to_mixed_vi(prob):
             [-(A.T @ pt.p), -(B.T @ pt.p), A @ pt.x + B @ pt.y - b]
         )
 
-    def omega_contains(w, tol=1e-10):
-        pt = PrimalDualPoint.unpack(w, n1, n2)
-        for block, bounds in ((pt.x, prob.x_bounds), (pt.y, prob.y_bounds)):
-            if bounds is None:
-                continue
-            lo, hi = bounds
-            if np.any(block < lo - tol) or np.any(block > hi + tol):
-                return False
-        return True
-
-    def project(w):
-        pt = PrimalDualPoint.unpack(w, n1, n2)
-        if prob.x_bounds is not None:
-            pt.x = project_box(pt.x, *prob.x_bounds)
-        if prob.y_bounds is not None:
-            pt.y = project_box(pt.y, *prob.y_bounds)
-        return pt.pack()
-
-    closed_form = (
-        prob.f_quad is not None
-        and prob.g_quad is not None
-        and prob.x_bounds is None
-        and prob.y_bounds is None
-    )
-
-    if closed_form:
+    if prob.f_quad is not None and prob.g_quad is not None:
         Pf, cf = prob.f_quad
         Pg, cg = prob.g_quad
         K = np.zeros((dim, dim))
@@ -400,8 +372,7 @@ def to_mixed_vi(prob):
 
         def resolvent(z, lam, G):
             raise ExactSubproblemError(
-                "no closed-form resolvent: quadratic block data without "
-                "bounds is required"
+                "no closed-form resolvent: quadratic block data is required"
             )
 
     return MixedViProblem(
@@ -410,8 +381,6 @@ def to_mixed_vi(prob):
         F=F,
         resolvent=resolvent,
         H=None,
-        omega_contains=omega_contains,
-        project=project,
     )
 
 
@@ -566,17 +535,12 @@ def vi_residual_check(prob, params, w_k, w_kp1, probes):
 
 
 def sample_probes(prob, center, radius, count, rng):
-    """Probe points uniform in a box around ``center``, projected onto
-    the constraint sets (the multiplier block is unconstrained)."""
+    """Probe points uniform in a box around ``center``."""
     out = []
     for _ in range(count):
         x = center.x + rng.uniform(-radius, radius, prob.n1)
         y = center.y + rng.uniform(-radius, radius, prob.n2)
         p = center.p + rng.uniform(-radius, radius, prob.m)
-        if prob.x_bounds is not None:
-            x = project_box(x, *prob.x_bounds)
-        if prob.y_bounds is not None:
-            y = project_box(y, *prob.y_bounds)
         out.append(PrimalDualPoint(x, y, p))
     return out
 
@@ -642,14 +606,21 @@ class NonergodicReport:
 
 def nonergodic_report(trace, prob, params, w_star, mono_rtol=1e-12, tol=1e-8):
     """Check residual monotonicity and the O(1/k) envelope on a plain
-    (non-extrapolated) trace."""
+    (non-extrapolated) trace.
+
+    The residuals are read off the trace's ``step_residuals``, the squared
+    G-norms of the steps under the run's own weighting, so ``params``
+    must be the parameters of the run that made ``trace``; they weight
+    ``phi0``.
+    """
     if trace.iterates is None:
         raise ValueError("trace must carry iterates")
     if any(a != 0.0 for a in trace.alphas):
         raise ValueError("the nonergodic certificate needs a plain trace")
     G = gladmm_operator(prob, params, check=False)
     iters = trace.iterates
-    res = np.array([G.norm(iters[k] - iters[k - 1]) for k in range(1, len(iters))])
+    # tiny negative round-off is clipped, as WeightOperator.norm does
+    res = np.sqrt(np.maximum(trace.step_residuals, 0.0))
     mono = [
         int(k + 1)
         for k in range(1, res.size)

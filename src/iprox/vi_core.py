@@ -105,7 +105,6 @@ class MixedViProblem:
     F: Callable[[np.ndarray], np.ndarray]
     resolvent: Callable[[np.ndarray, float, WeightOperator], np.ndarray]
     H: Optional[WeightOperator] = None
-    omega_contains: Callable[[np.ndarray], bool] = lambda w: True
     project: Callable[[np.ndarray], np.ndarray] = lambda w: w
 
 

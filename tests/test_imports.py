@@ -1,9 +1,12 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module,
+and every private module-level name is used somewhere in the package.
 
 No linter ships with the test dependencies, so this parses each module
 with ``ast``: an imported name counts as used when it appears as a name
 anywhere in the module (an attribute base such as ``np`` in ``np.sum``
-included) or is listed in ``__all__``.
+included) or is listed in ``__all__``. A private function, class or
+constant (one leading underscore) counts as used when some module of the
+package reads it, as a name or as an attribute such as ``numkit._EPS``.
 """
 
 import ast
@@ -45,3 +48,38 @@ def test_no_unused_imports(path):
 def test_detects_an_unused_import():
     tree = ast.parse("import os\nfrom typing import Optional, List\nx: List = []\n")
     assert set(imported_names(tree)) - used_names(tree) == {"os", "Optional"}
+
+
+def private_definitions(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from (n for n in names if n.startswith("_") and not n.startswith("__"))
+
+
+def read_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_no_unreferenced_private_names():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf8"), filename=str(p))
+             for p in MODULES}
+    read = set().union(*(read_names(t) for t in trees.values()))
+    unused = sorted(f"{name}:{d}" for name, t in trees.items()
+                    for d in private_definitions(t) if d not in read)
+    assert unused == [], f"private names nothing in the package reads: {unused}"
+
+
+def test_detects_an_unreferenced_private_name():
+    tree = ast.parse("_TOL = 1e-13\n_USED = 2\n\n\ndef _top():\n    return _USED\n\n\n"
+                     "class _Spare:\n    pass\n")
+    assert set(private_definitions(tree)) - set(read_names(tree)) == {"_TOL", "_top", "_Spare"}

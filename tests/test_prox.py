@@ -9,8 +9,8 @@ implementation under test.
 import numpy as np
 import pytest
 
-from iprox import prox
-from iprox.numkit import svd
+from iprox import numkit, prox
+from iprox.numkit import SvtWarmStart, svd
 
 
 def scalar_prox_oracle(v, kappa, width=3.0, points=200001):
@@ -264,24 +264,24 @@ def test_warm_svt_matches_full_svt(seed, shape, top, kappa, start):
     Z, _ = spectral_matrix(seed, shape, top, kappa)
     if start == "nearby":
         # the state of a solve whose iterates approach Z
-        warm = prox.SvtWarmStart()
+        warm = SvtWarmStart()
         noise = np.random.default_rng(seed + 1).normal(size=shape)
         for scale in (1e-4, 1e-8):
             prox.svt_with_values(Z + scale * kappa * noise, kappa, warm)
     elif start == "unrelated":
-        warm = prox.SvtWarmStart()
+        warm = SvtWarmStart()
         other, _ = spectral_matrix(seed + 1, shape, 8 - top, 2.0 * kappa)
         prox.svt_with_values(other, 2.0 * kappa, warm)
     else:
         # a predicted rank below the true one: k = rank + margin Ritz
         # values all exceed kappa
-        rank = max(0, top - prox._MARGIN)
+        rank = max(0, top - numkit._MARGIN)
         basis = np.random.default_rng(seed + 2).normal(size=(shape[1], top))
-        warm = prox.SvtWarmStart(rank=rank, basis=basis)
+        warm = SvtWarmStart(rank=rank, basis=basis)
     got = prox.svt_with_values(Z, kappa, warm)
     assert_same_svt(got, gesdd_svt(Z, kappa))
     assert warm.ranks[-1] == int(np.count_nonzero(got[1]))
-    if start == "too_small" and top >= prox._MARGIN:
+    if start == "too_small" and top >= numkit._MARGIN:
         assert warm.paths[-1] != "top"
 
 
@@ -297,8 +297,8 @@ def test_warm_svt_falls_back_when_a_value_above_kappa_is_missed(seed, shape,
     U = Z @ V
     U[:, 2] *= kappa * (1.0 + above) / np.linalg.norm(U[:, 2])
     Z = U @ V.T
-    k = 2 + prox._MARGIN
-    warm = prox.SvtWarmStart(rank=2, basis=np.delete(V, 2, axis=1)[:, :k])
+    k = 2 + numkit._MARGIN
+    warm = SvtWarmStart(rank=2, basis=np.delete(V, 2, axis=1)[:, :k])
     got = prox.svt_with_values(Z, kappa, warm)
     assert warm.paths == ["gram"]
     assert int(np.count_nonzero(got[1])) == 3
@@ -309,7 +309,7 @@ def test_warm_svt_falls_back_when_a_value_above_kappa_is_missed(seed, shape,
 @given(seed=seeds, shape=svt_shapes, bad=st.sampled_from([np.nan, np.inf, -np.inf]))
 def test_warm_svt_rejects_non_finite_input_like_the_full_svt(seed, shape, bad):
     Z, _ = spectral_matrix(seed, shape, 2, 1.0)
-    warm = prox.SvtWarmStart()
+    warm = SvtWarmStart()
     prox.svt_with_values(Z, 1.0, warm)
     Z[seed % shape[0], seed % shape[1]] = bad
     with pytest.raises(ValueError) as full:
@@ -324,18 +324,20 @@ def test_warm_svt_rejects_non_finite_input_like_the_full_svt(seed, shape, bad):
 
 
 def test_warm_svt_certifies_a_repeated_input():
-    Z, _ = spectral_matrix(11, (48, 40), 3, 1.0)
-    warm = prox.SvtWarmStart()
-    first = prox.svt_with_values(Z, 1.0, warm)
-    # without a usable state the SVT takes the path it takes without a
-    # state, bit for bit
-    plain = prox.svt_with_values(Z, 1.0)
-    assert np.array_equal(first[0], plain[0]) and np.array_equal(first[1], plain[1])
-    second = prox.svt_with_values(Z, 1.0, warm)
-    assert warm.paths == ["gram", "top"]
-    assert warm.ranks == [3, 3]
-    assert warm.basis.shape == (40, 3 + prox._MARGIN)
-    assert_same_svt(second, plain)
+    # tall and wide: the basis lives on the 40-long Gram side either way
+    for shape in ((48, 40), (40, 48)):
+        Z, _ = spectral_matrix(11, shape, 3, 1.0)
+        warm = SvtWarmStart()
+        first = prox.svt_with_values(Z, 1.0, warm)
+        # without a usable state the SVT takes the path it takes without
+        # a state, bit for bit
+        plain = prox.svt_with_values(Z, 1.0)
+        assert np.array_equal(first[0], plain[0]) and np.array_equal(first[1], plain[1])
+        second = prox.svt_with_values(Z, 1.0, warm)
+        assert warm.paths == ["gram", "top"]
+        assert warm.ranks == [3, 3]
+        assert warm.basis.shape == (40, 3 + numkit._MARGIN)
+        assert_same_svt(second, plain)
 
 
 # property tests of the Gram path: the SVT from eigh of the smaller Gram
@@ -363,8 +365,10 @@ gram_shapes = st.sampled_from(["square", "tall", "wide"]).flatmap(
        kappa=st.floats(0.1, 10.0))
 def test_gram_svt_matches_gesdd(seed, shape, top, kappa):
     Z, _ = spectral_matrix(seed, shape, top, kappa)
-    assert svd(Z, above=kappa)[3] == "gram"
-    warm = prox.SvtWarmStart()
+    warm = SvtWarmStart()
+    svd(Z, above=kappa, warm=warm)
+    assert warm.paths == ["gram"]
+    warm = SvtWarmStart()
     got = prox.svt_with_values(Z, kappa, warm)
     assert warm.paths == ["gram"]
     assert_same_svt(got, gesdd_svt(Z, kappa))
@@ -373,8 +377,10 @@ def test_gram_svt_matches_gesdd(seed, shape, top, kappa):
 
 @settings(max_examples=40, deadline=None)
 @given(seed=seeds, shape=gram_shapes, top=st.integers(1, 8),
-       kappa=st.floats(0.1, 10.0), side=st.sampled_from([-1.0, 1.0]))
-def test_gram_svt_refuses_a_value_at_the_threshold(seed, shape, top, kappa, side):
+       kappa=st.floats(0.1, 10.0), side=st.sampled_from([-1.0, 1.0]),
+       warm_start=st.booleans())
+def test_gram_svt_refuses_a_value_at_the_threshold(seed, shape, top, kappa, side,
+                                                   warm_start):
     # a singular value at kappa (1 +- 1e-12) lies inside the gap test's
     # window, which s_1 = 10 kappa makes wider than 2e-12 kappa^2
     rng = np.random.default_rng(seed)
@@ -383,7 +389,15 @@ def test_gram_svt_refuses_a_value_at_the_threshold(seed, shape, top, kappa, side
                                 rng.uniform(0.0, 0.9, p - top - 1)]))[::-1]
     s = np.insert(s, top, 1.0 + side * 1e-12) * kappa
     Z = with_spectrum(seed, shape, s)
-    warm = prox.SvtWarmStart()
+    warm = SvtWarmStart()
+    if warm_start:
+        # the true top vectors of the Gram side, the value at the
+        # threshold and the one below it among them: the top path sees
+        # them exactly
+        U, _, Vt = np.linalg.svd(Z, full_matrices=False)
+        rank = max(top + 2 - numkit._MARGIN, 0)
+        basis = (U if shape[0] < shape[1] else Vt.T)[:, :rank + numkit._MARGIN]
+        warm = SvtWarmStart(rank=rank, basis=basis)
     got = prox.svt_with_values(Z, kappa, warm)
     assert warm.paths == ["full"]
     want = gesdd_svt(Z, kappa)
@@ -397,7 +411,7 @@ def test_gram_svt_refuses_a_large_ratio_to_kappa(seed, shape, top, ratio):
     # s_1 / kappa beyond the bound that the residual test could meet
     Z, _ = spectral_matrix(seed, shape, top, 1.0)
     kappa = float(np.linalg.norm(Z, 2)) / ratio
-    warm = prox.SvtWarmStart()
+    warm = SvtWarmStart()
     got = prox.svt_with_values(Z, kappa, warm)
     assert warm.paths == ["full"]
     want = gesdd_svt(Z, kappa)
