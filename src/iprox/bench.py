@@ -43,6 +43,11 @@ CSV_COLUMNS = [
     "relL_iladmm", "relS_iladmm", "iter2", "ratio",
 ]
 SENTINEL = "-"
+# the keys of a config file's two sections
+_CONFIG_KEYS = {
+    "grid": ("sizes", "ranks", "nnz_ratios", "q_ratios", "transforms"),
+    "solver": ("tau", "eta", "eps", "max_iter", "alpha", "alphas", "beta0", "s_scale"),
+}
 
 
 @dataclass
@@ -92,6 +97,8 @@ class RunConfig:
             raise ValueError("eps must be >= 0 and max_iter >= 1")
         if self.s_scale <= 0:
             raise ValueError("s_scale must be positive")
+        if self.beta0 is not None and self.beta0 <= 0:
+            raise ValueError("beta0 must be positive")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         for a in self.alphas if self.alphas is not None else (self.alpha,):
@@ -119,17 +126,25 @@ class RunConfig:
     def from_dict(cls, doc):
         if not isinstance(doc, dict):
             raise ValueError("config root must be a mapping")
+        unknown = [str(k) for k in doc if k not in ("grid", "solver", "seeds", "jobs")]
+        for name in ("grid", "solver"):
+            if not isinstance(doc.get(name, {}), dict):
+                raise ValueError(f"config section {name} must be a mapping")
+            unknown += [f"{name}.{k}" for k in doc.get(name, {})
+                        if k not in _CONFIG_KEYS[name]]
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         grid = doc.get("grid", {})
         solver = doc.get("solver", {})
         kw = {}
-        for key in ("sizes", "ranks", "nnz_ratios", "q_ratios", "transforms"):
+        for key in _CONFIG_KEYS["grid"]:
             if key in grid:
                 kw[key] = tuple(grid[key])
-        for key in ("tau", "eta", "eps", "max_iter", "alpha", "beta0", "s_scale"):
-            if key in solver and solver[key] is not None:
+        for key in _CONFIG_KEYS["solver"]:
+            if solver.get(key) is not None:
                 kw[key] = solver[key]
-        if "alphas" in solver and solver["alphas"] is not None:
-            kw["alphas"] = tuple(float(a) for a in solver["alphas"])
+        if "alphas" in kw:
+            kw["alphas"] = tuple(float(a) for a in kw["alphas"])
         if "seeds" in doc:
             kw["seeds"] = tuple(int(s) for s in doc["seeds"])
         if "jobs" in doc:
@@ -203,29 +218,33 @@ def _solver_outcome(state, trace, inst, wall):
     }
 
 
+def _solve(inst, settings, alpha=None):
+    """Solve ``inst`` plainly, or inertially at ``alpha``, as ``settings``
+    (a :class:`RunConfig` or the ``solve`` arguments) set the solver up;
+    returns the state, the trace and the :func:`_solver_outcome` summary."""
+    solver, kw = (ladmm_cpcp, {}) if alpha is None else (iladmm_cpcp, {"alpha": alpha})
+    t0 = time.perf_counter()
+    state, trace = solver(
+        inst, tau=settings.tau, eta=settings.eta,
+        controller=BetaController.for_instance(
+            inst, beta0=settings.beta0, s_scale=settings.s_scale),
+        tol=settings.eps, max_iter=settings.max_iter, **kw,
+    )
+    return state, trace, _solver_outcome(state, trace, inst, time.perf_counter() - t0)
+
+
 def _run_trial(cell, seed, config, alphas):
     size, rank, nnz_ratio, q_ratio, kind = cell
     try:
         q, nnz = counts_from_ratios(size, size, q_ratio, nnz_ratio)
         inst = generate_instance(size, size, rank, nnz, kind, q, seed)
-
-        def solve(solver, **kw):
-            t0 = time.perf_counter()
-            state, trace = solver(
-                inst, tau=config.tau, eta=config.eta,
-                controller=BetaController.for_instance(
-                    inst, beta0=config.beta0, s_scale=config.s_scale),
-                tol=config.eps, max_iter=config.max_iter, **kw,
-            )
-            return _solver_outcome(state, trace, inst, time.perf_counter() - t0)
-
         return {
             "seed": seed,
             "q": inst.q,
             "nnz": inst.nnz,
             "dof": inst.dof,
-            "ladmm": solve(ladmm_cpcp),
-            "iladmm": {a: solve(iladmm_cpcp, alpha=a) for a in alphas},
+            "ladmm": _solve(inst, config)[2],
+            "iladmm": {a: _solve(inst, config, alpha=a)[2] for a in alphas},
         }
     except Exception as exc:  # cell failures must not kill the grid
         return {"seed": seed, "error": f"{type(exc).__name__}: {exc}",
@@ -235,9 +254,9 @@ def _run_trial(cell, seed, config, alphas):
 def run_grid(config):
     """Run the full grid; returns one RunRecord per (cell, alpha).
 
-    Both solvers see the same instance in every trial. Trials may run in
-    ``config.jobs`` threads; records are assembled in deterministic grid
-    order regardless of scheduling.
+    Both solvers see the same instance in every trial. Trials run in a
+    pool of ``config.jobs`` threads; records are assembled in
+    deterministic grid order regardless of scheduling.
     """
     config.validate()
     alphas = tuple(config.alphas) if config.alphas is not None else (config.alpha,)
@@ -245,20 +264,12 @@ def run_grid(config):
         config.sizes, config.ranks, config.nnz_ratios,
         config.q_ratios, config.transforms,
     ))
-    tasks = [(ci, seed) for ci in range(len(cells)) for seed in config.seeds]
-
-    results = {}
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            futs = {
-                (ci, seed): pool.submit(_run_trial, cells[ci], seed, config, alphas)
-                for ci, seed in tasks
-            }
-            for key, fut in futs.items():
-                results[key] = fut.result()
-    else:
-        for ci, seed in tasks:
-            results[(ci, seed)] = _run_trial(cells[ci], seed, config, alphas)
+    with ThreadPoolExecutor(max_workers=config.jobs) as pool:
+        futs = {
+            (ci, seed): pool.submit(_run_trial, cells[ci], seed, config, alphas)
+            for ci in range(len(cells)) for seed in config.seeds
+        }
+    results = {key: fut.result() for key, fut in futs.items()}
 
     env = _environment()
     records = []
@@ -415,6 +426,7 @@ def _build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("solve", help="solve one generated instance")
+    s.set_defaults(func=_cmd_solve)
     s.add_argument("--size", type=int, default=64, help="rows (m), square by default")
     s.add_argument("--cols", type=int, default=None, help="columns (n), default size")
     s.add_argument("--rank", type=int, default=2)
@@ -422,23 +434,25 @@ def _build_parser():
     s.add_argument("--q-ratio", type=float, default=0.6)
     s.add_argument("--transform", choices=KINDS, default="dct2")
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--alpha", type=float, default=0.28,
+    s.add_argument("--alpha", type=float, default=RunConfig.alpha,
                    help="extrapolation factor; 0 gives the plain solver")
-    s.add_argument("--tau", type=float, default=0.99)
-    s.add_argument("--eta", type=float, default=0.99)
-    s.add_argument("--eps", type=float, default=1e-5)
-    s.add_argument("--max-iter", type=int, default=1000)
-    s.add_argument("--beta0", type=float, default=None)
-    s.add_argument("--s-scale", type=float, default=10.0)
+    s.add_argument("--tau", type=float, default=RunConfig.tau)
+    s.add_argument("--eta", type=float, default=RunConfig.eta)
+    s.add_argument("--eps", type=float, default=RunConfig.eps)
+    s.add_argument("--max-iter", type=int, default=RunConfig.max_iter)
+    s.add_argument("--beta0", type=float, default=RunConfig.beta0)
+    s.add_argument("--s-scale", type=float, default=RunConfig.s_scale)
     s.add_argument("--json", type=str, default=None, metavar="PATH")
 
     b = sub.add_parser("bench", help="run the benchmark grid")
+    b.set_defaults(func=_cmd_bench)
     b.add_argument("--config", type=str, default=None,
                    help="YAML config; the built-in desk grid when omitted")
     b.add_argument("--out", type=str, default="results")
     b.add_argument("--jobs", type=int, default=None)
 
     w = sub.add_parser("sweep-alpha", help="sweep the extrapolation factor")
+    w.set_defaults(func=_cmd_sweep)
     w.add_argument("--size", type=int, default=128)
     w.add_argument("--rank", type=int, default=2)
     w.add_argument("--nnz-ratio", type=float, default=0.05)
@@ -447,11 +461,12 @@ def _build_parser():
     w.add_argument("--seeds", type=str, default="0,1,2")
     w.add_argument("--alphas", type=str,
                    default="0.05,0.1,0.15,0.2,0.25,0.3,0.35")
-    w.add_argument("--eps", type=float, default=1e-5)
-    w.add_argument("--max-iter", type=int, default=1000)
+    w.add_argument("--eps", type=float, default=RunConfig.eps)
+    w.add_argument("--max-iter", type=int, default=RunConfig.max_iter)
     w.add_argument("--out", type=str, default="results")
 
-    sub.add_parser("verify", help="run acceptance criteria 1-9 at fixture scale")
+    v = sub.add_parser("verify", help="run acceptance criteria 1-9 at fixture scale")
+    v.set_defaults(func=_cmd_verify)
     return p
 
 
@@ -460,22 +475,16 @@ def _cmd_solve(args):
     q, nnz = counts_from_ratios(args.size, n, args.q_ratio, args.nnz_ratio)
     inst = generate_instance(args.size, n, args.rank, nnz, args.transform, q,
                              args.seed)
-    controller = BetaController.for_instance(inst, beta0=args.beta0,
-                                             s_scale=args.s_scale)
+    state, trace, met = _solve(inst, args, alpha=args.alpha)
     solver = "iladmm" if args.alpha > 0 else "ladmm"
-    state, trace = iladmm_cpcp(
-        inst, tau=args.tau, eta=args.eta, alpha=args.alpha,
-        controller=controller, tol=args.eps, max_iter=args.max_iter,
-    )
-    met = recovery_metrics(state, inst)
     print(f"instance: m={inst.m} n={inst.n} r={inst.r} nnz={inst.nnz} "
           f"q={inst.q} transform={inst.kind} seed={inst.seed} "
           f"q/dof={inst.q_over_dof:.4f}")
     print(f"solver: {solver} alpha={args.alpha:g} tau={args.tau:g} "
           f"eta={args.eta:g} eps={args.eps:g}")
-    status = "converged" if met.converged else "max iterations reached"
-    print(f"iterations: {met.iters} ({status})")
-    print(f"rel_l={met.rel_l:.6e} rel_s={met.rel_s:.6e} "
+    status = "converged" if met["converged"] else "max iterations reached"
+    print(f"iterations: {met['iters']} ({status})")
+    print(f"rel_l={met['rel_l']:.6e} rel_s={met['rel_s']:.6e} "
           f"final_beta={state.beta:.6g} "
           f"relative_feasibility={trace.extras['relative_feasibility']:.3e}")
     if args.json:
@@ -486,14 +495,14 @@ def _cmd_solve(args):
             "solver": {"name": solver, "alpha": args.alpha, "tau": args.tau,
                        "eta": args.eta, "eps": args.eps,
                        "max_iter": args.max_iter},
-            "result": {"iters": met.iters, "converged": met.converged,
-                       "rel_l": met.rel_l, "rel_s": met.rel_s,
+            "result": {"iters": met["iters"], "converged": met["converged"],
+                       "rel_l": met["rel_l"], "rel_s": met["rel_s"],
                        "final_beta": state.beta},
             "environment": _environment(),
         }
         Path(args.json).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n",
                                    encoding="utf8")
-    return 0 if met.converged else 1
+    return 0 if met["converged"] else 1
 
 
 def _cmd_bench(args):
@@ -504,19 +513,7 @@ def _cmd_bench(args):
     if args.jobs is not None:
         config.jobs = int(args.jobs)
         config.validate()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    records = run_grid(config)
-    emit_csv(records, out / "results.csv")
-    emit_plot_data(records, out / "plot.csv", axis="q_ratio")
-    write_records_json(records, out / "records.json")
-    failed = [r for r in records if r.error is not None]
-    print(f"wrote {len(records)} records to {out} "
-          f"({len(failed)} cell failures)")
-    for rec in failed:
-        print(f"  failed cell m={rec.m} r={rec.r} nnz_ratio={rec.nnz_ratio:g} "
-              f"q_ratio={rec.q_ratio:g} {rec.transform}: {rec.error}")
-    return 0
+    return _run_and_write(config, Path(args.out))
 
 
 def _cmd_sweep(args):
@@ -531,18 +528,34 @@ def _cmd_sweep(args):
         eps=args.eps,
         max_iter=args.max_iter,
     ).validate()
-    out = Path(args.out)
+    return _run_and_write(config, Path(args.out))
+
+
+def _run_and_write(config, out):
+    """Run the grid of ``config`` and write its tables to ``out``: per
+    cell for a plain run, per factor for a sweep (``alphas`` set)."""
     out.mkdir(parents=True, exist_ok=True)
     records = run_grid(config)
-    emit_plot_data(records, out / "alpha_sweep.csv", axis="alpha")
-    write_records_json(records, out / "alpha_records.json")
-    print("alpha  iter_plain  iter_inertial  ratio")
-    for rec in records:
-        if rec.error is not None:
-            print(f"{rec.alpha:>5.2f}  failed: {rec.error}")
-            continue
-        print(f"{rec.alpha:>5.2f}  {rec.mean_iter_ladmm:>10.1f}  "
-              f"{rec.mean_iter_iladmm:>13.1f}  {rec.iter_ratio:>5.3f}")
+    if config.alphas is not None:
+        emit_plot_data(records, out / "alpha_sweep.csv", axis="alpha")
+        write_records_json(records, out / "alpha_records.json")
+        print("alpha  iter_plain  iter_inertial  ratio")
+        for rec in records:
+            if rec.error is not None:
+                print(f"{rec.alpha:>5.2f}  failed: {rec.error}")
+                continue
+            print(f"{rec.alpha:>5.2f}  {rec.mean_iter_ladmm:>10.1f}  "
+                  f"{rec.mean_iter_iladmm:>13.1f}  {rec.iter_ratio:>5.3f}")
+        return 0
+    emit_csv(records, out / "results.csv")
+    emit_plot_data(records, out / "plot.csv", axis="q_ratio")
+    write_records_json(records, out / "records.json")
+    failed = [r for r in records if r.error is not None]
+    print(f"wrote {len(records)} records to {out} "
+          f"({len(failed)} cell failures)")
+    for rec in failed:
+        print(f"  failed cell m={rec.m} r={rec.r} nnz_ratio={rec.nnz_ratio:g} "
+              f"q_ratio={rec.q_ratio:g} {rec.transform}: {rec.error}")
     return 0
 
 
@@ -566,19 +579,10 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
     try:
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
-        if args.command == "sweep-alpha":
-            return _cmd_sweep(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
+        return args.func(args)
     except (OSError, ValueError, yaml.YAMLError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    parser.error(f"unknown command {args.command!r}")
-    return 2
 
 
 def cli_entry():

@@ -114,6 +114,8 @@ def svd(mat, above=None, warm=None):
     and ``s[r:]`` are estimates. Otherwise the full SVD runs, exactly as
     without ``above``.
     """
+    if warm is not None and above is None:
+        raise ValueError("svd: warm is only for calls with above")
     m = as_matrix(mat, "svd input")
     if above is not None and min(m.shape) >= _GRAM_MIN:
         out = _gram_svd(m, above, warm)

@@ -7,6 +7,7 @@ range; determinism checks compare complete artifacts byte for byte.
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -87,6 +88,8 @@ class TestRunConfig:
             dict(jobs=0),
             dict(alpha=1.0),
             dict(alpha=0.4),  # outside the guaranteed range
+            dict(beta0=0.0),
+            dict(beta0=-1.0),
         ]
         for overrides in bad_cases:
             with pytest.raises(ValueError):
@@ -124,6 +127,30 @@ class TestRunConfig:
             bench.RunConfig.from_dict({"grid": {"sizes": [16]}})
         with pytest.raises(ValueError, match="mapping"):
             bench.RunConfig.from_dict([1, 2])
+        # misspelt or misplaced keys are errors, not silently dropped
+        good = yaml.safe_load(TINY_YAML)
+        for section, key, name in (("solver", "max_iters", "solver.max_iters"),
+                                   ("grid", "transfroms", "grid.transfroms"),
+                                   (None, "seed", "seed"),
+                                   (None, "tau", "tau")):
+            doc = yaml.safe_load(TINY_YAML)
+            (doc[section] if section else doc)[key] = 5
+            with pytest.raises(ValueError, match=f"unknown config keys: {name}$"):
+                bench.RunConfig.from_dict(doc)
+        for section, value in (("solver", [1, 2]), ("grid", "sizes"), ("solver", None)):
+            with pytest.raises(ValueError, match=f"section {section} must be a mapping"):
+                bench.RunConfig.from_dict(dict(good, **{section: value}))
+
+    def test_readme_schema_is_accepted(self):
+        # the schema the README documents, commented-out keys included
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        block = readme.read_text(encoding="utf8").split("```yaml\n")[1].split("```")[0]
+        config = bench.RunConfig.from_dict(yaml.safe_load(block))
+        assert config.sizes == (128, 256) and config.seeds == (0, 1, 2, 3, 4)
+        every_key = re.sub(r"^( *)# (\w+:)", r"\1\2", block, flags=re.M)
+        config = bench.RunConfig.from_dict(yaml.safe_load(every_key))
+        assert config.alphas == (0.1, 0.2, 0.3)
+        assert (config.beta0, config.s_scale) == (1.0, 10.0)
 
     def test_from_yaml(self, tmp_path):
         path = tmp_path / "config.yaml"
@@ -406,6 +433,22 @@ class TestCli:
         assert (out / "alpha_records.json").exists()
         text = capsys.readouterr().out
         assert "alpha" in text and "0.28" in text
+
+        # a bench config with factors is the same run, with the same tables
+        doc = yaml.safe_load(TINY_YAML)
+        doc["solver"] = {"eps": 1e-4, "alphas": [0.0, 0.28]}
+        doc["seeds"] = [0]
+        config = tmp_path / "sweep.yaml"
+        config.write_text(yaml.safe_dump(doc))
+        out2 = tmp_path / "bench"
+        assert bench.main(["bench", "--config", str(config), "--out", str(out2)]) == 0
+        assert capsys.readouterr().out == text
+        assert sorted(p.name for p in out2.iterdir()) == ["alpha_records.json",
+                                                          "alpha_sweep.csv"]
+        assert (out2 / "alpha_sweep.csv").read_bytes() == (out / "alpha_sweep.csv").read_bytes()
+        a = strip_wall_times(json.loads((out / "alpha_records.json").read_text()))
+        b = strip_wall_times(json.loads((out2 / "alpha_records.json").read_text()))
+        assert a == b
 
     def test_module_entry_point(self):
         # ``python -m iprox`` runs the CLI, loading each module once

@@ -243,6 +243,12 @@ class TestSvd:
         with pytest.raises(ValueError, match="non-finite"):
             numkit.singular_values(M)
 
+    def test_warm_state_needs_above(self, monkeypatch):
+        # refused up front, not after a full SVD whose rank it cannot log
+        monkeypatch.setattr(numkit.np.linalg, "svd", None)
+        with pytest.raises(ValueError, match="above"):
+            numkit.svd(np.ones((40, 40)), warm=numkit.SvtWarmStart())
+
     def test_singular_values_match_svd(self):
         rng = np.random.default_rng(21)
         for shape in [(6, 6), (9, 5), (4, 11)]:

@@ -6,6 +6,11 @@ objective-comparison oracle, keeping every check independent of the
 implementation under test.
 """
 
+import contextlib
+import inspect
+import sys
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -230,7 +235,9 @@ def gesdd_svt(Z, kappa):
 def spectral_matrix(seed, shape, top, kappa, tail=0.9):
     """A matrix with ``top`` singular values in [1.5, 10] kappa and the
     rest in [0, tail] kappa, so the threshold sits in a spectral gap; also
-    returns the right singular vectors, by singular value."""
+    returns its singular vectors on the Gram side, where the top path's
+    basis lives (the right ones of a tall or square input, the left ones
+    of a wide one), by singular value."""
     rng = np.random.default_rng(seed)
     m, n = shape
     p = min(m, n)
@@ -238,7 +245,46 @@ def spectral_matrix(seed, shape, top, kappa, tail=0.9):
     V = np.linalg.qr(rng.normal(size=(n, p)))[0]
     s = np.sort(np.concatenate([rng.uniform(1.5, 10.0, top),
                                 rng.uniform(0.0, tail, p - top)]))[::-1] * kappa
-    return (U * s) @ V.T, V
+    return (U * s) @ V.T, (U if m < n else V)
+
+
+@contextlib.contextmanager
+def top_starts():
+    """Log, per call of the top path, whether its start basis has the
+    Gram matrix's size, so that the subspace iteration runs."""
+    log, real = [], numkit._top_pairs
+
+    def spy(g, k2, delta, warm):
+        log.append(warm is not None and warm.basis is not None
+                   and warm.basis.shape[0] == g.shape[0])
+        return real(g, k2, delta, warm)
+
+    with mock.patch.object(numkit, "_top_pairs", spy):
+        yield log
+
+
+def lines_run(func, call):
+    """The line numbers of ``func`` that ran during ``call()``, and what
+    ``call()`` returned."""
+    ran, prior = set(), sys.gettrace()
+
+    def local(frame, event, arg):
+        if event == "line":
+            ran.add(frame.f_lineno)
+        return local
+
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is func.__code__ else None)
+    try:
+        out = call()
+    finally:
+        sys.settrace(prior)
+    return ran, out
+
+
+def line_of(func, text):
+    """The number of the first line of ``func`` that contains ``text``."""
+    lines, first = inspect.getsourcelines(func)
+    return first + next(i for i, line in enumerate(lines) if text in line)
 
 
 def assert_same_svt(got, want):
@@ -261,7 +307,7 @@ svt_shapes = st.tuples(st.integers(32, 48), st.integers(32, 48))
        kappa=st.floats(0.1, 10.0),
        start=st.sampled_from(["nearby", "unrelated", "too_small"]))
 def test_warm_svt_matches_full_svt(seed, shape, top, kappa, start):
-    Z, _ = spectral_matrix(seed, shape, top, kappa)
+    Z, gram_side = spectral_matrix(seed, shape, top, kappa)
     if start == "nearby":
         # the state of a solve whose iterates approach Z
         warm = SvtWarmStart()
@@ -276,13 +322,15 @@ def test_warm_svt_matches_full_svt(seed, shape, top, kappa, start):
         # a predicted rank below the true one: k = rank + margin Ritz
         # values all exceed kappa
         rank = max(0, top - numkit._MARGIN)
-        basis = np.random.default_rng(seed + 2).normal(size=(shape[1], top))
-        warm = SvtWarmStart(rank=rank, basis=basis)
-    got = prox.svt_with_values(Z, kappa, warm)
+        warm = SvtWarmStart(rank=rank, basis=gram_side[:, :top])
+    with top_starts() as started:
+        got = prox.svt_with_values(Z, kappa, warm)
     assert_same_svt(got, gesdd_svt(Z, kappa))
     assert warm.ranks[-1] == int(np.count_nonzero(got[1]))
-    if start == "too_small" and top >= numkit._MARGIN:
-        assert warm.paths[-1] != "top"
+    if start == "too_small":
+        assert started == [True]
+        if top >= numkit._MARGIN:
+            assert warm.paths[-1] != "top"
 
 
 @settings(max_examples=30, deadline=None)
@@ -294,12 +342,16 @@ def test_warm_svt_falls_back_when_a_value_above_kappa_is_missed(seed, shape,
     # basis leaves out: the Ritz triplets are exact and below kappa past
     # the second, so only the Cholesky test can see the missed value
     Z, V = spectral_matrix(seed, shape, 2, kappa, tail=0.5)
-    U = Z @ V
+    # V holds the right singular vectors of Z, or of Z' when Z is wide
+    wide = shape[0] < shape[1]
+    U = (Z.T if wide else Z) @ V
     U[:, 2] *= kappa * (1.0 + above) / np.linalg.norm(U[:, 2])
-    Z = U @ V.T
+    Z = (V @ U.T) if wide else (U @ V.T)
     k = 2 + numkit._MARGIN
     warm = SvtWarmStart(rank=2, basis=np.delete(V, 2, axis=1)[:, :k])
-    got = prox.svt_with_values(Z, kappa, warm)
+    with top_starts() as started:
+        got = prox.svt_with_values(Z, kappa, warm)
+    assert started == [True]
     assert warm.paths == ["gram"]
     assert int(np.count_nonzero(got[1])) == 3
     assert_same_svt(got, gesdd_svt(Z, kappa))
@@ -415,4 +467,30 @@ def test_gram_svt_refuses_a_large_ratio_to_kappa(seed, shape, top, ratio):
     got = prox.svt_with_values(Z, kappa, warm)
     assert warm.paths == ["full"]
     want = gesdd_svt(Z, kappa)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_gram_svt_reorders_near_equal_kept_values():
+    # two equal kept values: the norms of W put them out of order by
+    # rounding, and the path sorts the triplets
+    Z = with_spectrum(0, (48, 40), np.array([5.0, 3.0, 3.0] + [0.5] * 37))
+    warm = SvtWarmStart()
+    ran, got = lines_run(numkit._accept, lambda: prox.svt_with_values(Z, 2.0, warm))
+    assert line_of(numkit._accept, "s[:r], w, vr = s[order]") in ran
+    assert warm.paths == ["gram"]
+    assert_same_svt(got, gesdd_svt(Z, 2.0))
+
+
+def test_gram_svt_refuses_when_only_the_residual_test_fails(monkeypatch):
+    Z, _ = spectral_matrix(5, (36, 44), 3, 1.0)
+    warm = SvtWarmStart()
+    prox.svt_with_values(Z, 1.0, warm)
+    assert warm.paths == ["gram"]
+    # a tolerance no residual meets: checks 1 and 2 still pass, 3 refuses
+    monkeypatch.setattr(numkit, "_GRAM_TOL", 1e-20)
+    warm = SvtWarmStart()
+    ran, got = lines_run(numkit._accept, lambda: prox.svt_with_values(Z, 1.0, warm))
+    assert line_of(numkit._accept, "np.linalg.norm(omega * s[:r]) <= bound") + 1 in ran
+    assert warm.paths == ["full"]
+    want = gesdd_svt(Z, 1.0)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
