@@ -341,27 +341,30 @@ def emit_csv(records, path):
 
 def emit_plot_data(records, path, axis="q_ratio"):
     """Write (axis value, mean iterations per solver) rows, sorted by the
-    axis; records are grouped when several share an axis value. As in
+    axis; records are grouped when several share an axis value. ``axis``
+    is a record field or a tuple of them, one column each. As in
     :func:`emit_csv`, a solver's column renders as the sentinel when any
     trial of the group did not converge."""
     if not records:
         raise ValueError("no records to write")
+    fields = (axis,) if isinstance(axis, str) else tuple(axis)
     groups = {}
     for rec in records:
         if rec.error is not None:
             continue
-        key = float(getattr(rec, axis))
+        key = tuple(getattr(rec, f) for f in fields)
         groups.setdefault(key, []).append(rec)
     if not groups:
         raise ValueError("no successful records to plot")
-    lines = [f"{axis},iter_ladmm,iter_iladmm"]
+    lines = [",".join(fields) + ",iter_ladmm,iter_iladmm"]
     for key in sorted(groups):
         recs = groups[key]
         i1 = _group_mean([r.mean_iter_ladmm for r in recs],
                          all(r.all_converged_ladmm for r in recs))
         i2 = _group_mean([r.mean_iter_iladmm for r in recs],
                          all(r.all_converged_iladmm for r in recs))
-        lines.append(f"{key:g},{i1},{i2}")
+        head = ",".join(v if isinstance(v, str) else f"{v:g}" for v in key)
+        lines.append(f"{head},{i1},{i2}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf8")
 
 
@@ -537,14 +540,19 @@ def _run_and_write(config, out):
     out.mkdir(parents=True, exist_ok=True)
     records = run_grid(config)
     if config.alphas is not None:
-        emit_plot_data(records, out / "alpha_sweep.csv", axis="alpha")
+        # one row per cell (square, so m = n) and factor
+        emit_plot_data(records, out / "alpha_sweep.csv",
+                       axis=("m", "r", "nnz_ratio", "q_ratio", "transform", "alpha"))
         write_records_json(records, out / "alpha_records.json")
-        print("alpha  iter_plain  iter_inertial  ratio")
+        print("   m    r  nnz_ratio  q_ratio  transform  alpha  iter_plain  "
+              "iter_inertial  ratio")
         for rec in records:
+            row = (f"{rec.m:>4}  {rec.r:>3}  {rec.nnz_ratio:>9g}  {rec.q_ratio:>7g}  "
+                   f"{rec.transform:>9}  {rec.alpha:>5.2f}")
             if rec.error is not None:
-                print(f"{rec.alpha:>5.2f}  failed: {rec.error}")
+                print(f"{row}  failed: {rec.error}")
                 continue
-            print(f"{rec.alpha:>5.2f}  {rec.mean_iter_ladmm:>10.1f}  "
+            print(f"{row}  {rec.mean_iter_ladmm:>10.1f}  "
                   f"{rec.mean_iter_iladmm:>13.1f}  {rec.iter_ratio:>5.3f}")
         return 0
     emit_csv(records, out / "results.csv")

@@ -362,50 +362,44 @@ def _svd_error(m):
     )
 
 
-def _row_butterflies(src, dst, rows, cols):
-    """Walsh-Hadamard stages over the row-index bits of a ``rows x cols``
-    block held flat in ``src``, lowest bit first, ping-ponging between the
-    two buffers. Returns ``(result, scratch)``."""
-    h = 1
-    while h < rows:
-        a = src.reshape(-1, 2, h * cols)
-        b = dst.reshape(-1, 2, h * cols)
-        np.add(a[:, 0], a[:, 1], out=b[:, 0])
-        np.subtract(a[:, 0], a[:, 1], out=b[:, 1])
-        src, dst = dst, src
-        h *= 2
-    return src, dst
+# Bits per factor, by measurement (2 CPUs, OpenBLAS 0.3.31): a 256^2 WHT took
+# 0.48 ms with H_4 factors, 0.33 with H_8, 0.81 with H_16 and 0.39 with H_32.
+_FACTOR_BITS = 3
+# H_8 in Sylvester order, H_2n = H_2 (x) H_n, so its leading f x f block is
+# H_f; read-only and built at import, so threads share it with no lazily
+# filled cache (by numpy: importing scipy.linalg would add 6 MB of RSS)
+_H = np.ones((1, 1))
+for _ in range(_FACTOR_BITS):
+    _H = np.kron([[1.0, 1.0], [1.0, -1.0]], _H)
+_H.setflags(write=False)
 
 
 def fwht(vec):
     """Orthonormal fast Walsh-Hadamard transform in natural order.
 
-    The input length must be a power of two. The transform is scaled by
-    ``1/sqrt(n)`` so it is orthonormal, hence also self-inverse.
+    The input length ``n = 2^k`` must be a power of two. The transform is
+    scaled by ``1/sqrt(n)`` so it is orthonormal, hence also self-inverse.
 
-    The length-``2^k`` input is viewed as a row-major
-    ``2^floor(k/2) x 2^ceil(k/2)`` block, so the low index bits are its
-    column bits. The butterflies run in the plain per-stage order, low bit
-    first: the column-bit stages on the transposed block, then the row-bit
-    stages on the block transposed back. Every stage thus adds and
-    subtracts contiguous runs of at least ``2^floor(k/2)`` elements, and
-    each output is the same sequence of floating-point operations as in the
-    per-stage loop, so the result is bitwise identical to it.
+    ``H_n`` is the Kronecker product of Sylvester blocks ``H_f``, one per
+    group of index bits: ``_FACTOR_BITS`` bits at a time, then the 1 or 2
+    bits left, in this fixed order. Each factor is one GEMM,
+    ``a.reshape(f, n // f).T @ H_f``, which transforms the leading index
+    bits and moves them last, so the index ends in natural order; one
+    division by ``sqrt(n)`` follows. A GEMM output sums ``f`` terms
+    ``+-a_j``, so each input term meets at most ``D = sum(f_i - 1)``
+    roundings: each output lies within ``(gamma_D + eps) ||x||_1 /
+    sqrt(n)`` of the exact one, ``gamma_D = D eps / (1 - D eps)``, and
+    repeats bitwise from call to call, though not the per-stage loop's.
     """
     v = np.asarray(vec, dtype=np.float64).ravel()
     n = v.size
     if n == 0 or n & (n - 1):
         raise ValueError(f"Walsh-Hadamard length must be a power of two, got {n}")
-    k = n.bit_length() - 1
-    rows, cols = 1 << (k // 2), 1 << (k - k // 2)
-    a = np.empty(n)
-    b = np.empty(n)
-    a.reshape(cols, rows)[...] = v.reshape(rows, cols).T
-    a, b = _row_butterflies(a, b, cols, rows)
-    b.reshape(rows, cols)[...] = a.reshape(cols, rows).T
-    b, a = _row_butterflies(b, a, rows, cols)
-    b /= math.sqrt(n)
-    return b
+    full, rest = divmod(n.bit_length() - 1, _FACTOR_BITS)
+    for bits in [_FACTOR_BITS] * full + ([rest] if rest else []):
+        f = 1 << bits
+        v = v.reshape(f, -1).T @ _H[:f, :f]
+    return v.ravel() / math.sqrt(n)
 
 
 def orthonormal_transform(kind, image, inverse=False):

@@ -450,6 +450,31 @@ class TestCli:
         b = strip_wall_times(json.loads((out2 / "alpha_records.json").read_text()))
         assert a == b
 
+    def test_sweep_keeps_cells_apart(self, tmp_path, capsys):
+        # two cells, two factors: four table rows, each with its own cell
+        doc = yaml.safe_load(TINY_YAML)
+        doc["grid"]["ranks"] = [1, 2]
+        doc["solver"] = {"eps": 1e-4, "alphas": [0.0, 0.28]}
+        doc["seeds"] = [0]
+        config = tmp_path / "sweep.yaml"
+        config.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "out"
+        assert bench.main(["bench", "--config", str(config), "--out", str(out)]) == 0
+        recs = json.loads((out / "alpha_records.json").read_text())
+        assert len(recs) == 4
+        rows = [
+            f"{r['m']},{r['r']},{r['nnz_ratio']:g},{r['q_ratio']:g},{r['transform']},"
+            f"{r['alpha']:g},{r['mean_iter_ladmm']:.4f},{r['mean_iter_iladmm']:.4f}"
+            for r in recs
+        ]
+        lines = (out / "alpha_sweep.csv").read_text().splitlines()
+        assert lines == ["m,r,nnz_ratio,q_ratio,transform,alpha,iter_ladmm,iter_iladmm"] + rows
+        assert recs[0]["mean_iter_ladmm"] != recs[2]["mean_iter_ladmm"]
+        table = capsys.readouterr().out.splitlines()[1:]
+        assert [line.split()[:6] for line in table] == [
+            [str(r["m"]), str(r["r"]), f"{r['nnz_ratio']:g}", f"{r['q_ratio']:g}",
+             r["transform"], f"{r['alpha']:.2f}"] for r in recs]
+
     def test_module_entry_point(self):
         # ``python -m iprox`` runs the CLI, loading each module once
         src = str(Path(iprox.__file__).resolve().parent.parent)

@@ -286,6 +286,16 @@ class TestSolvers:
             assert cpcp.ladmm_cpcp(inst)[0].iters == plain
             assert cpcp.iladmm_cpcp(inst, alpha=0.28)[0].iters == inertial
 
+    def test_iteration_counts_wht(self):
+        # the WHT trajectories, pinned: the Kronecker-factored kernel rounds
+        # unlike the butterflies before it, yet these counts did not move
+        cases = [((64, 64, 2, 205, "wht", 1843, 2), 293, 304),
+                 ((32, 32, 2, 51, "wht", 819, 5), 74, 76)]
+        for args, plain, inertial in cases:
+            inst = cpcp.generate_instance(*args)
+            assert cpcp.ladmm_cpcp(inst)[0].iters == plain
+            assert cpcp.iladmm_cpcp(inst, alpha=0.28)[0].iters == inertial
+
     @pytest.mark.parametrize("args", [(32, 32, 2, 51, "dct2", 819, 7),
                                       (64, 64, 2, 205, "fft2", 1843, 2)])
     @pytest.mark.parametrize("alpha", [0.0, 0.28])

@@ -5,6 +5,8 @@ the Walsh-Hadamard transform against hand-computed 4-point values, so
 the library implementations never certify themselves.
 """
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -76,6 +78,21 @@ class TestTransforms:
         Y = numkit.orthonormal_transform(numkit.WHT, X)
         back = numkit.orthonormal_transform(numkit.WHT, Y, inverse=True)
         assert np.abs(back - X).max() < 1e-12
+
+    def test_wht_repeats_bitwise_across_calls_and_threads(self):
+        # the factor order is fixed and the block is built once, so a
+        # serial pass, a second one and the grid's two-thread pool agree
+        rng = np.random.default_rng(5)
+        images = [rng.normal(size=(s, s)) for s in (64, 256, 64, 256, 256, 64)]
+
+        def wht(x):
+            return numkit.orthonormal_transform(numkit.WHT, x)
+
+        serial = [wht(x) for x in images]
+        again = [wht(x) for x in images]
+        with ThreadPoolExecutor(2) as pool:
+            threaded = list(pool.map(wht, images * 3))
+        assert all(np.array_equal(a, b) for a, b in zip(serial * 4, again + threaded))
 
     def test_fft2_unitary(self):
         rng = np.random.default_rng(5)
