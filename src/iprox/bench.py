@@ -14,6 +14,8 @@ import argparse
 import dataclasses
 import itertools
 import json
+import math
+import numbers
 import sys
 import time
 import traceback
@@ -48,6 +50,12 @@ _CONFIG_KEYS = {
     "grid": ("sizes", "ranks", "nnz_ratios", "q_ratios", "transforms"),
     "solver": ("tau", "eta", "eps", "max_iter", "alpha", "alphas", "beta0", "s_scale"),
 }
+# RunConfig fields that hold a list, and those whose values must be integers
+# or finite numbers (entrywise for a list; None stands for an unset option)
+_LIST_FIELDS = ("sizes", "ranks", "nnz_ratios", "q_ratios", "transforms", "alphas", "seeds")
+_INTEGER_FIELDS = ("sizes", "ranks", "seeds", "max_iter", "jobs")
+_NUMBER_FIELDS = ("nnz_ratios", "q_ratios", "alphas", "tau", "eta", "eps", "alpha",
+                  "beta0", "s_scale")
 
 
 @dataclass
@@ -78,19 +86,34 @@ class RunConfig:
     jobs: int = 1
 
     def validate(self):
-        if not self.sizes or any(int(s) < 2 for s in self.sizes):
+        """Check every setting; raises a ValueError naming the first bad
+        field, and returns the config otherwise."""
+        for name in _LIST_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, tuple) and value is not None:
+                raise ValueError(f"{name} must be a list, got {value!r}")
+        for names, kind, what in ((_INTEGER_FIELDS, numbers.Integral, "an integer"),
+                                  (_NUMBER_FIELDS, numbers.Real, "a finite number")):
+            for name in names:
+                value = getattr(self, name)
+                if value is None:
+                    continue
+                for v in value if name in _LIST_FIELDS else (value,):
+                    if isinstance(v, bool) or not isinstance(v, kind) or not math.isfinite(v):
+                        raise ValueError(f"{name}: {v!r} is not {what}")
+        if not self.sizes or any(s < 2 for s in self.sizes):
             raise ValueError("sizes must be integers >= 2")
-        if not self.ranks or any(int(r) < 1 for r in self.ranks):
+        if not self.ranks or any(r < 1 for r in self.ranks):
             raise ValueError("ranks must be positive integers")
         for name, ratios in (("nnz_ratios", self.nnz_ratios),
                              ("q_ratios", self.q_ratios)):
-            if not ratios or any(not 0.0 < float(v) <= 1.0 for v in ratios):
+            if not ratios or any(not 0.0 < v <= 1.0 for v in ratios):
                 raise ValueError(f"{name} must lie in (0, 1]")
         for kind in self.transforms:
             if kind not in KINDS:
                 raise ValueError(f"unknown transform {kind!r}")
-        if not self.seeds:
-            raise ValueError("at least one seed is required")
+        if not self.seeds or any(s < 0 for s in self.seeds):
+            raise ValueError("seeds must be a nonempty list of integers >= 0")
         if self.tau <= 0 or self.eta <= 0:
             raise ValueError("tau and eta must be positive")
         if self.eps < 0 or self.max_iter < 1:
@@ -102,14 +125,13 @@ class RunConfig:
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         for a in self.alphas if self.alphas is not None else (self.alpha,):
-            a = float(a)
             if not 0.0 <= a < 1.0:
                 raise ValueError(f"alpha {a} outside [0, 1)")
             if (self.alphas is None
                     and not InertialSchedule.constant(a).guaranteed_regime):
                 raise ValueError(
                     f"alpha {a} is outside the guaranteed range [0, 1/3); "
-                    "use sweep mode to probe larger factors"
+                    "probe larger factors with `iprox sweep-alpha` or solver.alphas"
                 )
         return self
 
@@ -136,19 +158,11 @@ class RunConfig:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         grid = doc.get("grid", {})
         solver = doc.get("solver", {})
-        kw = {}
-        for key in _CONFIG_KEYS["grid"]:
-            if key in grid:
-                kw[key] = tuple(grid[key])
-        for key in _CONFIG_KEYS["solver"]:
-            if solver.get(key) is not None:
-                kw[key] = solver[key]
-        if "alphas" in kw:
-            kw["alphas"] = tuple(float(a) for a in kw["alphas"])
-        if "seeds" in doc:
-            kw["seeds"] = tuple(int(s) for s in doc["seeds"])
-        if "jobs" in doc:
-            kw["jobs"] = int(doc["jobs"])
+        kw = {key: grid[key] for key in _CONFIG_KEYS["grid"] if key in grid}
+        kw.update((key, solver[key]) for key in _CONFIG_KEYS["solver"]
+                  if solver.get(key) is not None)
+        kw.update((key, doc[key]) for key in ("seeds", "jobs") if key in doc)
+        kw = {key: tuple(v) if isinstance(v, list) else v for key, v in kw.items()}
         missing = [k for k in ("sizes", "ranks", "nnz_ratios", "q_ratios")
                    if k not in kw]
         if missing:
@@ -220,7 +234,7 @@ def _solver_outcome(state, trace, inst, wall):
 
 def _solve(inst, settings, alpha=None):
     """Solve ``inst`` plainly, or inertially at ``alpha``, as ``settings``
-    (a :class:`RunConfig` or the ``solve`` arguments) set the solver up;
+    (a validated :class:`RunConfig`) set the solver up;
     returns the state, the trace and the :func:`_solver_outcome` summary."""
     solver, kw = (ladmm_cpcp, {}) if alpha is None else (iladmm_cpcp, {"alpha": alpha})
     t0 = time.perf_counter()
@@ -474,11 +488,17 @@ def _build_parser():
 
 
 def _cmd_solve(args):
+    config = RunConfig(
+        sizes=(args.size,), ranks=(args.rank,), nnz_ratios=(args.nnz_ratio,),
+        q_ratios=(args.q_ratio,), transforms=(args.transform,), tau=args.tau,
+        eta=args.eta, eps=args.eps, max_iter=args.max_iter, alpha=args.alpha,
+        beta0=args.beta0, s_scale=args.s_scale, seeds=(args.seed,),
+    ).validate()
     n = args.cols if args.cols is not None else args.size
     q, nnz = counts_from_ratios(args.size, n, args.q_ratio, args.nnz_ratio)
     inst = generate_instance(args.size, n, args.rank, nnz, args.transform, q,
                              args.seed)
-    state, trace, met = _solve(inst, args, alpha=args.alpha)
+    state, trace, met = _solve(inst, config, alpha=args.alpha)
     solver = "iladmm" if args.alpha > 0 else "ladmm"
     print(f"instance: m={inst.m} n={inst.n} r={inst.r} nnz={inst.nnz} "
           f"q={inst.q} transform={inst.kind} seed={inst.seed} "

@@ -15,15 +15,13 @@ rebalances the penalty during the first iterations.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .numkit import (RNG_ALGORITHM, SeededRng, SvtWarmStart, make_measurement_op,
-                     singular_values)
+from .numkit import SeededRng, SvtWarmStart, make_measurement_op
 from .prox import ProxOracle, l1_oracle, nuclear_oracle, soft_threshold, svt_with_values
 from .splitting import BetaController, SeparableProblem, _run, stopping_residual
 from .vi_core import InertialSchedule
@@ -239,63 +237,3 @@ def recovery_metrics(state, inst):
         q_over_dof=inst.q_over_dof,
     )
 
-
-def subgradient_certificate(Z, L1, kappa):
-    """Optimality certificate of a thresholding step ``L1 = svt(Z, kappa)``.
-
-    Returns ``(spectral_excess, pairing_gap)`` for ``W = (Z - L1)/kappa``:
-    a correct step has ``||W||_2 <= 1`` and ``<W, L1> = ||L1||_*``, so both
-    numbers are nonpositive/zero up to rounding.
-    """
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
-    W = (np.asarray(Z, dtype=np.float64) - L1) / kappa
-    spectral_excess = float(singular_values(W).max(initial=0.0)) - 1.0
-    pairing_gap = abs(float(np.sum(W * L1)) - float(singular_values(L1).sum()))
-    return spectral_excess, pairing_gap
-
-
-_FORMAT = "cpcp-instance-v1"
-
-
-def save_instance(inst, path):
-    """Dump the instance descriptor (seed, sizes, measurement indices).
-
-    Matrix values are not stored; they are re-derived from the seed on
-    load, and the stored indices guard against generator drift.
-    """
-    doc = {
-        "format": _FORMAT,
-        "m": inst.m,
-        "n": inst.n,
-        "r": inst.r,
-        "nnz": inst.nnz,
-        "kind": inst.kind,
-        "q": inst.q,
-        "seed": inst.seed,
-        "rng_algorithm": RNG_ALGORITHM,
-        "indices": inst.meas.indices.tolist(),
-    }
-    with open(path, "w", encoding="utf8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=0)
-        fh.write("\n")
-
-
-def load_instance(path):
-    """Regenerate a saved instance; fails loudly if the stored indices no
-    longer match what the seed regenerates."""
-    with open(path, encoding="utf8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != _FORMAT:
-        raise ValueError(f"unrecognized instance format {doc.get('format')!r}")
-    if doc.get("rng_algorithm") != RNG_ALGORITHM:
-        raise ValueError(
-            "instance was written with generator "
-            f"{doc.get('rng_algorithm')!r}, this build uses {RNG_ALGORITHM!r}"
-        )
-    inst = generate_instance(
-        doc["m"], doc["n"], doc["r"], doc["nnz"], doc["kind"], doc["q"], doc["seed"]
-    )
-    if inst.meas.indices.tolist() != doc["indices"]:
-        raise ValueError("regenerated measurement indices differ from the dump")
-    return inst

@@ -13,9 +13,9 @@ import math
 
 import numpy as np
 
-from .prox import ProxOracle, project_box, quadratic_oracle
+from .prox import quadratic_oracle
 from .splitting import PrimalDualPoint, SeparableProblem
-from .vi_core import MixedViProblem, WeightOperator
+from .vi_core import MixedViProblem
 
 _ENUM_LIMIT = 10
 
@@ -58,9 +58,7 @@ def affine_vi(M, q, lo=None, hi=None):
 
     Omega is all of space, or the box ``[lo, hi]``. The resolvent solves
     ``(M + G/lam) w = G z / lam - q`` directly (projected active-set
-    enumeration in the box case), so it is exact. The monotonicity
-    witness H is the positive part of the smallest eigenvalue of the
-    symmetric part of M, times the identity.
+    enumeration in the box case), so it is exact.
     """
     M = np.asarray(M, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64).ravel()
@@ -70,9 +68,6 @@ def affine_vi(M, q, lo=None, hi=None):
     boxed = lo is not None or hi is not None
     lo_v = -np.inf if lo is None else lo
     hi_v = np.inf if hi is None else hi
-
-    mu = float(np.linalg.eigvalsh(0.5 * (M + M.T)).min())
-    H = WeightOperator.identity(max(mu, 0.0)) if mu > 0 else None
 
     def F(w):
         return M @ w + q
@@ -85,19 +80,7 @@ def affine_vi(M, q, lo=None, hi=None):
             return np.linalg.solve(Meff, -qeff)
         return _box_vi_solve(Meff, qeff, lo_v, hi_v)
 
-    def project(w):
-        if not boxed:
-            return np.asarray(w, dtype=np.float64)
-        return project_box(w, lo_v, hi_v)
-
-    return MixedViProblem(
-        dim=n,
-        theta=lambda w: 0.0,
-        F=F,
-        resolvent=resolvent,
-        H=H,
-        project=project,
-    )
+    return MixedViProblem(dim=n, theta=lambda w: 0.0, F=F, resolvent=resolvent)
 
 
 def affine_vi_solution(M, q, lo=None, hi=None):
@@ -126,37 +109,6 @@ def strongly_monotone_affine_vi(n, rng, mu=1.0, lo=None, hi=None):
     q = rng.normal(n)
     problem = affine_vi(M, q, lo=lo, hi=hi)
     return problem, affine_vi_solution(M, q, lo=lo, hi=hi)
-
-
-def prox_identity_vi(oracle: ProxOracle, c):
-    """Mixed VI with ``theta`` given by a prox oracle and ``F(w) = w - c``.
-
-    F is monotone with modulus 1 (H is the identity). The resolvent is
-    closed form for identity weighting:
-    ``w = prox_theta((c + z/lam) / s, 1/s)`` with ``s = 1 + 1/lam``.
-    Returns ``(problem, w_star)`` where ``w_star = prox_theta(c, 1)``.
-    """
-    c = np.asarray(c, dtype=np.float64).ravel()
-    n = c.size
-
-    def F(w):
-        return w - c
-
-    def resolvent(z, lam, G):
-        Gm = G.materialize()
-        if not np.allclose(Gm, np.eye(n), atol=1e-12):
-            raise ValueError("closed form available for identity weighting only")
-        s = 1.0 + 1.0 / lam
-        return oracle.eval((c + np.asarray(z) / lam) / s, 1.0 / s)[0]
-
-    problem = MixedViProblem(
-        dim=n,
-        theta=lambda w: oracle.objective(w),
-        F=F,
-        resolvent=resolvent,
-        H=WeightOperator.identity(1.0),
-    )
-    return problem, oracle.eval(c, 1.0)[0]
 
 
 def random_qp(n1, n2, m, rng, curvature=1.0):

@@ -582,8 +582,6 @@ class SeededRng:
     ziggurat sampler.
     """
 
-    algorithm_id = RNG_ALGORITHM
-
     def __init__(self, seed, _path=()):
         self.seed = int(seed)
         self._path = tuple(int(k) for k in _path)

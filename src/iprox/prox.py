@@ -55,16 +55,6 @@ def svt(mat, kappa):
     return out
 
 
-def project_box(v, lo, hi):
-    """Euclidean projection onto the box ``[lo, hi]`` (componentwise)."""
-    a = np.asarray(v, dtype=np.float64)
-    lo_a = np.broadcast_to(np.asarray(lo, dtype=np.float64), a.shape)
-    hi_a = np.broadcast_to(np.asarray(hi, dtype=np.float64), a.shape)
-    if np.any(lo_a > hi_a):
-        raise ValueError("infeasible box: lo > hi on some coordinate")
-    return np.minimum(np.maximum(a, lo_a), hi_a)
-
-
 @dataclass
 class ProxOracle:
     """A convex function given through its proximal map.
@@ -133,19 +123,3 @@ def quadratic_oracle(P, c):
 
     return ProxOracle(_eval, _obj)
 
-
-def prox_objective_gap(oracle: ProxOracle, z, kappa, probe):
-    """Slack of the prox optimality inequality at a probe point.
-
-    Nonnegative for a correct oracle:
-    ``phi(probe) + ||probe - z||^2/(2 kappa)`` minus the same expression
-    at ``eval(z, kappa)``.
-    """
-    w, _ = oracle.eval(z, kappa)
-    z = np.asarray(z, dtype=np.float64)
-    probe = np.asarray(probe, dtype=np.float64)
-
-    def val(u):
-        return oracle.objective(u) + float(np.sum((u - z) ** 2)) / (2.0 * kappa)
-
-    return val(probe) - val(w)

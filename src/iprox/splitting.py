@@ -284,42 +284,6 @@ def gladmm_operator(prob, params, check=True):
     return WeightOperator(apply, quad, materialize=materialize)
 
 
-def gadmm_operator(prob, beta):
-    """Weighting induced by the exact (non-linearized) update order.
-
-    Its x-block is zero, so the quadratic form is degenerate: it vanishes
-    on every ``(x, 0, 0)``. This is why the exact method gets no uniform
-    proximal certificate here while the linearized one does.
-    """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    B = prob.B
-    n1, n2 = prob.n1, prob.n2
-
-    def apply(w):
-        pt = PrimalDualPoint.unpack(w, n1, n2)
-        by = B @ pt.y
-        gy = beta * (B.T @ by) - B.T @ pt.p
-        gp = -by + pt.p / beta
-        return np.concatenate([np.zeros(n1), gy, gp])
-
-    def quad(w):
-        pt = PrimalDualPoint.unpack(w, n1, n2)
-        by = B @ pt.y
-        return beta * float(by @ by) - 2.0 * float(by @ pt.p) + pt.p @ pt.p / beta
-
-    def materialize():
-        m = prob.m
-        G = np.zeros((n1 + n2 + m, n1 + n2 + m))
-        G[n1 : n1 + n2, n1 : n1 + n2] = beta * (B.T @ B)
-        G[n1 : n1 + n2, n1 + n2 :] = -B.T
-        G[n1 + n2 :, n1 : n1 + n2] = -B
-        G[n1 + n2 :, n1 + n2 :] = np.eye(m) / beta
-        return G
-
-    return WeightOperator(apply, quad, materialize=materialize)
-
-
 def lagrangian(prob, x, y, p):
     """``f(x) + g(y) - <p, A x + B y - b>``."""
     return prob.objective(x, y) - float(np.dot(p, prob.feasibility(x, y)))
@@ -380,7 +344,6 @@ def to_mixed_vi(prob):
         theta=theta,
         F=F,
         resolvent=resolvent,
-        H=None,
     )
 
 

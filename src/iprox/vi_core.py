@@ -61,19 +61,6 @@ class WeightOperator:
         return self._materialize()
 
     @staticmethod
-    def identity(scale=1.0):
-        if scale < 0:
-            raise ValueError("scale must be nonnegative")
-
-        def app(v):
-            return scale * v
-
-        def quad(v):
-            return scale * float(v @ v)
-
-        return WeightOperator(app, quad)
-
-    @staticmethod
     def from_matrix(G):
         Gm = np.asarray(G, dtype=np.float64)
         if Gm.ndim != 2 or Gm.shape[0] != Gm.shape[1]:
@@ -95,17 +82,12 @@ class MixedViProblem:
     ``resolvent(z, lam, G)`` must return the exact solution of the
     regularized inequality above with ``wbar`` replaced by ``z``; closed
     forms for the shipped fixture families live in :mod:`iprox.fixtures`.
-    ``H`` witnesses the monotonicity modulus of ``F`` (``None`` means 0).
-    ``project`` maps arbitrary points onto ``Omega`` and is used when
-    sampling probe points.
     """
 
     dim: int
     theta: Callable[[np.ndarray], float]
     F: Callable[[np.ndarray], np.ndarray]
     resolvent: Callable[[np.ndarray, float, WeightOperator], np.ndarray]
-    H: Optional[WeightOperator] = None
-    project: Callable[[np.ndarray], np.ndarray] = lambda w: w
 
 
 class InertialSchedule:
@@ -370,21 +352,6 @@ def gippa_slack(problem, G, wbar, w_next, lam, probes):
         w = np.asarray(w, dtype=np.float64)
         slack = problem.theta(w) - t_next + float((w - w_next) @ base)
         worst = min(worst, slack)
-    return worst
-
-
-def check_h_monotonicity(problem, rng, n_pairs=100, radius=10.0, center=None):
-    """Smallest value of ``<u - v, F(u) - F(v)> - ||u - v||_H^2`` over
-    random pairs projected onto Omega; nonnegative for an H-monotone F."""
-    c = np.zeros(problem.dim) if center is None else np.asarray(center)
-    worst = math.inf
-    for _ in range(n_pairs):
-        u = problem.project(c + rng.uniform(-radius, radius, problem.dim))
-        v = problem.project(c + rng.uniform(-radius, radius, problem.dim))
-        gap = float((u - v) @ (problem.F(u) - problem.F(v)))
-        if problem.H is not None:
-            gap -= problem.H.quad(u - v)
-        worst = min(worst, gap)
     return worst
 
 

@@ -80,6 +80,7 @@ class TestRunConfig:
             dict(q_ratios=(1.5,)),
             dict(transforms=("hough",)),
             dict(seeds=()),
+            dict(seeds=(-1,)),
             dict(tau=0.0),
             dict(eta=-1.0),
             dict(eps=-1e-6),
@@ -419,6 +420,42 @@ class TestCli:
         ])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("grid", "sizes", 32),  # a scalar where a list goes
+        (None, "seeds", 3),
+        ("solver", "alphas", 0.1),
+        ("solver", "tau", "abc"),  # not a number
+        ("solver", "max_iter", 2.5),  # not an integer
+        ("grid", "sizes", [32.5]),
+        ("grid", "ranks", [1.5]),
+        (None, "seeds", [0.5]),
+        (None, "jobs", 1.5),
+    ], ids=["sizes-scalar", "seeds-scalar", "alphas-scalar", "tau-text", "max_iter-float",
+            "sizes-float", "ranks-float", "seeds-float", "jobs-float"])
+    def test_bench_malformed_config_is_usage_error(self, tmp_path, capsys,
+                                                   section, key, value):
+        doc = yaml.safe_load(TINY_YAML)
+        (doc[section] if section else doc)[key] = value
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump(doc))
+        rc = bench.main(["bench", "--config", str(config), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert key in err
+
+    @pytest.mark.parametrize("flags, needle", [
+        (["--max-iter", "0"], "max_iter"),
+        (["--alpha", "0.5"], "sweep-alpha"),
+        (["--alpha", repr(1.0 / 3.0)], "sweep-alpha"),
+    ], ids=["max-iter-0", "alpha-0.5", "alpha-1/3"])
+    def test_solve_validates_like_bench(self, capsys, flags, needle):
+        rc = bench.main(["solve", "--size", "16", "--rank", "1", *flags])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert needle in err
 
     def test_sweep_alpha(self, tmp_path, capsys):
         out = tmp_path / "sweep"

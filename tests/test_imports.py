@@ -1,12 +1,14 @@
 """Every name a module of the package imports is used in that module,
-and every private module-level name is used somewhere in the package.
+every private module-level name is used somewhere in the package, and so
+is every public module-level function and class but a listed few.
 
 No linter ships with the test dependencies, so this parses each module
 with ``ast``: an imported name counts as used when it appears as a name
 anywhere in the module (an attribute base such as ``np`` in ``np.sum``
 included) or is listed in ``__all__``. A private function, class or
-constant (one leading underscore) counts as used when some module of the
-package reads it, as a name or as an attribute such as ``numkit._EPS``.
+constant (one leading underscore), or a public function or class, counts
+as used when some module of the package reads it, as a name or as an
+attribute such as ``numkit._EPS``; tests do not count.
 """
 
 import ast
@@ -83,3 +85,33 @@ def test_detects_an_unreferenced_private_name():
     tree = ast.parse("_TOL = 1e-13\n_USED = 2\n\n\ndef _top():\n    return _USED\n\n\n"
                      "class _Spare:\n    pass\n")
     assert set(private_definitions(tree)) - set(read_names(tree)) == {"_TOL", "_top", "_Spare"}
+
+
+# public names the package itself never calls: the paper's inertial
+# linearized ADMM on a general two-block problem, which tests run against
+# the KKT solution and the benchmark traces as the splitting.* spans
+PUBLIC_API = {"splitting.py:run_iladmm", "splitting.py:iladmm_step"}
+
+
+def public_definitions(tree):
+    for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")):
+            yield node.name
+
+
+def test_no_unreferenced_public_names():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf8"), filename=str(p))
+             for p in MODULES}
+    read = set().union(*(read_names(t) for t in trees.values()))
+    unused = sorted(f"{name}:{d}" for name, t in trees.items()
+                    for d in public_definitions(t)
+                    if d not in read and f"{name}:{d}" not in PUBLIC_API)
+    assert unused == [], f"public functions or classes nothing in the package reads: {unused}"
+
+
+def test_detects_an_unreferenced_public_name():
+    tree = ast.parse("LIMIT = 3\n\n\ndef used():\n    return LIMIT\n\n\n"
+                     "def spare():\n    return used()\n\n\nclass Spare:\n    pass\n\n\n"
+                     "def _hidden():\n    pass\n")
+    assert set(public_definitions(tree)) - set(read_names(tree)) == {"spare", "Spare"}

@@ -11,18 +11,17 @@ import math
 import numpy as np
 import pytest
 
-from iprox import prox, vi_core
+from iprox import prox
 from iprox.fixtures import (
     affine_vi,
     affine_vi_solution,
-    prox_identity_vi,
     strongly_monotone_affine_vi,
 )
 from iprox.numkit import SeededRng
 from iprox.vi_core import (
     InertialSchedule,
+    MixedViProblem,
     WeightOperator,
-    check_h_monotonicity,
     check_residual_rate_bound,
     gippa_slack,
     inertial_ppa_step,
@@ -39,14 +38,36 @@ def eye_weight(n):
     return WeightOperator.from_matrix(np.eye(n))
 
 
-class TestWeightOperator:
-    def test_identity_scaling(self):
-        G = WeightOperator.identity(2.0)
-        v = np.array([1.0, -2.0])
-        assert np.array_equal(G.apply(v), 2.0 * v)
-        assert G.quad(v) == pytest.approx(10.0)
-        assert G.norm(v) == pytest.approx(math.sqrt(10.0))
+def _prox_identity_vi(oracle, c):
+    """Mixed VI with ``theta`` given by a prox oracle and ``F(w) = w - c``.
 
+    The resolvent is closed form for identity weighting:
+    ``w = prox_theta((c + z/lam) / s, 1/s)`` with ``s = 1 + 1/lam``.
+    Returns ``(problem, w_star)`` where ``w_star = prox_theta(c, 1)``.
+    """
+    c = np.asarray(c, dtype=np.float64).ravel()
+    n = c.size
+
+    def F(w):
+        return w - c
+
+    def resolvent(z, lam, G):
+        Gm = G.materialize()
+        if not np.allclose(Gm, np.eye(n), atol=1e-12):
+            raise ValueError("closed form available for identity weighting only")
+        s = 1.0 + 1.0 / lam
+        return oracle.eval((c + np.asarray(z) / lam) / s, 1.0 / s)[0]
+
+    problem = MixedViProblem(
+        dim=n,
+        theta=lambda w: oracle.objective(w),
+        F=F,
+        resolvent=resolvent,
+    )
+    return problem, oracle.eval(c, 1.0)[0]
+
+
+class TestWeightOperator:
     def test_from_matrix_consistency(self):
         rng = np.random.default_rng(0)
         R = rng.normal(size=(4, 4))
@@ -58,8 +79,10 @@ class TestWeightOperator:
         assert np.array_equal(G.materialize(), Gm)
 
     def test_identity_has_no_dense_form(self):
+        # the identity in operator form, built without a dense matrix
+        G = WeightOperator(lambda v: v, lambda v: float(v @ v))
         with pytest.raises(NotImplementedError):
-            WeightOperator.identity().materialize()
+            G.materialize()
 
     def test_from_matrix_rejects_nonsquare(self):
         with pytest.raises(ValueError):
@@ -164,9 +187,7 @@ class TestEngineStep:
         w_k = np.array([0.3, -0.2, 0.9, 0.0])
         wbar, w_next = inertial_ppa_step(problem, G, w_k, np.zeros(4), 0.25, 0.7)
         probe_rng = np.random.default_rng(2)
-        probes = [
-            problem.project(probe_rng.uniform(-2, 2, 4)) for _ in range(100)
-        ]
+        probes = [np.clip(probe_rng.uniform(-2, 2, 4), -1.0, 1.0) for _ in range(100)]
         assert gippa_slack(problem, G, wbar, w_next, 0.7, probes) >= -1e-8
 
 
@@ -187,7 +208,7 @@ class TestRunInertialPpa:
 
     def test_prox_identity_fixture(self):
         c = np.array([2.0, -0.4, 0.0, 1.5, -3.0])
-        problem, w_star = prox_identity_vi(prox.l1_oracle(), c)
+        problem, w_star = _prox_identity_vi(prox.l1_oracle(), c)
         assert np.array_equal(w_star, prox.soft_threshold(c, 1.0))
         trace = run_inertial_ppa(
             problem,
@@ -277,22 +298,6 @@ class TestRunInertialPpa:
             max_iter=500,
         )
         assert sum(trace.delta) <= 2.0 * C * math.pi**2 / 6.0 + 1e-10
-
-
-class TestMonotonicityProbe:
-    def test_strongly_monotone_witness(self):
-        rng = SeededRng(7)
-        problem, _ = strongly_monotone_affine_vi(5, rng, mu=0.7)
-        assert problem.H is not None
-        probe = SeededRng(8)
-        assert check_h_monotonicity(problem, probe) >= -1e-10
-
-    def test_detects_overstated_modulus(self):
-        # claiming a larger modulus than F has must go negative
-        problem = affine_vi(np.eye(3), np.zeros(3))
-        problem.H = vi_core.WeightOperator.identity(2.0)
-        probe = SeededRng(8)
-        assert check_h_monotonicity(problem, probe) < 0.0
 
 
 class TestResidualRateBound:
