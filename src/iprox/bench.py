@@ -19,7 +19,7 @@ import numbers
 import sys
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -36,7 +36,7 @@ from .cpcp import (
     ladmm_cpcp,
     recovery_metrics,
 )
-from .numkit import KINDS, RNG_ALGORITHM, SVT_PATHS
+from .numkit import KINDS, RNG_ALGORITHM, SVT_PATHS, _one_blas_thread
 from .vi_core import InertialSchedule
 
 CSV_COLUMNS = [
@@ -261,16 +261,47 @@ def _run_trial(cell, seed, config, alphas):
             "iladmm": {a: _solve(inst, config, alpha=a)[2] for a in alphas},
         }
     except Exception as exc:  # cell failures must not kill the grid
-        return {"seed": seed, "error": f"{type(exc).__name__}: {exc}",
-                "traceback": traceback.format_exc()}
+        return _trial_error(seed, exc)
+
+
+def _trial_error(seed, exc):
+    return {"seed": seed, "error": f"{type(exc).__name__}: {exc}",
+            "traceback": traceback.format_exc()}
+
+
+def _trial_result(fut, seed):
+    """The outcome of a submitted trial; a worker that died (a crash or an
+    exit) fails its trial and every one still pending, as trial errors."""
+    try:
+        return fut.result()
+    except BrokenExecutor as exc:
+        return _trial_error(seed, exc)
+
+
+def _worker_pool(jobs):
+    """The grid's executor: ``jobs`` forked worker processes, each with
+    one BLAS thread (see :func:`iprox.numkit._one_blas_thread`)."""
+    # imported here: only a grid run needs them, and at module level they
+    # added about 0.5 MB to the peak RSS of every process importing iprox
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=jobs,
+                               mp_context=multiprocessing.get_context("fork"),
+                               initializer=_one_blas_thread)
 
 
 def run_grid(config):
     """Run the full grid; returns one RunRecord per (cell, alpha).
 
-    Both solvers see the same instance in every trial. Trials run in a
-    pool of ``config.jobs`` threads; records are assembled in
-    deterministic grid order regardless of scheduling.
+    Both solvers see the same instance in every trial. Trials run in
+    ``config.jobs`` worker processes, one BLAS thread each; a thread
+    pool made ``jobs=2`` slower than serial, since the trials hold the
+    GIL and each thread drove a 2-thread BLAS (on 2 CPUs, a 64 x 64 grid
+    of 3 cells and 2 seeds took 2.0-2.2 s at 2 threads, 1.4 s at 1, and
+    takes 0.8 s in 2 workers). A trial whose worker died is
+    recorded as a cell error. Records are assembled in deterministic
+    grid order regardless of scheduling.
     """
     config.validate()
     alphas = tuple(config.alphas) if config.alphas is not None else (config.alpha,)
@@ -278,12 +309,12 @@ def run_grid(config):
         config.sizes, config.ranks, config.nnz_ratios,
         config.q_ratios, config.transforms,
     ))
-    with ThreadPoolExecutor(max_workers=config.jobs) as pool:
+    with _worker_pool(config.jobs) as pool:
         futs = {
             (ci, seed): pool.submit(_run_trial, cells[ci], seed, config, alphas)
             for ci in range(len(cells)) for seed in config.seeds
         }
-    results = {key: fut.result() for key, fut in futs.items()}
+    results = {key: _trial_result(fut, key[1]) for key, fut in futs.items()}
 
     env = _environment()
     records = []
@@ -556,13 +587,12 @@ def _cmd_sweep(args):
 
 def _run_and_write(config, out):
     """Run the grid of ``config`` and write its tables to ``out``: per
-    cell for a plain run, per factor for a sweep (``alphas`` set)."""
+    cell for a plain run, per factor for a sweep (``alphas`` set). The
+    records and failed cells are written before the plot table, which
+    raises when every cell failed."""
     out.mkdir(parents=True, exist_ok=True)
     records = run_grid(config)
     if config.alphas is not None:
-        # one row per cell (square, so m = n) and factor
-        emit_plot_data(records, out / "alpha_sweep.csv",
-                       axis=("m", "r", "nnz_ratio", "q_ratio", "transform", "alpha"))
         write_records_json(records, out / "alpha_records.json")
         print("   m    r  nnz_ratio  q_ratio  transform  alpha  iter_plain  "
               "iter_inertial  ratio")
@@ -574,9 +604,11 @@ def _run_and_write(config, out):
                 continue
             print(f"{row}  {rec.mean_iter_ladmm:>10.1f}  "
                   f"{rec.mean_iter_iladmm:>13.1f}  {rec.iter_ratio:>5.3f}")
+        # one row per cell (square, so m = n) and factor
+        emit_plot_data(records, out / "alpha_sweep.csv",
+                       axis=("m", "r", "nnz_ratio", "q_ratio", "transform", "alpha"))
         return 0
     emit_csv(records, out / "results.csv")
-    emit_plot_data(records, out / "plot.csv", axis="q_ratio")
     write_records_json(records, out / "records.json")
     failed = [r for r in records if r.error is not None]
     print(f"wrote {len(records)} records to {out} "
@@ -584,6 +616,7 @@ def _run_and_write(config, out):
     for rec in failed:
         print(f"  failed cell m={rec.m} r={rec.r} nnz_ratio={rec.nnz_ratio:g} "
               f"q_ratio={rec.q_ratio:g} {rec.transform}: {rec.error}")
+    emit_plot_data(records, out / "plot.csv", axis="q_ratio")
     return 0
 
 

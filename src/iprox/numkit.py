@@ -9,6 +9,7 @@ coefficients, and a seeded random source with named substreams.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -616,3 +617,40 @@ class SeededRng:
 
     def __repr__(self):
         return f"SeededRng(seed={self.seed}, path={self._path})"
+
+
+# the OpenBLAS entry points that set the thread count: the scipy-openblas
+# builds numpy (64-bit integers) and scipy (32-bit) wheels ship, then plain
+_OPENBLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                         "openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+def _openblas_libraries():
+    """ctypes handles of the OpenBLAS libraries this process has loaded."""
+    try:
+        with open("/proc/self/maps", encoding="utf8") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return []
+    return [ctypes.CDLL(path) for path in sorted(paths)]
+
+
+def _one_blas_thread():
+    """Set every OpenBLAS this process has loaded to one thread; does
+    nothing where none is loaded. The thread count can move results in
+    the last bits: a 256 x 256 DCT2 grid cell kept its iteration counts
+    but its recovery errors moved by about 1e-11 relative.
+
+    ``bench`` runs it in each grid worker process. On 2 CPUs (OpenBLAS
+    0.3.31), a 64 x 64 grid of 3 cells and 2 seeds took 0.77-0.84 s in
+    two workers at one BLAS thread each, and 2.3-17.6 s in two workers
+    at the default 2 BLAS threads each, where four BLAS threads contend
+    for two CPUs.
+    """
+    for lib in _openblas_libraries():
+        for sym in _OPENBLAS_SET_THREADS:
+            fn = getattr(lib, sym, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [ctypes.c_int], None
+                fn(1)
+                break

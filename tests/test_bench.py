@@ -4,6 +4,7 @@ Grid runs here use tiny instances so the full file stays in the second
 range; determinism checks compare complete artifacts byte for byte.
 """
 
+import ctypes
 import json
 import math
 import os
@@ -17,7 +18,7 @@ import pytest
 import yaml
 
 import iprox
-from iprox import bench, cpcp
+from iprox import bench, cpcp, numkit
 from iprox.cpcp import counts_from_ratios, degrees_of_freedom
 
 
@@ -168,6 +169,32 @@ class TestRunConfig:
             bench.RunConfig.from_yaml(path)
 
 
+_RUN_TRIAL = bench._run_trial
+
+
+def _exit_on_wht_seed_one(cell, seed, config, alphas):
+    """``bench._run_trial``, except that the worker running the wht cell's
+    seed 1 exits at once, as a crashed worker would."""
+    if cell[-1] == "wht" and seed == 1:
+        os._exit(1)
+    return _RUN_TRIAL(cell, seed, config, alphas)
+
+
+def _blas_threads():
+    """The thread count of each OpenBLAS this process has loaded, read
+    through the library's getter."""
+    counts = []
+    for lib in numkit._openblas_libraries():
+        for sym in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                    "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            fn = getattr(lib, sym, None)
+            if fn is not None:
+                fn.restype, fn.argtypes = ctypes.c_int, []
+                counts.append(int(fn()))
+                break
+    return counts
+
+
 @pytest.fixture(scope="module")
 def records():
     return bench.run_grid(tiny_config())
@@ -219,9 +246,33 @@ class TestRunGrid:
         again = bench.run_grid(tiny_config())
         assert record_docs(again) == record_docs(records)
 
-    def test_threaded_run_matches_serial(self, records):
-        threaded = bench.run_grid(tiny_config(jobs=2))
-        assert record_docs(threaded) == record_docs(records)
+    def test_worker_processes_match_in_process_trials(self, records):
+        config = tiny_config(jobs=2)
+        assert record_docs(bench.run_grid(config)) == record_docs(records)
+        cell = (32, 2, 0.05, 0.8, "dct2")
+        direct = [bench._run_trial(cell, seed, config, (config.alpha,))
+                  for seed in config.seeds]
+        trials = [{"seed": t["seed"], "ladmm": t["ladmm"], "iladmm": t["iladmm"][config.alpha]}
+                  for t in direct]
+        assert strip_wall_times(trials) == record_docs(records)[0]["trials"]
+
+    def test_workers_run_one_blas_thread(self):
+        if not _blas_threads():
+            pytest.skip("no OpenBLAS loaded")
+        with bench._worker_pool(2) as pool:
+            counts = [pool.submit(_blas_threads).result() for _ in range(2)]
+        assert all(c and set(c) == {1} for c in counts)
+
+    def test_dead_worker_fails_its_cell_not_the_grid(self, monkeypatch):
+        config = tiny_config(sizes=(16,), ranks=(1,), transforms=("dct2", "wht"),
+                             seeds=(0, 1), eps=1e-4, jobs=1)
+        intact = bench.run_grid(config)
+        monkeypatch.setattr(bench, "_run_trial", _exit_on_wht_seed_one)
+        records = bench.run_grid(config)
+        assert record_docs(records[:1]) == record_docs(intact[:1])
+        assert records[1].error.startswith("BrokenProcessPool: ")
+        assert "BrokenProcessPool" in records[1].traceback
+        assert math.isnan(records[1].mean_iter_ladmm)
 
     def test_sweep_mode_shares_baseline(self):
         records = bench.run_grid(
@@ -412,6 +463,28 @@ class TestCli:
         a = strip_wall_times(json.loads((out / "records.json").read_text()))
         b = strip_wall_times(json.loads((out2 / "records.json").read_text()))
         assert a == b
+
+    def test_bench_keeps_records_when_every_cell_fails(self, tmp_path, capsys):
+        doc = yaml.safe_load(TINY_YAML)
+        doc["grid"]["ranks"] = [20]
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "out"
+        rc = bench.main(["bench", "--config", str(config), "--out", str(out)])
+        stdout, err = capsys.readouterr()
+        assert rc != 0
+        assert "no successful records" in err
+        (doc,) = json.loads((out / "records.json").read_text())
+        assert "generate_instance" in doc["traceback"]
+        assert "failed cell m=16 r=20 nnz_ratio=0.05 q_ratio=0.8 dct2: ValueError" in stdout
+
+        rc = bench.main(["sweep-alpha", "--size", "16", "--rank", "20", "--seeds", "0",
+                         "--alphas", "0.1", "--out", str(out)])
+        stdout, _ = capsys.readouterr()
+        assert rc != 0
+        (doc,) = json.loads((out / "alpha_records.json").read_text())
+        assert "generate_instance" in doc["traceback"]
+        assert "failed: ValueError" in stdout
 
     def test_bench_missing_config(self, tmp_path, capsys):
         rc = bench.main([
