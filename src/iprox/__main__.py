@@ -1,5 +1,5 @@
 """``python -m iprox``: the command line of the ``iprox`` script."""
-from .bench import cli_entry
+from .cli import cli_entry
 
 if __name__ == "__main__":
     cli_entry()

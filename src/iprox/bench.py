@@ -1,22 +1,20 @@
-"""Benchmark grid, result tables, self-verification, and the CLI.
+"""Run settings, benchmark grid, result tables, and self-verification.
 
 The grid runner pairs the plain and inertial solvers on identical
 instances (same seed, same measurement operator) over a cartesian grid of
 problem shapes, aggregates per-cell iteration counts and recovery errors,
 and writes a fixed-format CSV plus plot-ready data. Everything is
 deterministic given the config and seeds; only wall times vary between
-runs, and they never enter the tables.
+runs, and they never enter the tables. The command line is :mod:`iprox.cli`.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import itertools
 import json
 import math
 import numbers
-import sys
 import time
 import traceback
 from concurrent.futures import BrokenExecutor
@@ -25,7 +23,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-import yaml
 
 from . import __version__, checks
 from .cpcp import (
@@ -51,11 +48,12 @@ _CONFIG_KEYS = {
     "solver": ("tau", "eta", "eps", "max_iter", "alpha", "alphas", "beta0", "s_scale"),
 }
 # RunConfig fields that hold a list, and those whose values must be integers
-# or finite numbers (entrywise for a list; None stands for an unset option)
+# or finite numbers (entrywise for a list); only _UNSET_FIELDS may be None
 _LIST_FIELDS = ("sizes", "ranks", "nnz_ratios", "q_ratios", "transforms", "alphas", "seeds")
 _INTEGER_FIELDS = ("sizes", "ranks", "seeds", "max_iter", "jobs")
 _NUMBER_FIELDS = ("nnz_ratios", "q_ratios", "alphas", "tau", "eta", "eps", "alpha",
                   "beta0", "s_scale")
+_UNSET_FIELDS = ("alphas", "beta0")
 
 
 @dataclass
@@ -90,13 +88,13 @@ class RunConfig:
         field, and returns the config otherwise."""
         for name in _LIST_FIELDS:
             value = getattr(self, name)
-            if not isinstance(value, tuple) and value is not None:
+            if not isinstance(value, tuple) and not (value is None and name in _UNSET_FIELDS):
                 raise ValueError(f"{name} must be a list, got {value!r}")
         for names, kind, what in ((_INTEGER_FIELDS, numbers.Integral, "an integer"),
                                   (_NUMBER_FIELDS, numbers.Real, "a finite number")):
             for name in names:
                 value = getattr(self, name)
-                if value is None:
+                if value is None and name in _UNSET_FIELDS:
                     continue
                 for v in value if name in _LIST_FIELDS else (value,):
                     if isinstance(v, bool) or not isinstance(v, kind) or not math.isfinite(v):
@@ -171,6 +169,7 @@ class RunConfig:
 
     @classmethod
     def from_yaml(cls, path):
+        import yaml  # here, so that importing iprox does not load PyYAML
         with open(path, encoding="utf8") as fh:
             doc = yaml.safe_load(fh)
         return cls.from_dict(doc)
@@ -309,7 +308,8 @@ def run_grid(config):
         config.sizes, config.ranks, config.nnz_ratios,
         config.q_ratios, config.transforms,
     ))
-    with _worker_pool(config.jobs) as pool:
+    # a forked pool starts all its workers at the first submit: no more than trials
+    with _worker_pool(min(config.jobs, len(cells) * len(config.seeds))) as pool:
         futs = {
             (ci, seed): pool.submit(_run_trial, cells[ci], seed, config, alphas)
             for ci in range(len(cells)) for seed in config.seeds
@@ -341,16 +341,11 @@ def run_grid(config):
                 {"seed": t["seed"], "ladmm": t["ladmm"], "iladmm": t["iladmm"][a]}
                 for t in per_seed
             ]
-            plain = [t["ladmm"] for t in rec.trials]
-            inert = [t["iladmm"] for t in rec.trials]
-            rec.mean_iter_ladmm = float(np.mean([t["iters"] for t in plain]))
-            rec.mean_rel_l_ladmm = float(np.mean([t["rel_l"] for t in plain]))
-            rec.mean_rel_s_ladmm = float(np.mean([t["rel_s"] for t in plain]))
-            rec.all_converged_ladmm = all(t["converged"] for t in plain)
-            rec.mean_iter_iladmm = float(np.mean([t["iters"] for t in inert]))
-            rec.mean_rel_l_iladmm = float(np.mean([t["rel_l"] for t in inert]))
-            rec.mean_rel_s_iladmm = float(np.mean([t["rel_s"] for t in inert]))
-            rec.all_converged_iladmm = all(t["converged"] for t in inert)
+            for solver in ("ladmm", "iladmm"):
+                runs = [t[solver] for t in rec.trials]
+                for name, key in (("iter", "iters"), ("rel_l", "rel_l"), ("rel_s", "rel_s")):
+                    setattr(rec, f"mean_{name}_{solver}", float(np.mean([r[key] for r in runs])))
+                setattr(rec, f"all_converged_{solver}", all(r["converged"] for r in runs))
             rec.iter_ratio = rec.mean_iter_iladmm / rec.mean_iter_ladmm
             records.append(rec)
     return records
@@ -451,200 +446,3 @@ def run_verification():
     results.append(checks.inertial_speedup(batch, ratio_gate=1.0))
     results.append(checks.exact_identities(VERIFY_SCALE))
     return results
-
-
-# ---------------------------------------------------------------------------
-# command line
-
-
-def _parse_float_list(text):
-    return tuple(float(v) for v in text.split(",") if v.strip() != "")
-
-
-def _parse_int_list(text):
-    return tuple(int(v) for v in text.split(",") if v.strip() != "")
-
-
-def _build_parser():
-    p = argparse.ArgumentParser(
-        prog="iprox",
-        description="Inertial splitting solvers and a compressive "
-                    "principal component pursuit benchmark.",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
-
-    s = sub.add_parser("solve", help="solve one generated instance")
-    s.set_defaults(func=_cmd_solve)
-    s.add_argument("--size", type=int, default=64, help="rows (m), square by default")
-    s.add_argument("--cols", type=int, default=None, help="columns (n), default size")
-    s.add_argument("--rank", type=int, default=2)
-    s.add_argument("--nnz-ratio", type=float, default=0.05)
-    s.add_argument("--q-ratio", type=float, default=0.6)
-    s.add_argument("--transform", choices=KINDS, default="dct2")
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--alpha", type=float, default=RunConfig.alpha,
-                   help="extrapolation factor; 0 gives the plain solver")
-    s.add_argument("--tau", type=float, default=RunConfig.tau)
-    s.add_argument("--eta", type=float, default=RunConfig.eta)
-    s.add_argument("--eps", type=float, default=RunConfig.eps)
-    s.add_argument("--max-iter", type=int, default=RunConfig.max_iter)
-    s.add_argument("--beta0", type=float, default=RunConfig.beta0)
-    s.add_argument("--s-scale", type=float, default=RunConfig.s_scale)
-    s.add_argument("--json", type=str, default=None, metavar="PATH")
-
-    b = sub.add_parser("bench", help="run the benchmark grid")
-    b.set_defaults(func=_cmd_bench)
-    b.add_argument("--config", type=str, default=None,
-                   help="YAML config; the built-in desk grid when omitted")
-    b.add_argument("--out", type=str, default="results")
-    b.add_argument("--jobs", type=int, default=None)
-
-    w = sub.add_parser("sweep-alpha", help="sweep the extrapolation factor")
-    w.set_defaults(func=_cmd_sweep)
-    w.add_argument("--size", type=int, default=128)
-    w.add_argument("--rank", type=int, default=2)
-    w.add_argument("--nnz-ratio", type=float, default=0.05)
-    w.add_argument("--q-ratio", type=float, default=0.6)
-    w.add_argument("--transform", choices=KINDS, default="dct2")
-    w.add_argument("--seeds", type=str, default="0,1,2")
-    w.add_argument("--alphas", type=str,
-                   default="0.05,0.1,0.15,0.2,0.25,0.3,0.35")
-    w.add_argument("--eps", type=float, default=RunConfig.eps)
-    w.add_argument("--max-iter", type=int, default=RunConfig.max_iter)
-    w.add_argument("--out", type=str, default="results")
-
-    v = sub.add_parser("verify", help="run acceptance criteria 1-9 at fixture scale")
-    v.set_defaults(func=_cmd_verify)
-    return p
-
-
-def _cmd_solve(args):
-    config = RunConfig(
-        sizes=(args.size,), ranks=(args.rank,), nnz_ratios=(args.nnz_ratio,),
-        q_ratios=(args.q_ratio,), transforms=(args.transform,), tau=args.tau,
-        eta=args.eta, eps=args.eps, max_iter=args.max_iter, alpha=args.alpha,
-        beta0=args.beta0, s_scale=args.s_scale, seeds=(args.seed,),
-    ).validate()
-    n = args.cols if args.cols is not None else args.size
-    q, nnz = counts_from_ratios(args.size, n, args.q_ratio, args.nnz_ratio)
-    inst = generate_instance(args.size, n, args.rank, nnz, args.transform, q,
-                             args.seed)
-    state, trace, met = _solve(inst, config, alpha=args.alpha)
-    solver = "iladmm" if args.alpha > 0 else "ladmm"
-    print(f"instance: m={inst.m} n={inst.n} r={inst.r} nnz={inst.nnz} "
-          f"q={inst.q} transform={inst.kind} seed={inst.seed} "
-          f"q/dof={inst.q_over_dof:.4f}")
-    print(f"solver: {solver} alpha={args.alpha:g} tau={args.tau:g} "
-          f"eta={args.eta:g} eps={args.eps:g}")
-    status = "converged" if met["converged"] else "max iterations reached"
-    print(f"iterations: {met['iters']} ({status})")
-    print(f"rel_l={met['rel_l']:.6e} rel_s={met['rel_s']:.6e} "
-          f"final_beta={state.beta:.6g} "
-          f"relative_feasibility={trace.extras['relative_feasibility']:.3e}")
-    if args.json:
-        doc = {
-            "instance": {"m": inst.m, "n": inst.n, "r": inst.r,
-                         "nnz": inst.nnz, "q": inst.q, "kind": inst.kind,
-                         "seed": inst.seed, "q_over_dof": inst.q_over_dof},
-            "solver": {"name": solver, "alpha": args.alpha, "tau": args.tau,
-                       "eta": args.eta, "eps": args.eps,
-                       "max_iter": args.max_iter},
-            "result": {"iters": met["iters"], "converged": met["converged"],
-                       "rel_l": met["rel_l"], "rel_s": met["rel_s"],
-                       "final_beta": state.beta},
-            "environment": _environment(),
-        }
-        Path(args.json).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n",
-                                   encoding="utf8")
-    return 0 if met["converged"] else 1
-
-
-def _cmd_bench(args):
-    if args.config is not None:
-        config = RunConfig.from_yaml(args.config)
-    else:
-        config = RunConfig.default_grid()
-    if args.jobs is not None:
-        config.jobs = int(args.jobs)
-        config.validate()
-    return _run_and_write(config, Path(args.out))
-
-
-def _cmd_sweep(args):
-    config = RunConfig(
-        sizes=(args.size,),
-        ranks=(args.rank,),
-        nnz_ratios=(args.nnz_ratio,),
-        q_ratios=(args.q_ratio,),
-        transforms=(args.transform,),
-        alphas=_parse_float_list(args.alphas),
-        seeds=_parse_int_list(args.seeds),
-        eps=args.eps,
-        max_iter=args.max_iter,
-    ).validate()
-    return _run_and_write(config, Path(args.out))
-
-
-def _run_and_write(config, out):
-    """Run the grid of ``config`` and write its tables to ``out``: per
-    cell for a plain run, per factor for a sweep (``alphas`` set). The
-    records and failed cells are written before the plot table, which
-    raises when every cell failed."""
-    out.mkdir(parents=True, exist_ok=True)
-    records = run_grid(config)
-    if config.alphas is not None:
-        write_records_json(records, out / "alpha_records.json")
-        print("   m    r  nnz_ratio  q_ratio  transform  alpha  iter_plain  "
-              "iter_inertial  ratio")
-        for rec in records:
-            row = (f"{rec.m:>4}  {rec.r:>3}  {rec.nnz_ratio:>9g}  {rec.q_ratio:>7g}  "
-                   f"{rec.transform:>9}  {rec.alpha:>5.2f}")
-            if rec.error is not None:
-                print(f"{row}  failed: {rec.error}")
-                continue
-            print(f"{row}  {rec.mean_iter_ladmm:>10.1f}  "
-                  f"{rec.mean_iter_iladmm:>13.1f}  {rec.iter_ratio:>5.3f}")
-        # one row per cell (square, so m = n) and factor
-        emit_plot_data(records, out / "alpha_sweep.csv",
-                       axis=("m", "r", "nnz_ratio", "q_ratio", "transform", "alpha"))
-        return 0
-    emit_csv(records, out / "results.csv")
-    write_records_json(records, out / "records.json")
-    failed = [r for r in records if r.error is not None]
-    print(f"wrote {len(records)} records to {out} "
-          f"({len(failed)} cell failures)")
-    for rec in failed:
-        print(f"  failed cell m={rec.m} r={rec.r} nnz_ratio={rec.nnz_ratio:g} "
-              f"q_ratio={rec.q_ratio:g} {rec.transform}: {rec.error}")
-    emit_plot_data(records, out / "plot.csv", axis="q_ratio")
-    return 0
-
-
-def _cmd_verify(_args):
-    results = run_verification()
-    width = max(len(c.name) for c in results)
-    bad = 0
-    for num, c in enumerate(results, 1):
-        mark = "ok  " if c.ok else "FAIL"
-        print(f"{mark} {num} {c.name:<{width}}  {c.detail}")
-        bad += 0 if c.ok else 1
-    print(f"{len(results) - bad}/{len(results)} checks passed")
-    return 0 if bad == 0 else 1
-
-
-def main(argv=None):
-    """CLI entry; returns an exit code (0 ok, 1 failure, 2 bad usage)."""
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 2
-    try:
-        return args.func(args)
-    except (OSError, ValueError, yaml.YAMLError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
-def cli_entry():
-    sys.exit(main())

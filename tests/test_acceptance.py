@@ -27,7 +27,7 @@ import json
 
 import pytest
 
-from iprox import bench, checks
+from iprox import checks, cli
 
 
 def report(num, result):
@@ -94,7 +94,7 @@ def test_criterion_10_bench_determinism(tmp_path):
     outs = []
     for name in ("run1", "run2"):
         out = tmp_path / name
-        rc = bench.main(["bench", "--config", str(config), "--out", str(out)])
+        rc = cli.main(["bench", "--config", str(config), "--out", str(out)])
         assert rc == 0
         outs.append(out)
 

@@ -18,7 +18,7 @@ import pytest
 import yaml
 
 import iprox
-from iprox import bench, cpcp, numkit
+from iprox import bench, cli, cpcp, numkit
 from iprox.cpcp import counts_from_ratios, degrees_of_freedom
 
 
@@ -170,6 +170,7 @@ class TestRunConfig:
 
 
 _RUN_TRIAL = bench._run_trial
+_WORKER_POOL = bench._worker_pool
 
 
 def _exit_on_wht_seed_one(cell, seed, config, alphas):
@@ -262,6 +263,17 @@ class TestRunGrid:
         with bench._worker_pool(2) as pool:
             counts = [pool.submit(_blas_threads).result() for _ in range(2)]
         assert all(c and set(c) == {1} for c in counts)
+
+    def test_no_more_workers_than_trials(self, monkeypatch):
+        asked = []
+
+        def recording_pool(jobs):
+            asked.append(jobs)
+            return _WORKER_POOL(jobs)
+
+        monkeypatch.setattr(bench, "_worker_pool", recording_pool)
+        bench.run_grid(tiny_config(sizes=(16,), ranks=(1,), seeds=(0,), eps=1e-4, jobs=3))
+        assert asked == [1]
 
     def test_dead_worker_fails_its_cell_not_the_grid(self, monkeypatch):
         config = tiny_config(sizes=(16,), ranks=(1,), transforms=("dct2", "wht"),
@@ -408,7 +420,7 @@ class TestVerification:
 class TestCli:
     def test_solve_converged(self, tmp_path, capsys):
         out = tmp_path / "solve.json"
-        rc = bench.main([
+        rc = cli.main([
             "solve", "--size", "16", "--rank", "1", "--nnz-ratio", "0.05",
             "--q-ratio", "0.8", "--seed", "0", "--eps", "1e-4",
             "--json", str(out),
@@ -421,25 +433,25 @@ class TestCli:
         assert doc["instance"]["m"] == 16
 
     def test_solve_exit_one_without_convergence(self, capsys):
-        rc = bench.main([
+        rc = cli.main([
             "solve", "--size", "16", "--rank", "1", "--max-iter", "3",
         ])
         assert rc == 1
         assert "max iterations reached" in capsys.readouterr().out
 
     def test_solve_bad_ratio_is_usage_error(self, capsys):
-        rc = bench.main(["solve", "--size", "16", "--q-ratio", "0"])
+        rc = cli.main(["solve", "--size", "16", "--q-ratio", "0"])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
     def test_bad_arguments(self, capsys):
-        assert bench.main(["bogus"]) == 2
-        assert bench.main([]) == 2
-        assert bench.main(["solve", "--no-such-flag"]) == 2
+        assert cli.main(["bogus"]) == 2
+        assert cli.main([]) == 2
+        assert cli.main(["solve", "--no-such-flag"]) == 2
         capsys.readouterr()
 
     def test_verify_runs_clean(self, capsys):
-        assert bench.main(["verify"]) == 0
+        assert cli.main(["verify"]) == 0
         out = capsys.readouterr().out
         assert "checks passed" in out
         assert "FAIL" not in out
@@ -448,7 +460,7 @@ class TestCli:
         config = tmp_path / "config.yaml"
         config.write_text(TINY_YAML)
         out = tmp_path / "run1"
-        rc = bench.main(["bench", "--config", str(config), "--out", str(out)])
+        rc = cli.main(["bench", "--config", str(config), "--out", str(out)])
         assert rc == 0
         for name in ("results.csv", "plot.csv", "records.json"):
             assert (out / name).exists()
@@ -456,7 +468,7 @@ class TestCli:
 
         # reruns are byte-identical apart from wall times
         out2 = tmp_path / "run2"
-        assert bench.main(["bench", "--config", str(config), "--out", str(out2)]) == 0
+        assert cli.main(["bench", "--config", str(config), "--out", str(out2)]) == 0
         capsys.readouterr()
         assert (out / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
         assert (out / "plot.csv").read_bytes() == (out2 / "plot.csv").read_bytes()
@@ -470,7 +482,7 @@ class TestCli:
         config = tmp_path / "config.yaml"
         config.write_text(yaml.safe_dump(doc))
         out = tmp_path / "out"
-        rc = bench.main(["bench", "--config", str(config), "--out", str(out)])
+        rc = cli.main(["bench", "--config", str(config), "--out", str(out)])
         stdout, err = capsys.readouterr()
         assert rc != 0
         assert "no successful records" in err
@@ -478,8 +490,8 @@ class TestCli:
         assert "generate_instance" in doc["traceback"]
         assert "failed cell m=16 r=20 nnz_ratio=0.05 q_ratio=0.8 dct2: ValueError" in stdout
 
-        rc = bench.main(["sweep-alpha", "--size", "16", "--rank", "20", "--seeds", "0",
-                         "--alphas", "0.1", "--out", str(out)])
+        rc = cli.main(["sweep-alpha", "--size", "16", "--rank", "20", "--seeds", "0",
+                       "--alphas", "0.1", "--out", str(out)])
         stdout, _ = capsys.readouterr()
         assert rc != 0
         (doc,) = json.loads((out / "alpha_records.json").read_text())
@@ -487,7 +499,7 @@ class TestCli:
         assert "failed: ValueError" in stdout
 
     def test_bench_missing_config(self, tmp_path, capsys):
-        rc = bench.main([
+        rc = cli.main([
             "bench", "--config", str(tmp_path / "absent.yaml"),
             "--out", str(tmp_path / "out"),
         ])
@@ -504,15 +516,18 @@ class TestCli:
         ("grid", "ranks", [1.5]),
         (None, "seeds", [0.5]),
         (None, "jobs", 1.5),
+        ("grid", "transforms", None),  # only alphas and beta0 may be unset
+        (None, "jobs", None),
     ], ids=["sizes-scalar", "seeds-scalar", "alphas-scalar", "tau-text", "max_iter-float",
-            "sizes-float", "ranks-float", "seeds-float", "jobs-float"])
+            "sizes-float", "ranks-float", "seeds-float", "jobs-float", "transforms-null",
+            "jobs-null"])
     def test_bench_malformed_config_is_usage_error(self, tmp_path, capsys,
                                                    section, key, value):
         doc = yaml.safe_load(TINY_YAML)
         (doc[section] if section else doc)[key] = value
         config = tmp_path / "config.yaml"
         config.write_text(yaml.safe_dump(doc))
-        rc = bench.main(["bench", "--config", str(config), "--out", str(tmp_path / "out")])
+        rc = cli.main(["bench", "--config", str(config), "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -524,7 +539,7 @@ class TestCli:
         (["--alpha", repr(1.0 / 3.0)], "sweep-alpha"),
     ], ids=["max-iter-0", "alpha-0.5", "alpha-1/3"])
     def test_solve_validates_like_bench(self, capsys, flags, needle):
-        rc = bench.main(["solve", "--size", "16", "--rank", "1", *flags])
+        rc = cli.main(["solve", "--size", "16", "--rank", "1", *flags])
         out, err = capsys.readouterr()
         assert rc == 2
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
@@ -532,7 +547,7 @@ class TestCli:
 
     def test_sweep_alpha(self, tmp_path, capsys):
         out = tmp_path / "sweep"
-        rc = bench.main([
+        rc = cli.main([
             "sweep-alpha", "--size", "16", "--rank", "1",
             "--nnz-ratio", "0.05", "--q-ratio", "0.8",
             "--seeds", "0", "--alphas", "0.0,0.28",
@@ -551,7 +566,7 @@ class TestCli:
         config = tmp_path / "sweep.yaml"
         config.write_text(yaml.safe_dump(doc))
         out2 = tmp_path / "bench"
-        assert bench.main(["bench", "--config", str(config), "--out", str(out2)]) == 0
+        assert cli.main(["bench", "--config", str(config), "--out", str(out2)]) == 0
         assert capsys.readouterr().out == text
         assert sorted(p.name for p in out2.iterdir()) == ["alpha_records.json",
                                                           "alpha_sweep.csv"]
@@ -569,7 +584,7 @@ class TestCli:
         config = tmp_path / "sweep.yaml"
         config.write_text(yaml.safe_dump(doc))
         out = tmp_path / "out"
-        assert bench.main(["bench", "--config", str(config), "--out", str(out)]) == 0
+        assert cli.main(["bench", "--config", str(config), "--out", str(out)]) == 0
         recs = json.loads((out / "alpha_records.json").read_text())
         assert len(recs) == 4
         rows = [
@@ -598,5 +613,5 @@ class TestCli:
         assert "verify" in proc.stdout
 
     def test_list_parsers(self):
-        assert bench._parse_float_list("0.1, 0.2,") == (0.1, 0.2)
-        assert bench._parse_int_list("1,2, 3") == (1, 2, 3)
+        assert cli._parse_list("0.1, 0.2,", float) == (0.1, 0.2)
+        assert cli._parse_list("1,2, 3", int) == (1, 2, 3)

@@ -1,0 +1,45 @@
+"""How the ``iprox`` command line is wired: its entry points, the flags it
+derives from the run settings, and what ``import iprox`` leaves unloaded.
+
+The commands themselves are tested in ``tests/test_bench.py::TestCli``.
+"""
+
+import importlib
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import iprox
+from iprox import bench, cli
+
+SRC = Path(iprox.__file__).resolve().parent.parent
+
+
+def test_import_iprox_does_not_load_yaml():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, iprox; print('yaml' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_script_target_is_the_cli_entry():
+    pyproject = (SRC.parent / "pyproject.toml").read_text(encoding="utf8")
+    scripts = pyproject.split("[project.scripts]")[1].split("\n[")[0]
+    module, func = re.search(r'^iprox\s*=\s*"([\w.]+):(\w+)"', scripts, re.M).groups()
+    entry = getattr(importlib.import_module(module), func)
+    assert callable(entry)
+    assert entry is cli.cli_entry
+
+
+def test_solve_flags_are_the_solver_keys():
+    args = vars(cli._build_parser().parse_args(["solve"]))
+    instance = {"command", "func", "size", "cols", "rank", "nnz_ratio", "q_ratio",
+                "transform", "seed", "json"}
+    solver = set(args) - instance
+    assert solver == set(bench._CONFIG_KEYS["solver"]) - {"alphas"}
+    assert {k: args[k] for k in solver} == {k: getattr(bench.RunConfig, k) for k in solver}
