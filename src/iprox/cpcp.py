@@ -170,13 +170,14 @@ def _run_cpcp(inst, tau, eta, alpha, controller, tol, max_iter):
     if controller is None:
         controller = BetaController.for_instance(inst)
     warm = SvtWarmStart()
-    trace = _run(separable_problem(inst, warm), controller, tau, eta, alpha, tol,
-                 max_iter, stop=stopping_residual)
+    problem = separable_problem(inst, warm)
+    trace = _run(problem, controller, tau, eta, alpha, tol, max_iter,
+                 stop=stopping_residual)
     trace.extras["svt_rank"] = warm.ranks
     trace.extras["svt_path"] = warm.paths
-    final = trace.extras["final"]
-    return CpcpState(final.x.reshape(inst.m, inst.n), final.y.reshape(inst.m, inst.n),
-                     final.p, controller.beta, trace.iterations, trace.converged), trace
+    L, S, p = problem.split(trace.extras["final"])
+    return CpcpState(L.reshape(inst.m, inst.n), S.reshape(inst.m, inst.n), p,
+                     controller.beta, trace.iterations, trace.converged), trace
 
 
 def ladmm_cpcp(inst, tau=0.99, eta=0.99, controller=None, tol=1e-5,

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .prox import quadratic_oracle
-from .splitting import PrimalDualPoint, SeparableProblem
+from .splitting import SeparableProblem
 from .vi_core import MixedViProblem
 
 _ENUM_LIMIT = 10
@@ -111,12 +111,12 @@ def strongly_monotone_affine_vi(n, rng, mu=1.0, lo=None, hi=None):
     return problem, affine_vi_solution(M, q, lo=lo, hi=hi)
 
 
-def random_qp(n1, n2, m, rng, curvature=1.0):
+def random_qp(n1, n2, m, rng):
     """Random equality-constrained separable QP with its KKT solution.
 
     ``f`` and ``g`` are strongly convex quadratics, the coupling matrices
-    are dense Gaussian. Returns ``(problem, w_star)`` with ``w_star`` a
-    :class:`PrimalDualPoint` from one dense solve of the KKT system; the
+    are dense Gaussian. Returns ``(problem, w_star)`` with ``w_star`` the
+    packed point ``(x, y, p)`` from one dense solve of the KKT system; the
     multiplier sign convention matches the Lagrangian
     ``f + g - <p, Ax + By - b>``.
     """
@@ -124,8 +124,8 @@ def random_qp(n1, n2, m, rng, curvature=1.0):
         raise ValueError("dimensions must be positive")
     Rf = rng.normal(n1, n1) / math.sqrt(n1)
     Rg = rng.normal(n2, n2) / math.sqrt(n2)
-    Pf = Rf.T @ Rf + curvature * np.eye(n1)
-    Pg = Rg.T @ Rg + curvature * np.eye(n2)
+    Pf = Rf.T @ Rf + np.eye(n1)
+    Pg = Rg.T @ Rg + np.eye(n2)
     cf = rng.normal(n1)
     cg = rng.normal(n2)
     A = rng.normal(m, n1) / math.sqrt(max(m, n1))
@@ -151,5 +151,4 @@ def random_qp(n1, n2, m, rng, curvature=1.0):
     K[n1 + n2 :, :n1] = A
     K[n1 + n2 :, n1 : n1 + n2] = B
     rhs = np.concatenate([-cf, -cg, b])
-    w = np.linalg.solve(K, rhs)
-    return prob, PrimalDualPoint.unpack(w, n1, n2)
+    return prob, np.linalg.solve(K, rhs)

@@ -113,33 +113,15 @@ class SeparableProblem:
     def objective(self, x, y):
         return self.f_prox.objective(x) + self.g_prox.objective(y)
 
-
-@dataclass
-class PrimalDualPoint:
-    """A primal-dual triple ``(x, y, p)``; ``p`` is the multiplier."""
-
-    x: np.ndarray
-    y: np.ndarray
-    p: np.ndarray
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=np.float64).ravel()
-        self.y = np.asarray(self.y, dtype=np.float64).ravel()
-        self.p = np.asarray(self.p, dtype=np.float64).ravel()
-
-    def pack(self):
-        return np.concatenate([self.x, self.y, self.p])
-
-    @staticmethod
-    def unpack(w, n1, n2):
-        w = np.asarray(w, dtype=np.float64).ravel()
-        return PrimalDualPoint(w[:n1], w[n1 : n1 + n2], w[n1 + n2 :])
+    def split(self, w):
+        """The blocks ``(x, y, p)`` of a packed point ``w``, as views."""
+        n1, n2 = self.n1, self.n2
+        return w[:n1], w[n1 : n1 + n2], w[n1 + n2 :]
 
 
 def zeros_point(prob):
-    return PrimalDualPoint(
-        np.zeros(prob.n1), np.zeros(prob.n2), np.zeros(prob.m)
-    )
+    """The packed zero point ``(x, y, p) = 0``, of length n1 + n2 + m."""
+    return np.zeros(prob.n1 + prob.n2 + prob.m)
 
 
 @dataclass
@@ -248,7 +230,7 @@ def _gquad(beta, tau, eta, d, sq=None):
             - 2.0 * float(bdy @ dp) + pp / beta)
 
 
-def gladmm_operator(prob, params, check=True):
+def gladmm_operator(prob, params):
     """Weighting G under which one linearized step is one proximal step.
 
     Block form: ``diag(beta (I/tau - A'A), [beta/eta I, -B'; -B, I/beta])``
@@ -256,20 +238,18 @@ def gladmm_operator(prob, params, check=True):
     for operator problems too; ``materialize`` builds the dense matrix for
     small matrix problems.
     """
-    if check:
-        _check_step_bounds(prob, params.tau, params.eta)
     opA, opB = prob._ops
     beta, tau, eta = params.beta, params.tau, params.eta
     n1, n2 = prob.n1, prob.n2
 
     def apply(w):
-        x, y, p, ax, by = _carried(prob, PrimalDualPoint.unpack(w, n1, n2))
+        x, y, p, ax, by = _carried(prob, w)
         gx = beta * (x / tau - opA.adjoint(ax))
         gy = (beta / eta) * y - opB.adjoint(p)
         return np.concatenate([gx.ravel(), gy.ravel(), -by + p / beta])
 
     def quad(w):
-        return _gquad(beta, tau, eta, _carried(prob, PrimalDualPoint.unpack(w, n1, n2)))
+        return _gquad(beta, tau, eta, _carried(prob, w))
 
     def materialize():
         A, B, m = prob.A, prob.B, prob.m
@@ -304,14 +284,12 @@ def to_mixed_vi(prob):
     A, B, b = prob.A, prob.B, prob.b
 
     def theta(w):
-        pt = PrimalDualPoint.unpack(w, n1, n2)
-        return prob.objective(pt.x, pt.y)
+        x, y, _ = prob.split(w)
+        return prob.objective(x, y)
 
     def F(w):
-        pt = PrimalDualPoint.unpack(w, n1, n2)
-        return np.concatenate(
-            [-(A.T @ pt.p), -(B.T @ pt.p), A @ pt.x + B @ pt.y - b]
-        )
+        x, y, p = prob.split(w)
+        return np.concatenate([-(A.T @ p), -(B.T @ p), A @ x + B @ y - b])
 
     if prob.f_quad is not None and prob.g_quad is not None:
         Pf, cf = prob.f_quad
@@ -366,29 +344,32 @@ def _step(prob, beta, tau, eta, xb, yb, pb, axb, byb):
 
 
 def _carried(prob, w):
-    """``(x, y, p, A x, B y)`` at ``w``, or at zero when ``w`` is None
-    (with no operator call); blocks take the operators' input shapes."""
+    """``(x, y, p, A x, B y)`` at the packed point ``w``, or at zero when
+    ``w`` is None (with no operator call); blocks take the operators'
+    input shapes."""
     opA, opB = prob._ops
     if w is None:
         zero = np.zeros(prob.m)
         return np.zeros(opA.input_shape), np.zeros(opB.input_shape), zero, zero, zero
-    x, y = w.x.reshape(opA.input_shape), w.y.reshape(opB.input_shape)
-    return x, y, w.p, opA.apply(x), opB.apply(y)
+    x, y, p = prob.split(w)
+    x, y = x.reshape(opA.input_shape), y.reshape(opB.input_shape)
+    return x, y, p, opA.apply(x), opB.apply(y)
 
 
 def ladmm_step(prob, params, w):
-    """One linearized step from ``w``: x-update, multiplier, y-update.
+    """One linearized step from the packed point ``w``: x-update,
+    multiplier, y-update; returns the packed next point.
 
     Both primal updates are proximal maps at gradient-style base points,
     e.g. the x-update is
     ``f_prox(x - tau A'(A x + B y - b - p/beta), tau/beta)``.
     """
     x1, y1, p1, *_ = _step(prob, params.beta, params.tau, params.eta, *_carried(prob, w))
-    return PrimalDualPoint(x1, y1, p1)
+    return np.concatenate([x1, y1, p1], axis=None)
 
 
 def iladmm_step(prob, params, w, w_prev, alpha):
-    """One inertial linearized step.
+    """One inertial linearized step on packed points.
 
     Extrapolates all three blocks, multiplier included,
     ``wbar = w + alpha (w - w_prev)``, then runs the plain step from
@@ -397,56 +378,52 @@ def iladmm_step(prob, params, w, w_prev, alpha):
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    wbar = w
-    if alpha:
-        wbar = PrimalDualPoint(w.x + alpha * (w.x - w_prev.x),
-                               w.y + alpha * (w.y - w_prev.y),
-                               w.p + alpha * (w.p - w_prev.p))
+    wbar = w + alpha * (w - w_prev) if alpha else w
     x1, y1, p1, *_ = _step(prob, params.beta, params.tau, params.eta, *_carried(prob, wbar))
-    return wbar, PrimalDualPoint(x1, y1, p1)
+    return wbar, np.concatenate([x1, y1, p1], axis=None)
 
 
-def run_ladmm(prob, params, w0=None, tol=1e-5, max_iter=1000, w_star=None,
-              keep_iterates=True):
-    """Iterate :func:`ladmm_step` until the relative step rule fires.
+def run_ladmm(prob, params, tol=1e-5, max_iter=1000, w_star=None):
+    """Iterate :func:`ladmm_step` from the zero point until the relative
+    step rule fires.
 
     Stops when ``||w_{k+1} - w_k|| / (1 + ||w_k||) < tol``. The trace
-    stores packed iterates, squared G-norm step residuals, and, when
-    ``w_star`` (a :class:`PrimalDualPoint`) is given, the distances
+    stores packed iterates, squared G-norm step residuals, and, when the
+    packed point ``w_star`` is given, the distances
     ``phi_k = ||w_k - w*||_G^2``. This is :func:`run_iladmm` at zero
     extrapolation, which reproduces the plain steps bitwise.
     """
     return _run(prob, _fixed_penalty(params.beta), params.tau, params.eta,
-                InertialSchedule.constant(0.0), tol, max_iter, w0, w_star,
-                keep_iterates)
+                InertialSchedule.constant(0.0), tol, max_iter, w_star,
+                keep_iterates=True)
 
 
-def run_iladmm(prob, params, schedule, w0=None, tol=1e-5, max_iter=1000,
-               w_star=None, keep_iterates=True):
-    """Iterate :func:`iladmm_step` under an extrapolation schedule.
+def run_iladmm(prob, params, schedule, tol=1e-5, max_iter=1000):
+    """Iterate :func:`iladmm_step` from the zero point under an
+    extrapolation schedule.
 
     The stopping rule compares against the extrapolated point:
     ``||w_{k+1} - wbar_k|| / (1 + ||wbar_k||) < tol``.
     """
     return _run(prob, _fixed_penalty(params.beta), params.tau, params.eta,
-                schedule, tol, max_iter, w0, w_star, keep_iterates)
+                schedule, tol, max_iter, keep_iterates=True)
 
 
 def _fixed_penalty(beta):
     return BetaController(beta, active_iters=0, beta_min=beta, beta_max=beta)
 
 
-def _run(prob, penalty, tau, eta, schedule, tol, max_iter, w0=None, w_star=None,
+def _run(prob, penalty, tau, eta, schedule, tol, max_iter, w_star=None,
          keep_iterates=False, stop=stopping_residual):
-    """Linearized ADMM in :func:`~iprox.vi_core.inertial_loop`, on points
-    ``(x, y, p, A x, B y)``: ``A x`` and ``B y`` are carried, so the
-    weighted norms cost no operator call. ``penalty`` is a
-    :class:`BetaController`, fixed when its active window is empty. A
-    step size other than 1 is rejected, since ``G / lambda`` is not a
+    """Linearized ADMM in :func:`~iprox.vi_core.inertial_loop` from the
+    zero point, on points ``(x, y, p, A x, B y)``: ``A x`` and ``B y``
+    are carried, so the weighted norms cost no operator call. ``penalty``
+    is a :class:`BetaController`, fixed when its active window is empty.
+    A step size other than 1 is rejected, since ``G / lambda`` is not a
     linearized-ADMM weighting. ``trace.extras`` holds the penalty per step
     (``beta``), the carried ``measurement`` ``A x + B y``, its
-    ``feasibility`` and ``relative_feasibility``, and the returned point
-    (``final``).
+    ``feasibility`` and ``relative_feasibility``, and the packed returned
+    point (``final``).
     """
     if tau <= 0 or eta <= 0:
         raise ValueError("tau and eta must be positive")
@@ -468,7 +445,7 @@ def _run(prob, penalty, tau, eta, schedule, tol, max_iter, w0=None, w_star=None,
 
     trace, last = inertial_loop(
         step, lambda d, sq=None: _gquad(penalty.beta, tau, eta, d, sq), schedule,
-        _carried(prob, w0), tol, max_iter, blocks=3,
+        _carried(prob, None), tol, max_iter, blocks=3,
         w_star=None if w_star is None else _carried(prob, w_star), objective=[],
         keep_iterates=keep_iterates, before=rebalance, stop=stop,
     )
@@ -479,33 +456,26 @@ def _run(prob, penalty, tau, eta, schedule, tol, max_iter, w0=None, w_star=None,
     trace.extras["measurement"] = measured
     trace.extras["feasibility"] = feas
     trace.extras["relative_feasibility"] = feas / bnorm if bnorm > 0 else feas
-    trace.extras["final"] = PrimalDualPoint(*last[:3])
+    trace.extras["final"] = np.concatenate(last[:3], axis=None)
     return trace
 
 
 def vi_residual_check(prob, params, w_k, w_kp1, probes):
     """Minimum slack of the step's variational characterization.
 
-    For probes ``w in Omega`` evaluates
+    For packed probes ``w in Omega`` evaluates
     ``theta(w) - theta(w+) + <w - w+, F(w+) + G (w+ - w_k)>`` with
     ``w+ = w_kp1``; a correct step keeps this nonnegative up to rounding
     for every probe.
     """
-    vi = to_mixed_vi(prob)
-    G = gladmm_operator(prob, params, check=False)
-    packed = [pt.pack() if isinstance(pt, PrimalDualPoint) else pt for pt in probes]
-    return gippa_slack(vi, G, w_k.pack(), w_kp1.pack(), 1.0, packed)
+    return gippa_slack(to_mixed_vi(prob), gladmm_operator(prob, params), w_k, w_kp1,
+                       1.0, probes)
 
 
 def sample_probes(prob, center, radius, count, rng):
-    """Probe points uniform in a box around ``center``."""
-    out = []
-    for _ in range(count):
-        x = center.x + rng.uniform(-radius, radius, prob.n1)
-        y = center.y + rng.uniform(-radius, radius, prob.n2)
-        p = center.p + rng.uniform(-radius, radius, prob.m)
-        out.append(PrimalDualPoint(x, y, p))
-    return out
+    """Packed probe points uniform in a box around the packed ``center``."""
+    dim = prob.n1 + prob.n2 + prob.m
+    return [center + rng.uniform(-radius, radius, dim) for _ in range(count)]
 
 
 @dataclass
@@ -525,24 +495,22 @@ class ErgodicReport:
 
 
 def ergodic_report(trace, prob, params, probes, ks, tol=1e-8):
-    """Check the O(1/k) saddle-gap certificate on a plain-step trace."""
+    """Check the O(1/k) saddle-gap certificate on a plain-step trace,
+    against packed ``probes``."""
     if trace.iterates is None:
         raise ValueError("trace must carry iterates")
-    G = gladmm_operator(prob, params, check=False)
+    G = gladmm_operator(prob, params)
     w0 = trace.iterates[0]
-    n1, n2 = prob.n1, prob.n2
     gaps, bounds, violations = {}, {}, []
     for k in ks:
         if k + 1 >= len(trace.iterates):
             raise ValueError(f"trace too short for k={k}")
-        avg = np.mean(trace.iterates[1 : k + 2], axis=0)
-        bar = PrimalDualPoint.unpack(avg, n1, n2)
+        xb, yb, pb = prob.split(np.mean(trace.iterates[1 : k + 2], axis=0))
         gaps[k], bounds[k] = [], []
         for j, probe in enumerate(probes):
-            gap = lagrangian(prob, bar.x, bar.y, probe.p) - lagrangian(
-                prob, probe.x, probe.y, bar.p
-            )
-            bound = G.quad(probe.pack() - w0) / (2.0 * (k + 1))
+            x, y, p = prob.split(probe)
+            gap = lagrangian(prob, xb, yb, p) - lagrangian(prob, x, y, pb)
+            bound = G.quad(probe - w0) / (2.0 * (k + 1))
             gaps[k].append(gap)
             bounds[k].append(bound)
             if gap > bound + tol:
@@ -574,22 +542,23 @@ def nonergodic_report(trace, prob, params, w_star, mono_rtol=1e-12, tol=1e-8):
     The residuals are read off the trace's ``step_residuals``, the squared
     G-norms of the steps under the run's own weighting, so ``params``
     must be the parameters of the run that made ``trace``; they weight
-    ``phi0``.
+    ``phi0``, the distance from the first iterate to the packed
+    ``w_star``.
     """
     if trace.iterates is None:
         raise ValueError("trace must carry iterates")
     if any(a != 0.0 for a in trace.alphas):
         raise ValueError("the nonergodic certificate needs a plain trace")
-    G = gladmm_operator(prob, params, check=False)
+    G = gladmm_operator(prob, params)
     iters = trace.iterates
-    # tiny negative round-off is clipped, as WeightOperator.norm does
+    # tiny negative squared norms from round-off are clipped to zero
     res = np.sqrt(np.maximum(trace.step_residuals, 0.0))
     mono = [
         int(k + 1)
         for k in range(1, res.size)
         if res[k] > res[k - 1] * (1.0 + mono_rtol)
     ]
-    phi0 = G.quad(iters[0] - w_star.pack())
+    phi0 = G.quad(iters[0] - w_star)
     ks = np.arange(1, res.size + 1)
     scaled = ks * res**2
     bound = [int(k) for k, s in zip(ks, scaled) if s > phi0 + tol]

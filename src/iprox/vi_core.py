@@ -51,10 +51,6 @@ class WeightOperator:
     def quad(self, v):
         return float(self._quad(np.asarray(v, dtype=np.float64)))
 
-    def norm(self, v):
-        """``sqrt(max(quad(v), 0))``; tiny negative round-off is clipped."""
-        return math.sqrt(max(self.quad(v), 0.0))
-
     def materialize(self):
         if self._materialize is None:
             raise NotImplementedError("this weighting has no dense form")

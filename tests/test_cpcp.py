@@ -181,8 +181,7 @@ class TestBetaController:
 
 def weighting(inst, beta, tau=0.99, eta=0.99):
     """The weighting G of the CPCP problem at one penalty."""
-    return gladmm_operator(cpcp.separable_problem(inst),
-                           LadmmParams(beta, tau, eta), check=False)
+    return gladmm_operator(cpcp.separable_problem(inst), LadmmParams(beta, tau, eta))
 
 
 def packed(L, S, p):

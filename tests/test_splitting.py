@@ -71,20 +71,19 @@ class TestSeparableProblem:
                 g_prox=l1_oracle(),
             )
 
-
-class TestPrimalDualPoint:
-    def test_pack_unpack_roundtrip(self):
-        pt = sp.PrimalDualPoint(np.array([1.0, 2.0]), np.array([3.0]), np.array([4.0, 5.0]))
-        back = sp.PrimalDualPoint.unpack(pt.pack(), 2, 1)
-        assert np.array_equal(back.x, pt.x)
-        assert np.array_equal(back.y, pt.y)
-        assert np.array_equal(back.p, pt.p)
+    def test_split_gives_block_views(self):
+        prob, _ = tiny_qp(n1=3, n2=2, m=4)
+        w = np.arange(9.0)
+        x, y, p = prob.split(w)
+        assert (x.size, y.size, p.size) == (3, 2, 4)
+        assert all(np.shares_memory(u, w) for u in (x, y, p))
+        assert np.array_equal(np.concatenate([x, y, p]), w)
 
     def test_zeros_point(self):
         prob, _ = tiny_qp()
         z = sp.zeros_point(prob)
-        assert z.pack().shape == (prob.n1 + prob.n2 + prob.m,)
-        assert not z.pack().any()
+        assert z.shape == (prob.n1 + prob.n2 + prob.m,)
+        assert not z.any()
 
 
 class TestLadmmParams:
@@ -133,16 +132,14 @@ class TestWeightings:
     def test_step_bound_warnings(self):
         prob, _ = tiny_qp()
         with pytest.warns(UserWarning, match="indefinite"):
-            sp.gladmm_operator(
-                prob, sp.LadmmParams(1.0, 2.0 / prob.rho_ata, 0.5 / prob.rho_btb)
-            )
+            sp.run_ladmm(prob, sp.LadmmParams(1.0, 2.0 / prob.rho_ata, 0.5 / prob.rho_btb),
+                         max_iter=1)
         with pytest.warns(UserWarning, match="semidefinite"):
-            sp.gladmm_operator(
-                prob, sp.LadmmParams(1.0, 1.0 / prob.rho_ata, 0.5 / prob.rho_btb)
-            )
+            sp.run_ladmm(prob, sp.LadmmParams(1.0, 1.0 / prob.rho_ata, 0.5 / prob.rho_btb),
+                         max_iter=1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sp.gladmm_operator(prob, safe_params(prob))
+            sp.run_ladmm(prob, safe_params(prob), max_iter=1)
 
 
 class TestMixedViForm:
@@ -160,11 +157,10 @@ class TestMixedViForm:
         vi = sp.to_mixed_vi(prob)
         # at the KKT point: theta(w) - theta(w*) + <w - w*, F(w*)> >= 0
         rng = np.random.default_rng(2)
-        s = star.pack()
-        base = vi.F(s)
+        base = vi.F(star)
         for _ in range(50):
-            w = s + rng.normal(size=vi.dim) * 2.0
-            assert vi.theta(w) - vi.theta(s) + (w - s) @ base >= -1e-8
+            w = star + rng.normal(size=vi.dim) * 2.0
+            assert vi.theta(w) - vi.theta(star) + (w - star) @ base >= -1e-8
 
     def test_resolvent_needs_quadratic_data(self):
         vi = sp.to_mixed_vi(consensus_problem())
@@ -176,33 +172,24 @@ class TestSteps:
     def test_fixed_point_of_linearized_step(self):
         prob, star = tiny_qp()
         out = sp.ladmm_step(prob, safe_params(prob), star)
-        assert np.abs(out.pack() - star.pack()).max() < 1e-9
+        assert np.abs(out - star).max() < 1e-9
 
     def test_zero_alpha_is_bitwise_plain(self):
         prob, _ = tiny_qp()
         params = safe_params(prob)
         rng = np.random.default_rng(3)
-        w = sp.PrimalDualPoint(
-            rng.normal(size=3), rng.normal(size=3), rng.normal(size=2)
-        )
-        w_prev = sp.PrimalDualPoint(
-            rng.normal(size=3), rng.normal(size=3), rng.normal(size=2)
-        )
+        w, w_prev = rng.normal(size=8), rng.normal(size=8)
         plain = sp.ladmm_step(prob, params, w)
         wbar, inertial = sp.iladmm_step(prob, params, w, w_prev, 0.0)
-        assert np.array_equal(wbar.pack(), w.pack())
-        assert np.array_equal(plain.pack(), inertial.pack())
+        assert np.array_equal(wbar, w)
+        assert np.array_equal(plain, inertial)
 
     def test_extrapolation_covers_all_blocks(self):
         prob, _ = tiny_qp()
         w = sp.zeros_point(prob)
-        w_prev = sp.PrimalDualPoint(
-            -np.ones(prob.n1), -np.ones(prob.n2), -np.ones(prob.m)
-        )
-        wbar, _ = sp.iladmm_step(prob, safe_params(prob), w, w_prev, 0.5)
-        assert np.allclose(wbar.x, 0.5)
-        assert np.allclose(wbar.y, 0.5)
-        assert np.allclose(wbar.p, 0.5)
+        wbar, _ = sp.iladmm_step(prob, safe_params(prob), w, -np.ones(w.size), 0.5)
+        for block in prob.split(wbar):
+            assert np.allclose(block, 0.5)
 
     def test_negative_alpha_rejected(self):
         prob, _ = tiny_qp()
@@ -223,10 +210,8 @@ class TestProximalEquivalence:
         for _ in range(5):
             w = rng.normal(size=vi.dim)
             via_vi = vi.resolvent(w, 1.0, G)
-            via_step = sp.ladmm_step(
-                prob, params, sp.PrimalDualPoint.unpack(w, prob.n1, prob.n2)
-            )
-            assert np.abs(via_vi - via_step.pack()).max() < 1e-10
+            via_step = sp.ladmm_step(prob, params, w)
+            assert np.abs(via_vi - via_step).max() < 1e-10
 
     def test_trajectories_coincide(self):
         # the engine on the optimality VI and the inertial solver record
@@ -256,9 +241,8 @@ class TestRuns:
         prob, star = tiny_qp()
         trace = sp.run_ladmm(prob, safe_params(prob), tol=1e-10, max_iter=5000)
         assert trace.converged
-        assert np.abs(trace.iterates[-1] - star.pack()).max() < 1e-7
-        final = trace.extras["final"]
-        assert np.array_equal(final.pack(), trace.iterates[-1])
+        assert np.abs(trace.iterates[-1] - star).max() < 1e-7
+        assert np.array_equal(trace.extras["final"], trace.iterates[-1])
 
     def test_inertial_run_reaches_kkt_solution(self):
         prob, star = tiny_qp()
@@ -267,7 +251,7 @@ class TestRuns:
             tol=1e-10, max_iter=5000,
         )
         assert trace.converged
-        assert np.abs(trace.iterates[-1] - star.pack()).max() < 1e-7
+        assert np.abs(trace.iterates[-1] - star).max() < 1e-7
 
     def test_step_size_other_than_one_rejected(self):
         # G / lambda is not a linearized-ADMM weighting
@@ -323,13 +307,21 @@ class TestCertificates:
     def test_step_variational_slack(self):
         prob, star = tiny_qp()
         params = safe_params(prob)
-        rng = np.random.default_rng(5)
-        w = sp.PrimalDualPoint(
-            rng.normal(size=3), rng.normal(size=3), rng.normal(size=2)
-        )
+        w = np.random.default_rng(5).normal(size=8)
         w1 = sp.ladmm_step(prob, params, w)
         probes = sp.sample_probes(prob, star, 3.0, 100, SeededRng(6))
         assert sp.vi_residual_check(prob, params, w, w1, probes) >= -1e-8
+
+    def test_probes_are_block_draws_around_center(self):
+        # one draw of length n1 + n2 + m per probe is the three block
+        # draws x, y, p in a row
+        prob, star = tiny_qp(n1=3, n2=2, m=4)
+        probes = sp.sample_probes(prob, star, 1.5, 4, SeededRng(9))
+        rng = SeededRng(9)
+        for probe in probes:
+            want = star + np.concatenate([rng.uniform(-1.5, 1.5, n)
+                                          for n in (prob.n1, prob.n2, prob.m)])
+            assert np.array_equal(probe, want)
 
     def test_ergodic_gap_certificate(self):
         prob, star = tiny_qp()

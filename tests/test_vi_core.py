@@ -88,10 +88,6 @@ class TestWeightOperator:
         with pytest.raises(ValueError):
             WeightOperator.from_matrix(np.zeros((2, 3)))
 
-    def test_norm_clips_roundoff(self):
-        G = WeightOperator(lambda v: v, lambda v: -1e-18)
-        assert G.norm(np.array([1.0])) == 0.0
-
 
 class TestInertialSchedule:
     def test_constant(self):
