@@ -33,7 +33,7 @@ from .cpcp import (
     ladmm_cpcp,
     recovery_metrics,
 )
-from .numkit import KINDS, RNG_ALGORITHM, SVT_PATHS, _one_blas_thread
+from .numkit import KINDS, RNG_ALGORITHM, SVT_PATHS, _one_blas_thread, measurement_domain
 from .vi_core import InertialSchedule
 
 CSV_COLUMNS = [
@@ -110,6 +110,14 @@ class RunConfig:
         for kind in self.transforms:
             if kind not in KINDS:
                 raise ValueError(f"unknown transform {kind!r}")
+        for size, q_ratio, kind in itertools.product(self.sizes, self.q_ratios, self.transforms):
+            # q does not depend on the sparse ratio, so any valid one stands in
+            q, _ = counts_from_ratios(size, size, q_ratio, 1.0)
+            try:
+                measurement_domain(kind, size, size, q)
+            except ValueError as exc:
+                raise ValueError(
+                    f"{kind} at size {size} cannot take q_ratio {q_ratio:g}: {exc}") from None
         if not self.seeds or any(s < 0 for s in self.seeds):
             raise ValueError("seeds must be a nonempty list of integers >= 0")
         if self.tau <= 0 or self.eta <= 0:

@@ -466,27 +466,20 @@ class MeasurementOp:
     indices: np.ndarray
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown measurement kind {self.kind!r}")
         if self.image_rows < 1 or self.image_cols < 1:
             raise ValueError("image dimensions must be positive")
         mn = self.image_rows * self.image_cols
         idx = np.asarray(self.indices, dtype=np.int64).ravel()
-        if idx.size < 1:
-            raise ValueError("at least one measurement index is required")
+        valid = measurement_domain(self.kind, self.image_rows, self.image_cols, idx.size)
         if np.any(np.diff(idx) <= 0):
             raise ValueError("indices must be strictly increasing")
         if idx[0] < 0 or idx[-1] >= mn:
             raise ValueError("indices out of range")
-        if self.kind == WHT and mn & (mn - 1):
-            raise ValueError(f"wht needs a power-of-two image size, got {mn}")
-        if self.kind == FFT2:
-            valid = fft2_half_domain(self.image_rows, self.image_cols)
-            if not np.all(np.isin(idx, valid)):
-                raise ValueError(
-                    "fft2 indices must each name one representative of a "
-                    "conjugate frequency pair"
-                )
+        if self.kind == FFT2 and not np.all(np.isin(idx, valid)):
+            raise ValueError(
+                "fft2 indices must each name one representative of a "
+                "conjugate frequency pair"
+            )
         idx.setflags(write=False)
         object.__setattr__(self, "indices", idx)
 
@@ -549,17 +542,20 @@ class MeasurementOp:
         return np.asarray(out, dtype=np.float64)
 
 
-def make_measurement_op(kind, image_rows, image_cols, q, rng):
-    """Draw a :class:`MeasurementOp` with ``q`` indices sampled uniformly
-    without replacement from the kind's valid coefficient set.
+def measurement_domain(kind, image_rows, image_cols, q):
+    """The flat coefficient indices a ``kind`` operator draws its ``q``
+    measurements from, after checking that it can take them.
 
-    Same ``rng`` seed, same operator. For ``fft2`` the valid set is one
-    representative per conjugate pair, so ``q`` is capped at roughly half
-    the image size; for ``wht`` the image size must be a power of two.
+    For ``fft2`` the set is one representative per conjugate pair, so
+    ``q`` is capped at roughly half the image size; for ``wht`` the image
+    size must be a power of two. Raises a ValueError unless
+    ``1 <= q <= len(domain)``.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown measurement kind {kind!r}")
     mn = image_rows * image_cols
+    if kind == WHT and mn & (mn - 1):
+        raise ValueError(f"wht needs a power-of-two image size, got {mn}")
     if kind == FFT2:
         domain = fft2_half_domain(image_rows, image_cols)
     else:
@@ -569,6 +565,16 @@ def make_measurement_op(kind, image_rows, image_cols, q, rng):
             f"q={q} out of range [1, {domain.size}] for kind {kind!r} on a "
             f"{image_rows}x{image_cols} image"
         )
+    return domain
+
+
+def make_measurement_op(kind, image_rows, image_cols, q, rng):
+    """Draw a :class:`MeasurementOp` with ``q`` indices sampled uniformly
+    without replacement from :func:`measurement_domain`.
+
+    Same ``rng`` seed, same operator.
+    """
+    domain = measurement_domain(kind, image_rows, image_cols, q)
     idx = rng.choice_without_replacement(domain, q)
     return MeasurementOp(kind, image_rows, image_cols, idx)
 

@@ -304,15 +304,13 @@ def to_mixed_vi(prob):
         Hq[n1 : n1 + n2, n1 : n1 + n2] = np.asarray(Pg, dtype=np.float64)
         shift = np.concatenate([-np.asarray(cf), -np.asarray(cg), b])
 
-        def resolvent(z, lam, G):
+        def resolvent(z, G):
             Gm = G.materialize()
-            lhs = Hq + K + Gm / lam
-            rhs = Gm @ np.asarray(z, dtype=np.float64) / lam + shift
-            return np.linalg.solve(lhs, rhs)
+            return np.linalg.solve(Hq + K + Gm, Gm @ np.asarray(z, dtype=np.float64) + shift)
 
     else:
 
-        def resolvent(z, lam, G):
+        def resolvent(z, G):
             raise ExactSubproblemError(
                 "no closed-form resolvent: quadratic block data is required"
             )
@@ -419,11 +417,9 @@ def _run(prob, penalty, tau, eta, schedule, tol, max_iter, w_star=None,
     zero point, on points ``(x, y, p, A x, B y)``: ``A x`` and ``B y``
     are carried, so the weighted norms cost no operator call. ``penalty``
     is a :class:`BetaController`, fixed when its active window is empty.
-    A step size other than 1 is rejected, since ``G / lambda`` is not a
-    linearized-ADMM weighting. ``trace.extras`` holds the penalty per step
-    (``beta``), the carried ``measurement`` ``A x + B y``, its
-    ``feasibility`` and ``relative_feasibility``, and the packed returned
-    point (``final``).
+    ``trace.extras`` holds the penalty per step (``beta``), the carried
+    ``measurement`` ``A x + B y``, its ``feasibility`` and
+    ``relative_feasibility``, and the packed returned point (``final``).
     """
     if tau <= 0 or eta <= 0:
         raise ValueError("tau and eta must be positive")
@@ -435,9 +431,7 @@ def _run(prob, penalty, tau, eta, schedule, tol, max_iter, w_star=None,
             r = w[3] + w[4] - prob.b
             penalty.apply_rule(float(r @ r), objective)
 
-    def step(w, w_prev, d, alpha, lam):
-        if lam != 1.0:
-            raise ValueError(f"linearized ADMM takes lambda = 1, got {lam}")
+    def step(w, w_prev, d, alpha):
         betas.append(penalty.beta)
         base = extrapolate(w, d, alpha)
         *nxt, objective = _step(prob, penalty.beta, tau, eta, *base)
@@ -468,8 +462,7 @@ def vi_residual_check(prob, params, w_k, w_kp1, probes):
     ``w+ = w_kp1``; a correct step keeps this nonnegative up to rounding
     for every probe.
     """
-    return gippa_slack(to_mixed_vi(prob), gladmm_operator(prob, params), w_k, w_kp1,
-                       1.0, probes)
+    return gippa_slack(to_mixed_vi(prob), gladmm_operator(prob, params), w_k, w_kp1, probes)
 
 
 def sample_probes(prob, center, radius, count, rng):

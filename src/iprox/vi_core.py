@@ -9,10 +9,12 @@ convex. Each iteration extrapolates ``wbar = w_k + alpha_k (w_k - w_km1)``
 and asks the problem's resolvent oracle for the unique ``w`` solving the
 regularized inequality
 
-    theta(v) - theta(w) + <v - w, F(w) + G (w - wbar) / lambda_k> >= 0
+    theta(v) - theta(w) + <v - w, F(w) + G (w - wbar)> >= 0
 
 for all ``v in Omega``, where ``G`` is a positive semidefinite weighting
-operator supplied by the caller.
+operator supplied by the caller. ``G`` is the only proximal parameter: a
+constant step ``lambda`` is the weighting ``G / lambda``, and ``Omega``
+enters only through the resolvent oracle.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from typing import Callable, Optional
 import numpy as np
 
 CONSTANT = "constant"
-NONDECREASING = "nondecreasing_capped"
 SUMMABLE = "summable_guard"
 
 _GUARANTEED_CAP = 1.0 / 3.0
@@ -75,7 +76,7 @@ class WeightOperator:
 class MixedViProblem:
     """A mixed variational inequality given through oracles.
 
-    ``resolvent(z, lam, G)`` must return the exact solution of the
+    ``resolvent(z, G)`` must return the exact solution of the
     regularized inequality above with ``wbar`` replaced by ``z``; closed
     forms for the shipped fixture families live in :mod:`iprox.fixtures`.
     """
@@ -83,77 +84,55 @@ class MixedViProblem:
     dim: int
     theta: Callable[[np.ndarray], float]
     F: Callable[[np.ndarray], np.ndarray]
-    resolvent: Callable[[np.ndarray, float, WeightOperator], np.ndarray]
+    resolvent: Callable[[np.ndarray, WeightOperator], np.ndarray]
 
 
 class InertialSchedule:
-    """Extrapolation and step-size schedule for the inertial engine.
+    """Extrapolation schedule for the inertial engine.
 
-    Three kinds:
+    Two kinds:
 
     - ``constant``: alpha_k = alpha for all k.
-    - ``nondecreasing_capped``: alpha_k = alpha_max * (1 - 1/(k + 2)),
-      nondecreasing toward the cap.
     - ``summable_guard``: alpha_k = min(alpha_max, C / (k^2 * d_k)) with
       d_k the squared G-norm of the last step (floored at machine eps),
       which keeps sum_k alpha_k * d_k finite for any trajectory.
 
-    The first two kinds with cap below 1/3 are the regime under which the
-    O(1/k) and o(1/k) residual guarantees hold; ``guaranteed_regime`` tells
-    whether a schedule qualifies. Caps up to (but excluding) 1 are
-    accepted so experiment sweeps can probe beyond the guaranteed range.
+    A constant factor below 1/3 is the regime under which the O(1/k) and
+    o(1/k) residual guarantees hold; ``guaranteed_regime`` tells whether a
+    schedule qualifies. Caps up to (but excluding) 1 are accepted so
+    experiment sweeps can probe beyond the guaranteed range. The schedule
+    sets no step size: a constant step ``lambda`` is folded into the
+    weighting as ``G / lambda``.
     """
 
-    def __init__(self, kind, alpha_max, C=1.0, lam=1.0, lam_seq=None):
-        if kind not in (CONSTANT, NONDECREASING, SUMMABLE):
+    def __init__(self, kind, alpha_max, C=1.0):
+        if kind not in (CONSTANT, SUMMABLE):
             raise ValueError(f"unknown schedule kind {kind!r}")
         if not 0.0 <= alpha_max < 1.0:
             raise ValueError(f"alpha cap must lie in [0, 1), got {alpha_max}")
         if C <= 0:
             raise ValueError("summable-guard constant must be positive")
-        if lam <= 0:
-            raise ValueError("lambda floor must be positive")
         self.kind = kind
         self.alpha_max = float(alpha_max)
         self.C = float(C)
-        self.lambda_floor = float(lam)
-        self._lam_seq = lam_seq
 
     @classmethod
-    def constant(cls, alpha, lam=1.0, lam_seq=None):
-        return cls(CONSTANT, alpha, lam=lam, lam_seq=lam_seq)
+    def constant(cls, alpha):
+        return cls(CONSTANT, alpha)
 
     @classmethod
-    def nondecreasing_capped(cls, alpha_max, lam=1.0, lam_seq=None):
-        return cls(NONDECREASING, alpha_max, lam=lam, lam_seq=lam_seq)
-
-    @classmethod
-    def summable_guard(cls, alpha_max, C=1.0, lam=1.0, lam_seq=None):
-        return cls(SUMMABLE, alpha_max, C=C, lam=lam, lam_seq=lam_seq)
+    def summable_guard(cls, alpha_max, C=1.0):
+        return cls(SUMMABLE, alpha_max, C=C)
 
     @property
     def guaranteed_regime(self):
-        return self.kind in (CONSTANT, NONDECREASING) and self.alpha_max < _GUARANTEED_CAP
+        return self.kind == CONSTANT and self.alpha_max < _GUARANTEED_CAP
 
     def alpha(self, k, dw_gnorm_sq=0.0):
         """Extrapolation factor for iteration ``k`` (0-based)."""
         if self.kind == CONSTANT:
             return self.alpha_max
-        if self.kind == NONDECREASING:
-            return self.alpha_max * (1.0 - 1.0 / (k + 2.0))
         return summable_alpha(max(k, 1), dw_gnorm_sq, self.alpha_max, self.C)
-
-    def lam(self, k):
-        """Proximal step size for iteration ``k``, at least the floor."""
-        if self._lam_seq is None:
-            return self.lambda_floor
-        val = float(self._lam_seq(k))
-        if val < self.lambda_floor:
-            raise ValueError(
-                f"lambda sequence dipped below its floor at k={k}: "
-                f"{val} < {self.lambda_floor}"
-            )
-        return val
 
 
 def summable_alpha(k, dw_gnorm_sq, alpha_max, C=1.0):
@@ -181,12 +160,12 @@ class SolverTrace:
     of ``w_{k+1} - wbar_k``; ``stop_residuals`` the relative stopping
     quantities; ``delta`` the weighted inertia terms
     ``2 alpha_k ||w_k - w_{k-1}||_G^2``; ``objective`` K + 1 entries from
-    the VI engine and :func:`nesterov_ippa`, K from :mod:`iprox.splitting`.
+    :func:`nesterov_ippa`, K from :mod:`iprox.splitting`, and none from
+    the VI engine.
     """
 
     iterates: Optional[list] = None
     alphas: list = field(default_factory=list)
-    lambdas: list = field(default_factory=list)
     step_residuals: list = field(default_factory=list)
     stop_residuals: list = field(default_factory=list)
     delta: list = field(default_factory=list)
@@ -225,12 +204,11 @@ def inertial_loop(step, gquad, schedule, w, tol, max_iter, *, blocks=1,
 
     A point is a tuple of arrays whose first ``blocks`` entries form the
     iterate; any further ones are data carried with it, such as ``A x``.
-    Step k reads ``alpha_k`` and ``lambda_k`` off ``schedule``, forms
-    ``d = w_k - w_{k-1}`` only when the schedule reads its squared G-norm
-    or ``alpha_k`` is nonzero (else ``d`` is None), and calls
-    ``step(w_k, w_{k-1}, d, alpha_k, lambda_k)`` for ``(wbar_k, w_{k+1},
-    objective at w_{k+1})``; the step may turn ``d`` into ``wbar_k`` in
-    place (:func:`extrapolate`). ``gquad(d, sq=None)`` is ``||d||_G^2``,
+    Step k reads ``alpha_k`` off ``schedule``, forms ``d = w_k - w_{k-1}``
+    only when the schedule reads its squared G-norm or ``alpha_k`` is
+    nonzero (else ``d`` is None), and calls ``step(w_k, w_{k-1}, d,
+    alpha_k)`` for ``(wbar_k, w_{k+1}, objective at w_{k+1})``; the step
+    may turn ``d`` into ``wbar_k`` in place (:func:`extrapolate`). ``gquad(d, sq=None)`` is ``||d||_G^2``,
     ``sq`` being the squared block norms of ``d`` when already formed.
     ``before(k, w_k, objective at w_k)``, when given, runs first in each
     step, for updates that change G such as a penalty rule.
@@ -262,17 +240,13 @@ def inertial_loop(step, gquad, schedule, w, tol, max_iter, *, blocks=1,
             d = [u - v for u, v in zip(w, w_prev)]
             dsq = gquad(d)
             a = schedule.alpha(k, dsq)
-        lam = schedule.lam(k)
-        if lam <= 0:
-            raise ValueError("lambda must be positive")
-        wbar, nxt, obj = step(w, w_prev, d, a, lam)
+        wbar, nxt, obj = step(w, w_prev, d, a)
         diff = [u - v for u, v in zip(nxt, wbar)]
         sq = [_sq(u) for u in diff[:blocks]]
         rel = stop(sum(sq), sum(_sq(u) for u in wbar[:blocks]))
         trace.step_residuals.append(gquad(diff, sq))
         del d, wbar, diff
         trace.alphas.append(a)
-        trace.lambdas.append(lam)
         trace.delta.append(2.0 * a * dsq)
         trace.stop_residuals.append(rel)
         if trace.objective is not None:
@@ -289,7 +263,7 @@ def inertial_loop(step, gquad, schedule, w, tol, max_iter, *, blocks=1,
     return trace, w
 
 
-def inertial_ppa_step(problem, G, w_k, w_km1, alpha_k, lam_k):
+def inertial_ppa_step(problem, G, w_k, w_km1, alpha_k):
     """One engine step: extrapolate, then resolve.
 
     Returns ``(wbar, w_next)`` where ``wbar = w_k + alpha_k (w_k - w_km1)``
@@ -297,51 +271,45 @@ def inertial_ppa_step(problem, G, w_k, w_km1, alpha_k, lam_k):
     """
     if alpha_k < 0:
         raise ValueError("alpha must be nonnegative")
-    if lam_k <= 0:
-        raise ValueError("lambda must be positive")
     w_k = np.asarray(w_k, dtype=np.float64)
     w_km1 = np.asarray(w_km1, dtype=np.float64)
     wbar = w_k + alpha_k * (w_k - w_km1)
-    w_next = problem.resolvent(wbar, lam_k, G)
+    w_next = problem.resolvent(wbar, G)
     return wbar, np.asarray(w_next, dtype=np.float64)
 
 
-def run_inertial_ppa(problem, G, schedule, w0, tol=1e-5, max_iter=1000,
-                     w_star=None, objective=None, keep_iterates=True):
+def run_inertial_ppa(problem, G, schedule, w0, tol=1e-5, max_iter=1000, w_star=None):
     """Run the inertial engine from ``w0`` (the pre-iterate equals ``w0``).
 
     Each step is :func:`inertial_ppa_step` inside :func:`inertial_loop`.
     Stops when ``||w_next - wbar|| / (1 + ||wbar||) < tol`` or at
     ``max_iter``. When ``w_star`` is given the trace records
-    ``phi_k = ||w_k - w*||_G^2``; when ``objective`` is given its values
-    are recorded at every iterate.
+    ``phi_k = ||w_k - w*||_G^2``.
     """
     w = np.asarray(w0, dtype=np.float64).copy()
     if w.shape != (problem.dim,):
         raise ValueError(f"w0 must have shape ({problem.dim},), got {w.shape}")
 
-    def step(cur, prev, d, alpha, lam):
-        wbar, w_next = inertial_ppa_step(problem, G, cur[0], prev[0], alpha, lam)
-        return (wbar,), (w_next,), None if objective is None else float(objective(w_next))
+    def step(cur, prev, d, alpha):
+        wbar, w_next = inertial_ppa_step(problem, G, cur[0], prev[0], alpha)
+        return (wbar,), (w_next,), None
 
     return inertial_loop(
         step, lambda d, sq=None: G.quad(d[0]), schedule, (w,), tol, max_iter,
         w_star=None if w_star is None else (np.asarray(w_star, dtype=np.float64),),
-        objective=None if objective is None else [float(objective(w))],
-        keep_iterates=keep_iterates,
     )[0]
 
 
-def gippa_slack(problem, G, wbar, w_next, lam, probes):
+def gippa_slack(problem, G, wbar, w_next, probes):
     """Minimum slack of the regularized inequality over probe points.
 
     For each probe ``w`` evaluates
-    ``theta(w) - theta(w_next) + <w - w_next, F(w_next) + G(w_next - wbar)/lam>``
+    ``theta(w) - theta(w_next) + <w - w_next, F(w_next) + G(w_next - wbar)>``
     and returns the smallest value; nonnegative up to rounding when
     ``w_next`` truly solves the subproblem.
     """
     w_next = np.asarray(w_next, dtype=np.float64)
-    base = problem.F(w_next) + G.apply(w_next - np.asarray(wbar)) / lam
+    base = problem.F(w_next) + G.apply(w_next - np.asarray(wbar))
     t_next = problem.theta(w_next)
     worst = math.inf
     for w in probes:
@@ -407,13 +375,14 @@ def check_residual_rate_bound(trace, G, w_star, tol=1e-10):
     )
 
 
-def nesterov_ippa(prox_f, w0, n_iters, lam_seq=None, objective=None):
+def nesterov_ippa(prox_f, w0, n_iters, objective=None):
     """Accelerated proximal point iteration for minimizing a convex f.
 
     Uses the scalar sequence ``t_0 = 1``,
     ``t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2`` and extrapolation factor
-    ``alpha_k = (t_k - 1) / t_{k+1}``; each step applies ``prox_f`` at the
-    extrapolated point with step ``lam_seq(k)`` (default 1). The objective
+    ``alpha_k = (t_k - 1) / t_{k+1}``; each step applies ``prox_f(z, 1.0)``
+    at the extrapolated point ``z`` (a step ``lambda`` is the prox of
+    ``lambda f``). The objective
     gap decays as O(1/k^2). Runs all ``n_iters`` steps of
     :func:`inertial_loop`, whose residuals here are Euclidean.
 
@@ -423,13 +392,12 @@ def nesterov_ippa(prox_f, w0, n_iters, lam_seq=None, objective=None):
     t = [1.0]
     for _ in range(n_iters):
         t.append((1.0 + math.sqrt(1.0 + 4.0 * t[-1] * t[-1])) / 2.0)
-    schedule = SimpleNamespace(
-        kind="t-sequence", alpha=lambda k, d=0.0: (t[k] - 1.0) / t[k + 1],
-        lam=lambda k: 1.0 if lam_seq is None else float(lam_seq(k)))
+    schedule = SimpleNamespace(kind="t-sequence",
+                               alpha=lambda k, d=0.0: (t[k] - 1.0) / t[k + 1])
 
-    def step(cur, prev, d, alpha, lam):
+    def step(cur, prev, d, alpha):
         (wbar,) = extrapolate(cur, d, alpha)
-        w_next = np.asarray(prox_f(wbar, lam), dtype=np.float64)
+        w_next = np.asarray(prox_f(wbar, 1.0), dtype=np.float64)
         return (wbar,), (w_next,), None if objective is None else float(objective(w_next))
 
     trace, _ = inertial_loop(

@@ -506,32 +506,37 @@ class TestCli:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("section, key, value", [
-        ("grid", "sizes", 32),  # a scalar where a list goes
-        (None, "seeds", 3),
-        ("solver", "alphas", 0.1),
-        ("solver", "tau", "abc"),  # not a number
-        ("solver", "max_iter", 2.5),  # not an integer
-        ("grid", "sizes", [32.5]),
-        ("grid", "ranks", [1.5]),
-        (None, "seeds", [0.5]),
-        (None, "jobs", 1.5),
-        ("grid", "transforms", None),  # only alphas and beta0 may be unset
-        (None, "jobs", None),
+    @pytest.mark.parametrize("changes, needle", [
+        ({"grid.sizes": 32}, "sizes"),  # a scalar where a list goes
+        ({"seeds": 3}, "seeds"),
+        ({"solver.alphas": 0.1}, "alphas"),
+        ({"solver.tau": "abc"}, "tau"),  # not a number
+        ({"solver.max_iter": 2.5}, "max_iter"),  # not an integer
+        ({"grid.sizes": [32.5]}, "sizes"),
+        ({"grid.ranks": [1.5]}, "ranks"),
+        ({"seeds": [0.5]}, "seeds"),
+        ({"jobs": 1.5}, "jobs"),
+        ({"grid.transforms": None}, "transforms"),  # only alphas and beta0 may be unset
+        ({"jobs": None}, "jobs"),
+        # cells the measurement operator cannot take
+        ({"grid.transforms": ["fft2"]}, "fft2 at size 16 cannot take q_ratio 0.8"),
+        ({"grid.transforms": ["wht"], "grid.sizes": [24]}, "wht at size 24 cannot take q_ratio 0.8"),
+        ({"grid.sizes": [4], "grid.q_ratios": [0.01]}, "dct2 at size 4 cannot take q_ratio 0.01"),
     ], ids=["sizes-scalar", "seeds-scalar", "alphas-scalar", "tau-text", "max_iter-float",
             "sizes-float", "ranks-float", "seeds-float", "jobs-float", "transforms-null",
-            "jobs-null"])
-    def test_bench_malformed_config_is_usage_error(self, tmp_path, capsys,
-                                                   section, key, value):
+            "jobs-null", "fft2-q-above-half", "wht-not-power-of-two", "q-zero"])
+    def test_bench_malformed_config_is_usage_error(self, tmp_path, capsys, changes, needle):
         doc = yaml.safe_load(TINY_YAML)
-        (doc[section] if section else doc)[key] = value
+        for dotted, value in changes.items():
+            *section, key = dotted.split(".")
+            (doc[section[0]] if section else doc)[key] = value
         config = tmp_path / "config.yaml"
         config.write_text(yaml.safe_dump(doc))
         rc = cli.main(["bench", "--config", str(config), "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert key in err
+        assert needle in err
 
     @pytest.mark.parametrize("flags, needle", [
         (["--max-iter", "0"], "max_iter"),
@@ -544,6 +549,16 @@ class TestCli:
         assert rc == 2
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
         assert needle in err
+
+    def test_sweep_validates_the_measurement_count(self, tmp_path, capsys):
+        # 0.8 of a 128 x 128 image is more than the fft2 half domain holds
+        rc = cli.main(["sweep-alpha", "--transform", "fft2", "--q-ratio", "0.8",
+                       "--out", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == "" and err.count("\n") == 1
+        assert "fft2 at size 128 cannot take q_ratio 0.8" in err
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_alpha(self, tmp_path, capsys):
         out = tmp_path / "sweep"

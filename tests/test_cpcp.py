@@ -339,16 +339,6 @@ class TestSolvers:
             assert np.abs(shrunk - shrunk0).max() <= 1e-10 * max(shrunk0[0], 1e-300)
             assert np.linalg.norm(W - W0) <= 1e-10 * np.linalg.norm(W0)
 
-    def test_step_size_other_than_one_rejected(self):
-        inst = small_instance()
-        for schedule in (InertialSchedule.constant(0.2, lam=2.0),
-                         InertialSchedule.summable_guard(0.5, lam_seq=lambda k: 1.0 + k)):
-            with pytest.raises(ValueError, match="lambda = 1"):
-                cpcp.iladmm_cpcp(inst, alpha=schedule)
-        with pytest.raises(ValueError, match="below its floor"):
-            cpcp.iladmm_cpcp(inst, alpha=InertialSchedule.constant(
-                0.2, lam_seq=lambda k: 0.5))
-
     def test_zero_alpha_is_bitwise_plain(self):
         inst = small_instance()
         plain_state, plain_trace = cpcp.ladmm_cpcp(inst, max_iter=60, tol=0.0)

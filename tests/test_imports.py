@@ -8,10 +8,12 @@ anywhere in the module (an attribute base such as ``np`` in ``np.sum``
 included) or is listed in ``__all__``. A private function, class or
 constant (one leading underscore), or a public function or class, counts
 as used when some module of the package reads it, as a name or as an
-attribute such as ``numkit._EPS``; tests do not count.
+attribute such as ``numkit._EPS``; tests do not count. Every source file
+of the repository also parses under the oldest supported Python.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -19,6 +21,10 @@ import pytest
 import iprox
 
 MODULES = sorted(Path(iprox.__file__).resolve().parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+# the floor of requires-python, as (major, minor)
+OLDEST_PYTHON = tuple(int(v) for v in re.search(
+    r'requires-python = ">=(\d+)\.(\d+)"', (ROOT / "pyproject.toml").read_text()).groups())
 
 
 def imported_names(tree):
@@ -115,3 +121,23 @@ def test_detects_an_unreferenced_public_name():
                      "def spare():\n    return used()\n\n\nclass Spare:\n    pass\n\n\n"
                      "def _hidden():\n    pass\n")
     assert set(public_definitions(tree)) - set(read_names(tree)) == {"spare", "Spare"}
+
+
+def test_sources_parse_at_the_oldest_python():
+    """Parses every ``.py`` file of the package, the tests and the
+    benchmark with the grammar of ``OLDEST_PYTHON``. This checks syntax
+    only: a standard-library function or argument added after that
+    version still passes."""
+    paths = sorted(p for d in ("src/iprox", "tests", "perfbench")
+                   for p in (ROOT / d).rglob("*.py"))
+    assert len(paths) > len(MODULES)
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf8"), filename=str(path),
+                  feature_version=OLDEST_PYTHON)
+
+
+def test_oldest_python_grammar_rejects_newer_syntax():
+    # an exception group handler, new in Python 3.11
+    snippet = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    with pytest.raises(SyntaxError):
+        ast.parse(snippet, feature_version=OLDEST_PYTHON)

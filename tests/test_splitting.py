@@ -165,7 +165,7 @@ class TestMixedViForm:
     def test_resolvent_needs_quadratic_data(self):
         vi = sp.to_mixed_vi(consensus_problem())
         with pytest.raises(sp.ExactSubproblemError):
-            vi.resolvent(np.zeros(vi.dim), 1.0, None)
+            vi.resolvent(np.zeros(vi.dim), None)
 
 
 class TestSteps:
@@ -201,7 +201,7 @@ class TestSteps:
 class TestProximalEquivalence:
     def test_linearized_step_is_resolvent_step(self):
         # one linearized step from any point equals the exact resolvent of
-        # the optimality VI under the linearized weighting with lam = 1
+        # the optimality VI under the linearized weighting
         prob, _ = tiny_qp()
         params = safe_params(prob)
         vi = sp.to_mixed_vi(prob)
@@ -209,7 +209,7 @@ class TestProximalEquivalence:
         rng = np.random.default_rng(4)
         for _ in range(5):
             w = rng.normal(size=vi.dim)
-            via_vi = vi.resolvent(w, 1.0, G)
+            via_vi = vi.resolvent(w, G)
             via_step = sp.ladmm_step(prob, params, w)
             assert np.abs(via_vi - via_step).max() < 1e-10
 
@@ -252,22 +252,6 @@ class TestRuns:
         )
         assert trace.converged
         assert np.abs(trace.iterates[-1] - star).max() < 1e-7
-
-    def test_step_size_other_than_one_rejected(self):
-        # G / lambda is not a linearized-ADMM weighting
-        prob, _ = tiny_qp()
-        params = safe_params(prob)
-        with pytest.raises(ValueError, match="lambda = 1"):
-            sp.run_iladmm(prob, params, InertialSchedule.constant(0.2, lam=2.0))
-        with pytest.raises(ValueError, match="lambda = 1"):
-            sp.run_iladmm(prob, params, InertialSchedule.constant(
-                0.2, lam_seq=lambda k: 1.0 if k < 3 else 1.5))
-        with pytest.raises(ValueError, match="below its floor"):
-            sp.run_iladmm(prob, params, InertialSchedule.constant(
-                0.2, lam_seq=lambda k: 0.5))
-        trace = sp.run_iladmm(prob, params, InertialSchedule.constant(
-            0.2, lam_seq=lambda k: 1.0), tol=0.0, max_iter=5)
-        assert trace.lambdas == [1.0] * 5
 
     def test_zero_alpha_run_is_bitwise_plain(self):
         prob, _ = tiny_qp()
