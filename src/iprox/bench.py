@@ -33,7 +33,15 @@ from .cpcp import (
     ladmm_cpcp,
     recovery_metrics,
 )
-from .numkit import KINDS, RNG_ALGORITHM, SVT_PATHS, _one_blas_thread, measurement_domain
+from .numkit import (
+    DCT2,
+    KINDS,
+    RNG_ALGORITHM,
+    SVT_PATHS,
+    _one_blas_thread,
+    _scipy_fft,
+    measurement_domain,
+)
 from .vi_core import InertialSchedule
 
 CSV_COLUMNS = [
@@ -83,9 +91,11 @@ class RunConfig:
     seeds: tuple = (0, 1, 2, 3, 4)
     jobs: int = 1
 
-    def validate(self):
+    def validate(self, cols=None):
         """Check every setting; raises a ValueError naming the first bad
-        field, and returns the config otherwise."""
+        field, and returns the config otherwise. Each cell's measurement
+        count is checked on its square image, or on a ``size x cols`` one
+        when ``cols`` is given, as ``iprox solve --cols`` solves."""
         for name in _LIST_FIELDS:
             value = getattr(self, name)
             if not isinstance(value, tuple) and not (value is None and name in _UNSET_FIELDS):
@@ -111,13 +121,15 @@ class RunConfig:
             if kind not in KINDS:
                 raise ValueError(f"unknown transform {kind!r}")
         for size, q_ratio, kind in itertools.product(self.sizes, self.q_ratios, self.transforms):
+            n = size if cols is None else cols
             # q does not depend on the sparse ratio, so any valid one stands in
-            q, _ = counts_from_ratios(size, size, q_ratio, 1.0)
+            q, _ = counts_from_ratios(size, n, q_ratio, 1.0)
             try:
-                measurement_domain(kind, size, size, q)
+                measurement_domain(kind, size, n, q)
             except ValueError as exc:
+                shape = size if n == size else f"{size}x{n}"
                 raise ValueError(
-                    f"{kind} at size {size} cannot take q_ratio {q_ratio:g}: {exc}") from None
+                    f"{kind} at size {shape} cannot take q_ratio {q_ratio:g}: {exc}") from None
         if not self.seeds or any(s < 0 for s in self.seeds):
             raise ValueError("seeds must be a nonempty list of integers >= 0")
         if self.tau <= 0 or self.eta <= 0:
@@ -287,7 +299,13 @@ def _trial_result(fut, seed):
 
 def _worker_pool(jobs):
     """The grid's executor: ``jobs`` forked worker processes, each with
-    one BLAS thread (see :func:`iprox.numkit._one_blas_thread`)."""
+    one BLAS thread (see :func:`iprox.numkit._one_blas_thread`).
+
+    The initializer sets only the OpenBLAS libraries loaded at the fork.
+    ``scipy.fft`` brings its own OpenBLAS, which a worker importing it
+    later would run at the default thread count, so a grid with DCT-II
+    cells imports it in the parent first (:func:`run_grid`). Importing it
+    in each worker would also cost each one about 0.4 s and 27 MB (2 CPUs)."""
     # imported here: only a grid run needs them, and at module level they
     # added about 0.5 MB to the peak RSS of every process importing iprox
     import multiprocessing
@@ -309,8 +327,14 @@ def run_grid(config):
     takes 0.8 s in 2 workers). A trial whose worker died is
     recorded as a cell error. Records are assembled in deterministic
     grid order regardless of scheduling.
+
+    A grid with DCT-II cells imports the DCT backend before the workers
+    fork, so that they inherit it with one BLAS thread (see
+    :func:`_worker_pool`); a grid without loads no scipy anywhere.
     """
     config.validate()
+    if DCT2 in config.transforms:
+        _scipy_fft()
     alphas = tuple(config.alphas) if config.alphas is not None else (config.alpha,)
     cells = list(itertools.product(
         config.sizes, config.ranks, config.nnz_ratios,

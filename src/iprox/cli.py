@@ -72,18 +72,19 @@ def _build_parser():
     return p
 
 
-def _cell_config(args, **settings):
-    """The validated config of the cell and solver flags in ``args``, and ``settings``."""
+def _cell_config(args, cols=None, **settings):
+    """The config of the cell and solver flags in ``args``, and ``settings``,
+    validated on a ``size x cols`` image when ``cols`` is given."""
     kw = {k: v for k, v in vars(args).items() if k in bench._CONFIG_KEYS["solver"]}
     kw.update(settings)
     return bench.RunConfig(
         sizes=(args.size,), ranks=(args.rank,), nnz_ratios=(args.nnz_ratio,),
         q_ratios=(args.q_ratio,), transforms=(args.transform,), **kw,
-    ).validate()
+    ).validate(cols)
 
 
 def _cmd_solve(args):
-    config = _cell_config(args, seeds=(args.seed,))
+    config = _cell_config(args, cols=args.cols, seeds=(args.seed,))
     n = args.cols if args.cols is not None else args.size
     q, nnz = counts_from_ratios(args.size, n, args.q_ratio, args.nnz_ratio)
     inst = generate_instance(args.size, n, args.rank, nnz, args.transform, q,

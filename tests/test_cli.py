@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import iprox
 from iprox import bench, cli
 
@@ -43,3 +45,25 @@ def test_solve_flags_are_the_solver_keys():
     solver = set(args) - instance
     assert solver == set(bench._CONFIG_KEYS["solver"]) - {"alphas"}
     assert {k: args[k] for k in solver} == {k: getattr(bench.RunConfig, k) for k in solver}
+
+
+@pytest.mark.parametrize("flags, codes, needle", [
+    # q = 115 of the 4 x 64 half domain's 126 frequencies; the 4 x 4 one has 6
+    (["--size", "4", "--cols", "64", "--transform", "fft2", "--q-ratio", "0.45"], (0, 1), None),
+    (["--size", "4", "--cols", "64", "--transform", "fft2", "--q-ratio", "0.99"], (2,),
+     "fft2 at size 4x64 cannot take q_ratio 0.99"),
+    (["--size", "4", "--cols", "48", "--transform", "wht"], (2,),
+     "wht at size 4x48 cannot take q_ratio 0.6"),
+    (["--size", "4", "--transform", "fft2", "--q-ratio", "0.45"], (2,),
+     "fft2 at size 4 cannot take q_ratio 0.45"),
+    (["--size", "16", "--cols", "16", "--transform", "fft2", "--q-ratio", "0.45"], (0, 1), None),
+], ids=["fft2-4x64", "fft2-4x64-q.99", "wht-4x48", "fft2-4x4", "fft2-16x16"])
+def test_solve_checks_the_measurements_of_the_rectangle_it_solves(capsys, flags, codes, needle):
+    rc = cli.main(["solve", "--rank", "1", "--eps", "1e-4", *flags])
+    out, err = capsys.readouterr()
+    assert rc in codes, err
+    if needle is None:
+        assert "iterations:" in out and err == ""
+    else:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert needle in err
