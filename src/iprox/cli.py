@@ -84,6 +84,8 @@ def _cell_config(args, cols=None, **settings):
 
 
 def _cmd_solve(args):
+    if args.cols is not None and args.cols < 2:
+        raise ValueError(f"--cols must be an integer >= 2, got {args.cols}")
     config = _cell_config(args, cols=args.cols, seeds=(args.seed,))
     n = args.cols if args.cols is not None else args.size
     q, nnz = counts_from_ratios(args.size, n, args.q_ratio, args.nnz_ratio)

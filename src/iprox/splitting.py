@@ -24,6 +24,7 @@ from .prox import ProxOracle
 from .vi_core import (
     InertialSchedule,
     MixedViProblem,
+    ProbeSet,
     WeightOperator,
     _sq,
     extrapolate,
@@ -265,8 +266,9 @@ def gladmm_operator(prob, params):
 
 
 def lagrangian(prob, x, y, p):
-    """``f(x) + g(y) - <p, A x + B y - b>``."""
-    return prob.objective(x, y) - float(np.dot(p, prob.feasibility(x, y)))
+    """``f(x) + g(y) - <p, A x + B y - b>``; for a matrix ``p``, one value
+    per row of multipliers."""
+    return prob.objective(x, y) - p @ prob.feasibility(x, y)
 
 
 def to_mixed_vi(prob):
@@ -460,15 +462,26 @@ def vi_residual_check(prob, params, w_k, w_kp1, probes):
     For packed probes ``w in Omega`` evaluates
     ``theta(w) - theta(w+) + <w - w+, F(w+) + G (w+ - w_k)>`` with
     ``w+ = w_kp1``; a correct step keeps this nonnegative up to rounding
-    for every probe.
+    for every probe. ``probes`` is the :class:`~iprox.vi_core.ProbeSet`
+    that :func:`sample_probes` drew for ``prob``, whose objective values
+    are reused as they are; a set drawn for another problem raises
+    ValueError.
     """
-    return gippa_slack(to_mixed_vi(prob), gladmm_operator(prob, params), w_k, w_kp1, probes)
+    return gippa_slack(to_mixed_vi(prob), gladmm_operator(prob, params), w_k, w_kp1,
+                       probes.of(prob))
 
 
 def sample_probes(prob, center, radius, count, rng):
-    """Packed probe points uniform in a box around the packed ``center``."""
+    """Packed probe points uniform in a box around the packed ``center``.
+
+    Returns a :class:`~iprox.vi_core.ProbeSet` drawn for ``prob``: row j
+    of its ``points`` is ``center`` plus the j-th draw of ``n1 + n2 + m``
+    uniforms from ``rng``, and ``theta[j]`` is ``f(x) + g(y)`` at that
+    row, evaluated once here through ``prob.objective``.
+    """
     dim = prob.n1 + prob.n2 + prob.m
-    return [center + rng.uniform(-radius, radius, dim) for _ in range(count)]
+    points = center + rng.uniform(-radius, radius, count * dim).reshape(count, dim)
+    return ProbeSet.evaluate(prob, to_mixed_vi(prob).theta, points)
 
 
 @dataclass
@@ -477,7 +490,8 @@ class ErgodicReport:
 
     For each requested k, ``gaps[k][j]`` is the gap of probe j against
     the average of the first k+1 iterates and ``bounds[k][j]`` the
-    guaranteed envelope ``||w_j - w_0||_G^2 / (2 (k + 1))``.
+    guaranteed envelope ``||w_j - w_0||_G^2 / (2 (k + 1))``, both as
+    arrays over the probes.
     """
 
     ks: list
@@ -489,25 +503,32 @@ class ErgodicReport:
 
 def ergodic_report(trace, prob, params, probes, ks, tol=1e-8):
     """Check the O(1/k) saddle-gap certificate on a plain-step trace,
-    against packed ``probes``."""
+    against the ``probes`` :func:`sample_probes` drew for ``prob`` (a set
+    drawn for another problem raises ValueError).
+
+    The gap of probe ``w = (x, y, p)`` against the average ``wb`` is
+    ``L(xb, yb, p) - L(x, y, pb)`` for the Lagrangian L of
+    :func:`lagrangian`. The probes' objective values, feasibilities and
+    envelope distances ``||w_j - w_0||_G^2`` are formed once per report;
+    each k adds the objective and feasibility at its average and two
+    matrix-vector products.
+    """
     if trace.iterates is None:
         raise ValueError("trace must carry iterates")
+    probes.of(prob)
     G = gladmm_operator(prob, params)
     w0 = trace.iterates[0]
+    mult = probes.points[:, prob.n1 + prob.n2 :]
+    feas = np.array([prob.feasibility(x, y) for x, y, _ in map(prob.split, probes)])
+    dist = np.array([G.quad(w - w0) for w in probes])
     gaps, bounds, violations = {}, {}, []
     for k in ks:
         if k + 1 >= len(trace.iterates):
             raise ValueError(f"trace too short for k={k}")
         xb, yb, pb = prob.split(np.mean(trace.iterates[1 : k + 2], axis=0))
-        gaps[k], bounds[k] = [], []
-        for j, probe in enumerate(probes):
-            x, y, p = prob.split(probe)
-            gap = lagrangian(prob, xb, yb, p) - lagrangian(prob, x, y, pb)
-            bound = G.quad(probe - w0) / (2.0 * (k + 1))
-            gaps[k].append(gap)
-            bounds[k].append(bound)
-            if gap > bound + tol:
-                violations.append((k, j))
+        gaps[k] = lagrangian(prob, xb, yb, mult) - (probes.theta - feas @ pb)
+        bounds[k] = dist / (2.0 * (k + 1))
+        violations += [(k, int(j)) for j in np.flatnonzero(gaps[k] > bounds[k] + tol)]
     return ErgodicReport(list(ks), gaps, bounds, violations, not violations)
 
 

@@ -300,23 +300,58 @@ def run_inertial_ppa(problem, G, schedule, w0, tol=1e-5, max_iter=1000, w_star=N
     )[0]
 
 
+@dataclass(frozen=True)
+class ProbeSet:
+    """Probe points with their objective values, evaluated once.
+
+    ``points`` is the ``(count, dim)`` matrix of probes, one per row, and
+    ``theta[j]`` the objective at row j. ``problem`` is the problem the
+    values were evaluated for; :meth:`of` refuses the set for any other,
+    so a cached value is never read against the wrong objective.
+    Iterating a set yields its rows.
+    """
+
+    points: np.ndarray
+    theta: np.ndarray
+    problem: object
+
+    @classmethod
+    def evaluate(cls, problem, theta, points):
+        """The set of ``points`` (a sequence of vectors or a matrix, which
+        is copied) with ``theta`` called once per row, recorded as drawn
+        for ``problem``."""
+        points = np.array(points, dtype=np.float64)
+        return cls(points, np.array([theta(w) for w in points], dtype=np.float64),
+                   problem)
+
+    def of(self, problem):
+        """This set, when it was drawn for ``problem``; raises ValueError
+        otherwise."""
+        if self.problem is not problem:
+            raise ValueError("the probe set was drawn for another problem")
+        return self
+
+    def __iter__(self):
+        return iter(self.points)
+
+
 def gippa_slack(problem, G, wbar, w_next, probes):
     """Minimum slack of the regularized inequality over probe points.
 
-    For each probe ``w`` evaluates
-    ``theta(w) - theta(w_next) + <w - w_next, F(w_next) + G(w_next - wbar)>``
-    and returns the smallest value; nonnegative up to rounding when
-    ``w_next`` truly solves the subproblem.
+    For each probe ``w`` the slack is
+    ``theta(w) - theta(w_next) + <w - w_next, F(w_next) + G(w_next - wbar)>``;
+    the smallest is returned, nonnegative up to rounding when ``w_next``
+    truly solves the subproblem. ``probes`` is a :class:`ProbeSet`, whose
+    cached objective values are used as they are, or a sequence of points,
+    evaluated through ``problem.theta`` here. Either way the slacks take
+    one matrix-vector product and one objective call, at ``w_next``.
     """
+    if not isinstance(probes, ProbeSet):
+        probes = ProbeSet.evaluate(problem, problem.theta, probes)
     w_next = np.asarray(w_next, dtype=np.float64)
     base = problem.F(w_next) + G.apply(w_next - np.asarray(wbar))
-    t_next = problem.theta(w_next)
-    worst = math.inf
-    for w in probes:
-        w = np.asarray(w, dtype=np.float64)
-        slack = problem.theta(w) - t_next + float((w - w_next) @ base)
-        worst = min(worst, slack)
-    return worst
+    slacks = probes.theta - problem.theta(w_next) + (probes.points - w_next) @ base
+    return float(slacks.min())
 
 
 @dataclass

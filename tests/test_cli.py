@@ -57,7 +57,12 @@ def test_solve_flags_are_the_solver_keys():
     (["--size", "4", "--transform", "fft2", "--q-ratio", "0.45"], (2,),
      "fft2 at size 4 cannot take q_ratio 0.45"),
     (["--size", "16", "--cols", "16", "--transform", "fft2", "--q-ratio", "0.45"], (0, 1), None),
-], ids=["fft2-4x64", "fft2-4x64-q.99", "wht-4x48", "fft2-4x4", "fft2-16x16"])
+    # a column count below 2 is refused as a size below 2 is
+    (["--size", "4", "--cols", "1"], (2,), "--cols must be an integer >= 2, got 1"),
+    (["--size", "4", "--cols", "0"], (2,), "--cols must be an integer >= 2, got 0"),
+    (["--size", "4", "--cols", "-3"], (2,), "--cols must be an integer >= 2, got -3"),
+], ids=["fft2-4x64", "fft2-4x64-q.99", "wht-4x48", "fft2-4x4", "fft2-16x16",
+        "cols-1", "cols-0", "cols-neg3"])
 def test_solve_checks_the_measurements_of_the_rectangle_it_solves(capsys, flags, codes, needle):
     rc = cli.main(["solve", "--rank", "1", "--eps", "1e-4", *flags])
     out, err = capsys.readouterr()

@@ -11,11 +11,12 @@ import warnings
 import numpy as np
 import pytest
 
+from iprox import checks
 from iprox import splitting as sp
 from iprox.fixtures import random_qp
 from iprox.numkit import SeededRng
 from iprox.prox import l1_oracle
-from iprox.vi_core import InertialSchedule, run_inertial_ppa
+from iprox.vi_core import InertialSchedule, ProbeSet, run_inertial_ppa
 
 
 def tiny_qp(seed=100, n1=3, n2=3, m=2):
@@ -328,6 +329,18 @@ class TestCertificates:
         with pytest.raises(ValueError):
             sp.ergodic_report(trace, prob, params, probes, ks=[5])
 
+    def test_probes_of_another_problem_are_refused(self):
+        prob, star = tiny_qp()
+        other, _ = tiny_qp()  # the same data, but another problem
+        params = safe_params(prob)
+        trace = sp.run_ladmm(prob, params, tol=0.0, max_iter=10)
+        probes = sp.sample_probes(other, star, 1.0, 2, SeededRng(8))
+        with pytest.raises(ValueError, match="another problem"):
+            sp.ergodic_report(trace, prob, params, probes, ks=[5])
+        w1 = sp.ladmm_step(prob, params, star)
+        with pytest.raises(ValueError, match="another problem"):
+            sp.vi_residual_check(prob, params, star, w1, probes)
+
     def test_nonergodic_certificate(self):
         # small penalty keeps the residual decay slow enough that the
         # whole trace stays above rounding noise
@@ -361,3 +374,86 @@ class TestLagrangians:
         r = x + y - prob.b  # identity couplings
         want = 1.0 + 2.0 - float(p @ r)  # |x|_1 + 2 |y|_1 - <p, r>
         assert sp.lagrangian(prob, x, y, p) == pytest.approx(want, abs=1e-12)
+
+
+def _qp_fixtures(count):
+    # the 8 x 8 x 8 QP fixtures and probe streams of criterion 1
+    return [(*random_qp(8, 8, 8, SeededRng(1000 + seed)), SeededRng(2000 + seed))
+            for seed in range(count)]
+
+
+def _close(got, want):
+    return abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+class TestProbeSets:
+    def test_values_are_the_mixed_vi_objective_bitwise(self):
+        prob, star = tiny_qp(n1=3, n2=2, m=4)
+        probes = sp.sample_probes(prob, star, 1.5, 6, SeededRng(9))
+        theta = sp.to_mixed_vi(prob).theta
+        assert probes.points.shape == (6, 9) and probes.theta.shape == (6,)
+        for j, row in enumerate(probes):
+            assert np.array_equal(row, probes.points[j])
+            assert probes.theta[j] == theta(row)
+
+    def test_batched_slacks_match_a_per_probe_loop(self):
+        for prob, star, rng in _qp_fixtures(5):
+            params = safe_params(prob)
+            probes = sp.sample_probes(prob, star, 2.0, 100, rng)
+            vi = sp.to_mixed_vi(prob)
+            G = sp.gladmm_operator(prob, params)
+            w = sp.zeros_point(prob)
+            for _ in range(10):
+                w1 = sp.ladmm_step(prob, params, w)
+                base = vi.F(w1) + G.apply(w1 - w)
+                want = [vi.theta(v) - vi.theta(w1) + float((v - w1) @ base)
+                        for v in probes.points]
+                for j in range(len(want)):
+                    one = ProbeSet(probes.points[j : j + 1], probes.theta[j : j + 1], prob)
+                    assert _close(sp.vi_residual_check(prob, params, w, w1, one), want[j])
+                assert _close(sp.vi_residual_check(prob, params, w, w1, probes), min(want))
+                w = w1
+
+    def test_ergodic_gaps_match_a_per_probe_lagrangian(self):
+        for prob, star, rng in _qp_fixtures(3):
+            params = safe_params(prob)
+            trace = sp.run_ladmm(prob, params, tol=0.0, max_iter=220)
+            probes = sp.sample_probes(prob, star, 2.0, 50, rng)
+            report = sp.ergodic_report(trace, prob, params, probes, ks=[50, 100, 200])
+            G = sp.gladmm_operator(prob, params).materialize()
+
+            def lag(x, y, p):
+                return prob.objective(x, y) - float(p @ (prob.A @ x + prob.B @ y - prob.b))
+
+            for k in report.ks:
+                xb, yb, pb = prob.split(np.mean(trace.iterates[1 : k + 2], axis=0))
+                for j, v in enumerate(probes.points):
+                    x, y, p = prob.split(v)
+                    d = v - trace.iterates[0]
+                    assert _close(report.gaps[k][j], lag(xb, yb, p) - lag(x, y, pb))
+                    assert _close(report.bounds[k][j], float(d @ G @ d) / (2.0 * (k + 1)))
+
+    def test_objective_is_evaluated_once_per_probe(self, monkeypatch):
+        calls = []
+        objective = sp.SeparableProblem.objective
+
+        def counted(self, x, y):
+            calls.append(1)
+            return objective(self, x, y)
+
+        monkeypatch.setattr(sp.SeparableProblem, "objective", counted)
+        prob, star, rng = _qp_fixtures(1)[0]
+        params = safe_params(prob)
+        probes = sp.sample_probes(prob, star, 2.0, 100, rng)
+        assert len(calls) == 100
+        w = sp.zeros_point(prob)
+        for _ in range(10):
+            w1 = sp.ladmm_step(prob, params, w)
+            sp.vi_residual_check(prob, params, w, w1, probes)
+            w = w1
+        assert len(calls) == 110  # one more per step, at the new iterate
+        calls.clear()
+        # criterion 1 at scale 1: 20 fixtures x 100 probes, plus one value
+        # per step at 20 x 10 steps (not 20 x 10 x 101)
+        assert checks.step_characterization(1.0).ok
+        assert len(calls) == 20 * 100 + 20 * 10
