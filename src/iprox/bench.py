@@ -117,6 +117,8 @@ class RunConfig:
                              ("q_ratios", self.q_ratios)):
             if not ratios or any(not 0.0 < v <= 1.0 for v in ratios):
                 raise ValueError(f"{name} must lie in (0, 1]")
+        if not self.transforms:
+            raise ValueError("transforms must be a nonempty list")
         for kind in self.transforms:
             if kind not in KINDS:
                 raise ValueError(f"unknown transform {kind!r}")
@@ -142,6 +144,8 @@ class RunConfig:
             raise ValueError("beta0 must be positive")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if self.alphas == ():
+            raise ValueError("alphas must be a nonempty list when set")
         for a in self.alphas if self.alphas is not None else (self.alpha,):
             if not 0.0 <= a < 1.0:
                 raise ValueError(f"alpha {a} outside [0, 1)")

@@ -32,8 +32,7 @@ def affine_vi(M, q):
         return M @ w + q
 
     def resolvent(z, G):
-        Gm = G.materialize()
-        return np.linalg.solve(M + Gm, Gm @ np.asarray(z, dtype=np.float64) - q)
+        return np.linalg.solve(M + G.matrix, G.apply(z) - q)
 
     return MixedViProblem(dim=n, theta=lambda w: 0.0, F=F, resolvent=resolvent)
 

@@ -59,7 +59,8 @@ class SeparableProblem:
     their prox subproblems exactly, with any set constraint on the block
     folded in.
     ``f_quad``/``g_quad`` optionally carry dense quadratic data ``(P, c)``
-    enabling the fixture resolvent; the dense forms need matrices.
+    enabling the resolvent of :attr:`mixed_vi`; the dense forms need
+    matrices.
     """
 
     A: object
@@ -118,6 +119,44 @@ class SeparableProblem:
         """The blocks ``(x, y, p)`` of a packed point ``w``, as views."""
         n1, n2 = self.n1, self.n2
         return w[:n1], w[n1 : n1 + n2], w[n1 + n2 :]
+
+    @cached_property
+    def mixed_vi(self):
+        """Mixed-VI form of the optimality system, built on first use.
+
+        ``theta(w) = f(x) + g(y)`` and
+        ``F(w) = (-A'p, -B'p, A x + B y - b)`` on packed ``(x, y, p)``; F
+        is affine with skew-symmetric linear part, hence monotone with
+        modulus 0. The resolvent under a dense weighting has a closed form
+        (one dense linear solve of the KKT matrix plus G) when both blocks
+        carry quadratic data; otherwise it raises
+        :class:`ExactSubproblemError`.
+        """
+        n1, n2, m = self.n1, self.n2, self.m
+        A, B, b = self.A, self.B, self.b
+
+        def theta(w):
+            x, y, _ = self.split(w)
+            return self.objective(x, y)
+
+        def F(w):
+            x, y, p = self.split(w)
+            return np.concatenate([-(A.T @ p), -(B.T @ p), A @ x + B @ y - b])
+
+        def resolvent(z, G):
+            if self.f_quad is None or self.g_quad is None:
+                raise ExactSubproblemError(
+                    "no closed-form resolvent: quadratic block data is required")
+            (Pf, cf), (Pg, cg) = self.f_quad, self.g_quad
+            # the KKT matrix, built here so that the certificates, which
+            # never call the resolvent, keep no dense matrix with the form
+            K = np.block([[Pf, np.zeros((n1, n2)), -A.T],
+                          [np.zeros((n2, n1)), Pg, -B.T],
+                          [A, B, np.zeros((m, m))]])
+            shift = np.concatenate([-np.asarray(cf), -np.asarray(cg), b])
+            return np.linalg.solve(K + G.matrix, G.apply(z) + shift)
+
+        return MixedViProblem(dim=n1 + n2 + m, theta=theta, F=F, resolvent=resolvent)
 
 
 def zeros_point(prob):
@@ -223,7 +262,8 @@ def _check_step_bounds(prob, tau, eta):
 
 
 def _gquad(beta, tau, eta, d, sq=None):
-    """``<d, G d>`` for ``d = (dx, dy, dp, A dx, B dy)``; ``sq`` may pass
+    """``<d, G d>`` for the G of :func:`gladmm_operator`, in closed form at
+    ``d = (dx, dy, dp, A dx, B dy)``, so it needs no matrix; ``sq`` may pass
     the squared block norms ``(|dx|^2, |dy|^2, |dp|^2)`` already formed."""
     dx, dy, dp, adx, bdy = d
     xx, yy, pp = sq or map(_sq, (dx, dy, dp))
@@ -234,95 +274,31 @@ def _gquad(beta, tau, eta, d, sq=None):
 def gladmm_operator(prob, params):
     """Weighting G under which one linearized step is one proximal step.
 
-    Block form: ``diag(beta (I/tau - A'A), [beta/eta I, -B'; -B, I/beta])``
-    acting on packed ``(x, y, p)``. Evaluation is matrix-free and works
-    for operator problems too; ``materialize`` builds the dense matrix for
-    small matrix problems.
+    The dense matrix
+    ``diag(beta (I/tau - A'A), [beta/eta I, -B'; -B, I/beta])`` on packed
+    ``(x, y, p)``, for the certificates on matrix problems; an operator
+    problem raises TypeError. Solves weight their steps with the same
+    norm in closed form, from carried ``A x`` and ``B y``.
     """
-    opA, opB = prob._ops
+    A, B = prob.A, prob.B
+    if not (isinstance(A, np.ndarray) and isinstance(B, np.ndarray)):
+        raise TypeError("the dense weighting G needs matrix data A and B")
     beta, tau, eta = params.beta, params.tau, params.eta
-    n1, n2 = prob.n1, prob.n2
-
-    def apply(w):
-        x, y, p, ax, by = _carried(prob, w)
-        gx = beta * (x / tau - opA.adjoint(ax))
-        gy = (beta / eta) * y - opB.adjoint(p)
-        return np.concatenate([gx.ravel(), gy.ravel(), -by + p / beta])
-
-    def quad(w):
-        return _gquad(beta, tau, eta, _carried(prob, w))
-
-    def materialize():
-        A, B, m = prob.A, prob.B, prob.m
-        G = np.zeros((n1 + n2 + m, n1 + n2 + m))
-        G[:n1, :n1] = beta * (np.eye(n1) / tau - A.T @ A)
-        G[n1 : n1 + n2, n1 : n1 + n2] = (beta / eta) * np.eye(n2)
-        G[n1 : n1 + n2, n1 + n2 :] = -B.T
-        G[n1 + n2 :, n1 : n1 + n2] = -B
-        G[n1 + n2 :, n1 + n2 :] = np.eye(m) / beta
-        return G
-
-    return WeightOperator(apply, quad, materialize=materialize)
+    n1, n2, m = prob.n1, prob.n2, prob.m
+    # filled block by block: np.block takes twice as long at 8 x 8 x 8
+    G = np.zeros((n1 + n2 + m, n1 + n2 + m))
+    G[:n1, :n1] = beta * (np.eye(n1) / tau - A.T @ A)
+    G[n1 : n1 + n2, n1 : n1 + n2] = (beta / eta) * np.eye(n2)
+    G[n1 : n1 + n2, n1 + n2 :] = -B.T
+    G[n1 + n2 :, n1 : n1 + n2] = -B
+    G[n1 + n2 :, n1 + n2 :] = np.eye(m) / beta
+    return WeightOperator(G)
 
 
 def lagrangian(prob, x, y, p):
     """``f(x) + g(y) - <p, A x + B y - b>``; for a matrix ``p``, one value
     per row of multipliers."""
     return prob.objective(x, y) - p @ prob.feasibility(x, y)
-
-
-def to_mixed_vi(prob):
-    """Mixed-VI form of the optimality system.
-
-    ``theta(w) = f(x) + g(y)`` and
-    ``F(w) = (-A'p, -B'p, A x + B y - b)`` on packed ``(x, y, p)``; F is
-    affine with skew-symmetric linear part, hence monotone with modulus 0.
-    The resolvent has a closed form (one dense linear solve) when both
-    blocks carry quadratic data; otherwise it raises
-    :class:`ExactSubproblemError`.
-    """
-    n1, n2, m = prob.n1, prob.n2, prob.m
-    dim = n1 + n2 + m
-    A, B, b = prob.A, prob.B, prob.b
-
-    def theta(w):
-        x, y, _ = prob.split(w)
-        return prob.objective(x, y)
-
-    def F(w):
-        x, y, p = prob.split(w)
-        return np.concatenate([-(A.T @ p), -(B.T @ p), A @ x + B @ y - b])
-
-    if prob.f_quad is not None and prob.g_quad is not None:
-        Pf, cf = prob.f_quad
-        Pg, cg = prob.g_quad
-        K = np.zeros((dim, dim))
-        K[:n1, n1 + n2 :] = -A.T
-        K[n1 : n1 + n2, n1 + n2 :] = -B.T
-        K[n1 + n2 :, :n1] = A
-        K[n1 + n2 :, n1 : n1 + n2] = B
-        Hq = np.zeros((dim, dim))
-        Hq[:n1, :n1] = np.asarray(Pf, dtype=np.float64)
-        Hq[n1 : n1 + n2, n1 : n1 + n2] = np.asarray(Pg, dtype=np.float64)
-        shift = np.concatenate([-np.asarray(cf), -np.asarray(cg), b])
-
-        def resolvent(z, G):
-            Gm = G.materialize()
-            return np.linalg.solve(Hq + K + Gm, Gm @ np.asarray(z, dtype=np.float64) + shift)
-
-    else:
-
-        def resolvent(z, G):
-            raise ExactSubproblemError(
-                "no closed-form resolvent: quadratic block data is required"
-            )
-
-    return MixedViProblem(
-        dim=dim,
-        theta=theta,
-        F=F,
-        resolvent=resolvent,
-    )
 
 
 def _step(prob, beta, tau, eta, xb, yb, pb, axb, byb):
@@ -467,7 +443,7 @@ def vi_residual_check(prob, params, w_k, w_kp1, probes):
     are reused as they are; a set drawn for another problem raises
     ValueError.
     """
-    return gippa_slack(to_mixed_vi(prob), gladmm_operator(prob, params), w_k, w_kp1,
+    return gippa_slack(prob.mixed_vi, gladmm_operator(prob, params), w_k, w_kp1,
                        probes.of(prob))
 
 
@@ -481,7 +457,7 @@ def sample_probes(prob, center, radius, count, rng):
     """
     dim = prob.n1 + prob.n2 + prob.m
     points = center + rng.uniform(-radius, radius, count * dim).reshape(count, dim)
-    return ProbeSet.evaluate(prob, to_mixed_vi(prob).theta, points)
+    return ProbeSet.evaluate(prob, prob.mixed_vi.theta, points)
 
 
 @dataclass

@@ -12,7 +12,7 @@ regularized inequality
     theta(v) - theta(w) + <v - w, F(w) + G (w - wbar)> >= 0
 
 for all ``v in Omega``, where ``G`` is a positive semidefinite weighting
-operator supplied by the caller. ``G`` is the only proximal parameter: a
+matrix supplied by the caller. ``G`` is the only proximal parameter: a
 constant step ``lambda`` is the weighting ``G / lambda``, and ``Omega``
 enters only through the resolvent oracle.
 """
@@ -33,43 +33,31 @@ _GUARANTEED_CAP = 1.0 / 3.0
 
 
 class WeightOperator:
-    """Positive semidefinite weighting ``G`` in operator form.
+    """Positive semidefinite weighting ``G``, a dense square matrix.
 
-    ``apply(v)`` returns ``G v`` and ``quad(v)`` the quadratic form
-    ``<v, G v>``; both must agree to rounding. ``materialize()`` returns a
-    dense matrix when the constructor provided one (small fixtures only;
-    large operators stay matrix-free).
+    ``matrix`` is ``G`` itself, which resolvents read directly;
+    ``apply(v)`` is ``G v`` and ``quad(v)`` the quadratic form
+    ``<v, G v>``. Weightings here serve small fixtures and certificates;
+    a solve weights its steps with a closed-form norm instead.
     """
 
-    def __init__(self, apply, quad, materialize=None):
-        self._apply = apply
-        self._quad = quad
-        self._materialize = materialize
+    def __init__(self, G):
+        G = np.asarray(G, dtype=np.float64)
+        if G.ndim != 2 or G.shape[0] != G.shape[1]:
+            raise ValueError("G must be square")
+        self.matrix = G
 
     def apply(self, v):
-        return self._apply(np.asarray(v, dtype=np.float64))
+        return self.matrix @ np.asarray(v, dtype=np.float64)
 
     def quad(self, v):
-        return float(self._quad(np.asarray(v, dtype=np.float64)))
+        v = np.asarray(v, dtype=np.float64)
+        return float(v @ (self.matrix @ v))
 
-    def materialize(self):
-        if self._materialize is None:
-            raise NotImplementedError("this weighting has no dense form")
-        return self._materialize()
-
-    @staticmethod
-    def from_matrix(G):
-        Gm = np.asarray(G, dtype=np.float64)
-        if Gm.ndim != 2 or Gm.shape[0] != Gm.shape[1]:
-            raise ValueError("G must be square")
-
-        def app(v):
-            return Gm @ v
-
-        def quad(v):
-            return float(v @ (Gm @ v))
-
-        return WeightOperator(app, quad, materialize=lambda: Gm.copy())
+    @classmethod
+    def from_matrix(cls, G):
+        """The same as ``WeightOperator(G)``."""
+        return cls(G)
 
 
 @dataclass
@@ -342,12 +330,10 @@ def gippa_slack(problem, G, wbar, w_next, probes):
     ``theta(w) - theta(w_next) + <w - w_next, F(w_next) + G(w_next - wbar)>``;
     the smallest is returned, nonnegative up to rounding when ``w_next``
     truly solves the subproblem. ``probes`` is a :class:`ProbeSet`, whose
-    cached objective values are used as they are, or a sequence of points,
-    evaluated through ``problem.theta`` here. Either way the slacks take
-    one matrix-vector product and one objective call, at ``w_next``.
+    cached objective values are used as they are (:meth:`ProbeSet.evaluate`
+    makes one from plain points), so the slacks take one matrix-vector
+    product and one objective call, at ``w_next``.
     """
-    if not isinstance(probes, ProbeSet):
-        probes = ProbeSet.evaluate(problem, problem.theta, probes)
     w_next = np.asarray(w_next, dtype=np.float64)
     base = problem.F(w_next) + G.apply(w_next - np.asarray(wbar))
     slacks = probes.theta - problem.theta(w_next) + (probes.points - w_next) @ base

@@ -5,6 +5,7 @@ range; determinism checks compare complete artifacts byte for byte.
 """
 
 import ctypes
+import inspect
 import json
 import math
 import os
@@ -18,7 +19,7 @@ import pytest
 import yaml
 
 import iprox
-from iprox import bench, cli, cpcp, numkit
+from iprox import bench, checks, cli, cpcp, numkit
 from iprox.cpcp import counts_from_ratios, degrees_of_freedom
 
 
@@ -96,6 +97,22 @@ class TestRunConfig:
         for overrides in bad_cases:
             with pytest.raises(ValueError):
                 tiny_config(**overrides)
+
+    def test_solver_defaults_agree(self):
+        # `bench` and `solve` take RunConfig's defaults, while criteria 7-8
+        # and the benchmark solve with cpcp's; the controller holds s_scale
+        def defaults(fn):
+            return {k: p.default for k, p in inspect.signature(fn).parameters.items()
+                    if p.default is not inspect.Parameter.empty}
+
+        run = defaults(bench.RunConfig)
+        plain, inertial = defaults(cpcp.ladmm_cpcp), defaults(cpcp.iladmm_cpcp)
+        for solver in (plain, inertial):
+            assert (solver["tau"], solver["eta"], solver["tol"], solver["max_iter"]) == (
+                run["tau"], run["eta"], run["eps"], run["max_iter"])
+        assert inertial["alpha"] == run["alpha"] == checks.INERTIAL_ALPHA
+        assert (defaults(cpcp.BetaController)["s_scale"]
+                == defaults(cpcp.BetaController.for_instance)["s_scale"] == run["s_scale"])
 
     def test_sweep_mode_allows_large_alpha(self):
         config = tiny_config(alphas=(0.1, 0.35))
@@ -523,13 +540,16 @@ class TestCli:
         ({"jobs": 1.5}, "jobs"),
         ({"grid.transforms": None}, "transforms"),  # only alphas and beta0 may be unset
         ({"jobs": None}, "jobs"),
+        ({"grid.transforms": []}, "transforms must be a nonempty list"),
+        ({"solver.alphas": []}, "alphas must be a nonempty list"),
         # cells the measurement operator cannot take
         ({"grid.transforms": ["fft2"]}, "fft2 at size 16 cannot take q_ratio 0.8"),
         ({"grid.transforms": ["wht"], "grid.sizes": [24]}, "wht at size 24 cannot take q_ratio 0.8"),
         ({"grid.sizes": [4], "grid.q_ratios": [0.01]}, "dct2 at size 4 cannot take q_ratio 0.01"),
     ], ids=["sizes-scalar", "seeds-scalar", "alphas-scalar", "tau-text", "max_iter-float",
             "sizes-float", "ranks-float", "seeds-float", "jobs-float", "transforms-null",
-            "jobs-null", "fft2-q-above-half", "wht-not-power-of-two", "q-zero"])
+            "jobs-null", "transforms-empty", "alphas-empty", "fft2-q-above-half",
+            "wht-not-power-of-two", "q-zero"])
     def test_bench_malformed_config_is_usage_error(self, tmp_path, capsys, changes, needle):
         doc = yaml.safe_load(TINY_YAML)
         for dotted, value in changes.items():

@@ -72,3 +72,14 @@ def test_solve_checks_the_measurements_of_the_rectangle_it_solves(capsys, flags,
     else:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
         assert needle in err
+
+
+def test_sweep_with_no_factors_is_refused_before_any_solve(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    rc = cli.main(["sweep-alpha", "--size", "16", "--rank", "1", "--seeds", "0",
+                   "--alphas", "", "--out", str(out)])
+    stdout, err = capsys.readouterr()
+    assert rc == 2
+    assert stdout == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert "alphas must be a nonempty list" in err
+    assert not out.exists()

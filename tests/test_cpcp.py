@@ -14,7 +14,7 @@ import pytest
 from iprox import cpcp, prox
 from iprox.numkit import SeededRng, make_measurement_op
 from iprox.prox import svt
-from iprox.splitting import LadmmParams, gladmm_operator
+from iprox.splitting import LadmmParams, SeparableProblem, _gquad, gladmm_operator
 from iprox.vi_core import InertialSchedule
 
 
@@ -180,8 +180,13 @@ class TestBetaController:
 
 
 def weighting(inst, beta, tau=0.99, eta=0.99):
-    """The weighting G of the CPCP problem at one penalty."""
-    return gladmm_operator(cpcp.separable_problem(inst), LadmmParams(beta, tau, eta))
+    """The dense weighting G of the CPCP problem at one penalty, built by
+    ``gladmm_operator`` from the explicit measurement matrix (A = B), so it
+    shares no code with the loop's closed-form G-norm."""
+    M = dense_measurement_matrix(inst.meas, inst.m, inst.n)
+    prob = SeparableProblem(A=M, B=M, b=inst.b, f_prox=prox.nuclear_oracle(),
+                            g_prox=prox.l1_oracle(inst.lam))
+    return gladmm_operator(prob, LadmmParams(beta, tau, eta))
 
 
 def packed(L, S, p):
@@ -197,22 +202,19 @@ class TestNorms:
         assert cpcp.stopping_residual(0.0, 29.0) == 0.0
 
     def test_triple_gnorm_matches_dense_form(self):
-        inst = small_instance(m=4, n=4, r=1, nnz=2, q=10, kind="wht")
-        M = dense_measurement_matrix(inst.meas, 4, 4)
+        # the loop's closed form, fed the carried measurements, against the
+        # dense quadratic form on a 16 x 16 instance
+        inst = small_instance()
         beta, tau, eta = 1.7, 0.9, 0.8
         G = weighting(inst, beta, tau, eta)
         rng = np.random.default_rng(1)
         for _ in range(20):
-            dL = rng.normal(size=(4, 4))
-            dS = rng.normal(size=(4, 4))
-            dp = rng.normal(size=10)
-            want = (
-                beta * (np.sum(dL * dL) / tau - np.sum((M @ dL.ravel()) ** 2))
-                + (beta / eta) * np.sum(dS * dS)
-                - 2.0 * float((M @ dS.ravel()) @ dp)
-                + float(dp @ dp) / beta
-            )
-            assert G.quad(packed(dL, dS, dp)) == pytest.approx(want, abs=1e-10)
+            dL = rng.normal(size=(16, 16))
+            dS = rng.normal(size=(16, 16))
+            dp = rng.normal(size=inst.q)
+            d = (dL, dS, dp, inst.meas.apply(dL), inst.meas.apply(dS))
+            assert _gquad(beta, tau, eta, d) == pytest.approx(
+                G.quad(packed(dL, dS, dp)), rel=1e-12)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.28])
     def test_recorded_gnorms_match_triple_gnorm(self, alpha):
@@ -252,13 +254,18 @@ class TestNorms:
             assert trace.delta[k] == pytest.approx(2.0 * alpha * dsq, rel=1e-12)
 
     def test_triple_gnorm_nonnegative_below_unit_steps(self):
+        # below unit steps the dense G is positive definite, and a solve at
+        # a fixed penalty records no negative step residual
         inst = small_instance()
-        G = weighting(inst, 2.0)
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            val = G.quad(packed(rng.normal(size=(16, 16)), rng.normal(size=(16, 16)),
-                                rng.normal(size=inst.meas.measurement_dim)))
-            assert val >= -1e-10
+        assert np.linalg.eigvalsh(weighting(inst, 2.0).matrix).min() > 0.0
+        _, trace = cpcp.ladmm_cpcp(inst, controller=cpcp.BetaController(2.0, active_iters=0),
+                                   max_iter=50, tol=0.0)
+        assert min(trace.step_residuals) >= 0.0
+
+    def test_operator_problem_has_no_dense_weighting(self):
+        prob = cpcp.separable_problem(small_instance())
+        with pytest.raises(TypeError, match="matrix data"):
+            gladmm_operator(prob, LadmmParams(1.0, 0.99, 0.99))
 
 
 class TestSolvers:

@@ -2,8 +2,9 @@
 
 The random QP fixture carries an exact KKT solution from a dense solve,
 so fixed-point, convergence, and certificate checks all compare against
-that independent oracle. The weighting operators are pinned to a
-hand-computed 3x3 matrix and cross-checked against their dense forms.
+that independent oracle. The dense weighting G is pinned to a
+hand-computed 3x3 matrix, and the solver's closed-form G-norms are checked
+against it through the engine run on the mixed-VI form.
 """
 
 import warnings
@@ -16,7 +17,7 @@ from iprox import splitting as sp
 from iprox.fixtures import random_qp
 from iprox.numkit import SeededRng
 from iprox.prox import l1_oracle
-from iprox.vi_core import InertialSchedule, ProbeSet, run_inertial_ppa
+from iprox.vi_core import InertialSchedule, MixedViProblem, ProbeSet, run_inertial_ppa
 
 
 def tiny_qp(seed=100, n1=3, n2=3, m=2):
@@ -108,26 +109,15 @@ class TestWeightings:
         params = sp.LadmmParams(beta=1.0, tau=0.5, eta=0.5)
         G = sp.gladmm_operator(prob, params)
         want = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
-        assert np.allclose(G.materialize(), want, atol=1e-15)
+        assert np.allclose(G.matrix, want, atol=1e-15)
         w = np.ones(3)
         assert G.quad(w) == pytest.approx(2.0, abs=1e-15)
         assert np.allclose(G.apply(w), want @ w, atol=1e-15)
 
-    def test_matrix_free_matches_dense(self):
-        prob, _ = tiny_qp()
-        params = safe_params(prob, beta=0.7)
-        rng = np.random.default_rng(0)
-        G = sp.gladmm_operator(prob, params)
-        Gm = G.materialize()
-        for _ in range(10):
-            w = rng.normal(size=Gm.shape[0])
-            assert np.abs(G.apply(w) - Gm @ w).max() < 1e-12
-            assert G.quad(w) == pytest.approx(w @ Gm @ w, abs=1e-10)
-
     def test_linearized_weighting_positive_definite(self):
         prob, _ = tiny_qp()
         G = sp.gladmm_operator(prob, safe_params(prob))
-        eigs = np.linalg.eigvalsh(G.materialize())
+        eigs = np.linalg.eigvalsh(G.matrix)
         assert eigs.min() > 0
 
     def test_step_bound_warnings(self):
@@ -146,7 +136,7 @@ class TestWeightings:
 class TestMixedViForm:
     def test_f_is_skew_monotone(self):
         prob, _ = tiny_qp()
-        vi = sp.to_mixed_vi(prob)
+        vi = prob.mixed_vi
         rng = np.random.default_rng(1)
         for _ in range(20):
             u = rng.normal(size=vi.dim)
@@ -155,7 +145,7 @@ class TestMixedViForm:
 
     def test_saddle_point_solves_vi(self):
         prob, star = tiny_qp()
-        vi = sp.to_mixed_vi(prob)
+        vi = prob.mixed_vi
         # at the KKT point: theta(w) - theta(w*) + <w - w*, F(w*)> >= 0
         rng = np.random.default_rng(2)
         base = vi.F(star)
@@ -164,7 +154,7 @@ class TestMixedViForm:
             assert vi.theta(w) - vi.theta(star) + (w - star) @ base >= -1e-8
 
     def test_resolvent_needs_quadratic_data(self):
-        vi = sp.to_mixed_vi(consensus_problem())
+        vi = consensus_problem().mixed_vi
         with pytest.raises(sp.ExactSubproblemError):
             vi.resolvent(np.zeros(vi.dim), None)
 
@@ -205,7 +195,7 @@ class TestProximalEquivalence:
         # the optimality VI under the linearized weighting
         prob, _ = tiny_qp()
         params = safe_params(prob)
-        vi = sp.to_mixed_vi(prob)
+        vi = prob.mixed_vi
         G = sp.gladmm_operator(prob, params)
         rng = np.random.default_rng(4)
         for _ in range(5):
@@ -219,7 +209,7 @@ class TestProximalEquivalence:
         # the same trace, up to rounding
         prob, _ = tiny_qp()
         params = safe_params(prob)
-        vi = sp.to_mixed_vi(prob)
+        vi = prob.mixed_vi
         G = sp.gladmm_operator(prob, params)
         for alpha in (0.0, 0.28):
             schedule = InertialSchedule.constant(alpha)
@@ -390,7 +380,7 @@ class TestProbeSets:
     def test_values_are_the_mixed_vi_objective_bitwise(self):
         prob, star = tiny_qp(n1=3, n2=2, m=4)
         probes = sp.sample_probes(prob, star, 1.5, 6, SeededRng(9))
-        theta = sp.to_mixed_vi(prob).theta
+        theta = prob.mixed_vi.theta
         assert probes.points.shape == (6, 9) and probes.theta.shape == (6,)
         for j, row in enumerate(probes):
             assert np.array_equal(row, probes.points[j])
@@ -400,7 +390,7 @@ class TestProbeSets:
         for prob, star, rng in _qp_fixtures(5):
             params = safe_params(prob)
             probes = sp.sample_probes(prob, star, 2.0, 100, rng)
-            vi = sp.to_mixed_vi(prob)
+            vi = prob.mixed_vi
             G = sp.gladmm_operator(prob, params)
             w = sp.zeros_point(prob)
             for _ in range(10):
@@ -420,7 +410,7 @@ class TestProbeSets:
             trace = sp.run_ladmm(prob, params, tol=0.0, max_iter=220)
             probes = sp.sample_probes(prob, star, 2.0, 50, rng)
             report = sp.ergodic_report(trace, prob, params, probes, ks=[50, 100, 200])
-            G = sp.gladmm_operator(prob, params).materialize()
+            G = sp.gladmm_operator(prob, params).matrix
 
             def lag(x, y, p):
                 return prob.objective(x, y) - float(p @ (prob.A @ x + prob.B @ y - prob.b))
@@ -457,3 +447,15 @@ class TestProbeSets:
         # per step at 20 x 10 steps (not 20 x 10 x 101)
         assert checks.step_characterization(1.0).ok
         assert len(calls) == 20 * 100 + 20 * 10
+
+    def test_criterion_1_builds_the_mixed_vi_form_once_per_fixture(self, monkeypatch):
+        built = []
+
+        def counted(**fields):
+            built.append(fields)
+            return MixedViProblem(**fields)
+
+        monkeypatch.setattr(sp, "MixedViProblem", counted)
+        # 20 fixtures x 10 steps: one build per fixture, not one per step
+        assert checks.step_characterization(1.0).ok
+        assert len(built) == 20

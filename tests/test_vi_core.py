@@ -22,6 +22,7 @@ from iprox.numkit import SeededRng
 from iprox.vi_core import (
     InertialSchedule,
     MixedViProblem,
+    ProbeSet,
     WeightOperator,
     check_residual_rate_bound,
     gippa_slack,
@@ -35,7 +36,6 @@ GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 
 def eye_weight(n):
-    # identity given in dense form so resolvents can materialize it
     return WeightOperator.from_matrix(np.eye(n))
 
 
@@ -53,8 +53,7 @@ def _prox_identity_vi(oracle, c):
         return w - c
 
     def resolvent(z, G):
-        Gm = G.materialize()
-        if not np.allclose(Gm, np.eye(n), atol=1e-12):
+        if not np.allclose(G.matrix, np.eye(n), atol=1e-12):
             raise ValueError("closed form available for identity weighting only")
         return oracle.eval((c + np.asarray(z)) / 2.0, 0.5)[0]
 
@@ -76,17 +75,13 @@ class TestWeightOperator:
         v = rng.normal(size=4)
         assert np.allclose(G.apply(v), Gm @ v)
         assert G.quad(v) == pytest.approx(v @ Gm @ v)
-        assert np.array_equal(G.materialize(), Gm)
-
-    def test_identity_has_no_dense_form(self):
-        # the identity in operator form, built without a dense matrix
-        G = WeightOperator(lambda v: v, lambda v: float(v @ v))
-        with pytest.raises(NotImplementedError):
-            G.materialize()
+        assert np.array_equal(G.matrix, Gm)
 
     def test_from_matrix_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             WeightOperator.from_matrix(np.zeros((2, 3)))
+        with pytest.raises(ValueError):
+            WeightOperator(np.zeros(3))
 
 
 class TestInertialSchedule:
@@ -161,7 +156,8 @@ class TestEngineStep:
         w_k = np.array([0.3, -0.2, 0.9, 0.0])
         wbar, w_next = inertial_ppa_step(problem, G, w_k, np.zeros(4), 0.25)
         probe_rng = np.random.default_rng(2)
-        probes = [probe_rng.uniform(-2, 2, 4) for _ in range(100)]
+        probes = ProbeSet.evaluate(problem, problem.theta,
+                                   [probe_rng.uniform(-2, 2, 4) for _ in range(100)])
         assert gippa_slack(problem, G, wbar, w_next, probes) >= -1e-8
 
 
