@@ -93,9 +93,11 @@ class RunConfig:
 
     def validate(self, cols=None):
         """Check every setting; raises a ValueError naming the first bad
-        field, and returns the config otherwise. Each cell's measurement
-        count is checked on its square image, or on a ``size x cols`` one
-        when ``cols`` is given, as ``iprox solve --cols`` solves."""
+        field, and returns the config otherwise. No list may repeat a
+        value, which would solve a cell or trial twice. Each cell's
+        measurement count is checked on its square image, or on a
+        ``size x cols`` one when ``cols`` is given, as ``iprox solve
+        --cols`` solves."""
         for name in _LIST_FIELDS:
             value = getattr(self, name)
             if not isinstance(value, tuple) and not (value is None and name in _UNSET_FIELDS):
@@ -122,6 +124,10 @@ class RunConfig:
         for kind in self.transforms:
             if kind not in KINDS:
                 raise ValueError(f"unknown transform {kind!r}")
+        for name in _LIST_FIELDS:
+            value = getattr(self, name) or ()
+            if len(set(value)) < len(value):
+                raise ValueError(f"{name} repeats a value: {list(value)!r}")
         for size, q_ratio, kind in itertools.product(self.sizes, self.q_ratios, self.transforms):
             n = size if cols is None else cols
             # q does not depend on the sparse ratio, so any valid one stands in

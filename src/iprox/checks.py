@@ -139,7 +139,7 @@ def residual_envelope(scale=1.0):
     for seed in range(_count(3, scale)):
         problem, w_star = fixtures.strongly_monotone_affine_vi(
             8, numkit.SeededRng(6000 + seed))
-        G = vi_core.WeightOperator.from_matrix(np.eye(8))
+        G = vi_core.WeightOperator(np.eye(8))
         trace = vi_core.run_inertial_ppa(
             problem, G, vi_core.InertialSchedule.constant(INERTIAL_ALPHA),
             np.ones(8) * 2.0, tol=0.0, max_iter=_count(500, scale),

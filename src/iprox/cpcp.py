@@ -165,14 +165,12 @@ def separable_problem(inst, warm=None):
 
 
 def _run_cpcp(inst, tau, eta, alpha, controller, tol, max_iter):
-    if not isinstance(alpha, InertialSchedule):
-        alpha = InertialSchedule.constant(float(alpha))
     if controller is None:
         controller = BetaController.for_instance(inst)
     warm = SvtWarmStart()
     problem = separable_problem(inst, warm)
-    trace = _run(problem, controller, tau, eta, alpha, tol, max_iter,
-                 stop=stopping_residual)
+    trace = _run(problem, controller, tau, eta, InertialSchedule(alpha), tol,
+                 max_iter, stop=stopping_residual)
     trace.extras["svt_rank"] = warm.ranks
     trace.extras["svt_path"] = warm.paths
     L, S, p = problem.split(trace.extras["final"])
@@ -202,11 +200,10 @@ def iladmm_cpcp(inst, tau=0.99, eta=0.99, alpha=0.28, controller=None,
                 tol=1e-5, max_iter=1000):
     """Inertial linearized solver from the zero start.
 
-    ``alpha`` is a constant factor in [0, 1) or an
-    :class:`~iprox.vi_core.InertialSchedule`. All three blocks are
-    extrapolated, the multiplier included, and the stopping rule compares
-    against the extrapolated point. With ``alpha = 0`` the trajectory is
-    bitwise identical to :func:`ladmm_cpcp`.
+    ``alpha`` is the constant extrapolation factor, in [0, 1). All three
+    blocks are extrapolated, the multiplier included, and the stopping rule
+    compares against the extrapolated point. With ``alpha = 0`` the
+    trajectory is bitwise identical to :func:`ladmm_cpcp`.
     """
     return _run_cpcp(inst, tau, eta, alpha, controller, tol, max_iter)
 
@@ -217,7 +214,6 @@ class RecoveryMetrics:
     rel_s: float
     iters: int
     converged: bool
-    q_over_dof: float
 
 
 def recovery_metrics(state, inst):
@@ -235,6 +231,5 @@ def recovery_metrics(state, inst):
         rel_s=rel_s,
         iters=state.iters,
         converged=state.converged,
-        q_over_dof=inst.q_over_dof,
     )
 

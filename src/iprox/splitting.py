@@ -416,7 +416,7 @@ def _run(prob, penalty, tau, eta, schedule, tol, max_iter, w_star=None,
         return base, nxt, objective
 
     trace, last = inertial_loop(
-        step, lambda d, sq=None: _gquad(penalty.beta, tau, eta, d, sq), schedule,
+        step, lambda d, sq=None: _gquad(penalty.beta, tau, eta, d, sq), schedule.alpha,
         _carried(prob, None), tol, max_iter, blocks=3,
         w_star=None if w_star is None else _carried(prob, w_star), objective=[],
         keep_iterates=keep_iterates, before=rebalance, stop=stop,

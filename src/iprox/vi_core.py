@@ -21,13 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
-
-CONSTANT = "constant"
-SUMMABLE = "summable_guard"
 
 _GUARANTEED_CAP = 1.0 / 3.0
 
@@ -76,66 +72,34 @@ class MixedViProblem:
 
 
 class InertialSchedule:
-    """Extrapolation schedule for the inertial engine.
+    """A constant extrapolation factor for the inertial engine.
 
-    Two kinds:
-
-    - ``constant``: alpha_k = alpha for all k.
-    - ``summable_guard``: alpha_k = min(alpha_max, C / (k^2 * d_k)) with
-      d_k the squared G-norm of the last step (floored at machine eps),
-      which keeps sum_k alpha_k * d_k finite for any trajectory.
-
-    A constant factor below 1/3 is the regime under which the O(1/k) and
-    o(1/k) residual guarantees hold; ``guaranteed_regime`` tells whether a
-    schedule qualifies. Caps up to (but excluding) 1 are accepted so
-    experiment sweeps can probe beyond the guaranteed range. The schedule
-    sets no step size: a constant step ``lambda`` is folded into the
-    weighting as ``G / lambda``.
+    ``alpha(k)`` is the factor ``alpha_k`` of every iteration k. A factor
+    below 1/3 is the regime under which the O(1/k) and o(1/k) residual
+    guarantees hold; ``guaranteed_regime`` tells whether a schedule
+    qualifies. Factors up to (but excluding) 1 are accepted so experiment
+    sweeps can probe beyond the guaranteed range. The schedule sets no
+    step size: a constant step ``lambda`` is folded into the weighting as
+    ``G / lambda``.
     """
 
-    def __init__(self, kind, alpha_max, C=1.0):
-        if kind not in (CONSTANT, SUMMABLE):
-            raise ValueError(f"unknown schedule kind {kind!r}")
-        if not 0.0 <= alpha_max < 1.0:
-            raise ValueError(f"alpha cap must lie in [0, 1), got {alpha_max}")
-        if C <= 0:
-            raise ValueError("summable-guard constant must be positive")
-        self.kind = kind
-        self.alpha_max = float(alpha_max)
-        self.C = float(C)
+    def __init__(self, alpha):
+        if not 0.0 <= alpha < 1.0:
+            raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
+        self.value = float(alpha)
 
     @classmethod
     def constant(cls, alpha):
-        return cls(CONSTANT, alpha)
-
-    @classmethod
-    def summable_guard(cls, alpha_max, C=1.0):
-        return cls(SUMMABLE, alpha_max, C=C)
+        """The same as ``InertialSchedule(alpha)``."""
+        return cls(alpha)
 
     @property
     def guaranteed_regime(self):
-        return self.kind == CONSTANT and self.alpha_max < _GUARANTEED_CAP
+        return self.value < _GUARANTEED_CAP
 
-    def alpha(self, k, dw_gnorm_sq=0.0):
+    def alpha(self, k):
         """Extrapolation factor for iteration ``k`` (0-based)."""
-        if self.kind == CONSTANT:
-            return self.alpha_max
-        return summable_alpha(max(k, 1), dw_gnorm_sq, self.alpha_max, self.C)
-
-
-def summable_alpha(k, dw_gnorm_sq, alpha_max, C=1.0):
-    """Online guard ``min(alpha_max, C / (k^2 * max(d, eps)))``.
-
-    With ``d`` the squared G-norm of the last displacement this enforces
-    ``alpha_k * d <= C / k^2`` for k >= 1, so the weighted displacement
-    series is dominated by ``C * pi^2 / 6`` and stays finite.
-    """
-    if k < 1:
-        raise ValueError("summable guard is defined for k >= 1")
-    if not 0.0 <= alpha_max < 1.0:
-        raise ValueError(f"alpha cap must lie in [0, 1), got {alpha_max}")
-    d = max(float(dw_gnorm_sq), np.finfo(np.float64).eps)
-    return min(alpha_max, C / (k * k * d))
+        return self.value
 
 
 @dataclass
@@ -185,18 +149,18 @@ def extrapolate(w, d, alpha):
     return d
 
 
-def inertial_loop(step, gquad, schedule, w, tol, max_iter, *, blocks=1,
+def inertial_loop(step, gquad, alpha, w, tol, max_iter, *, blocks=1,
                   w_star=None, objective=None, keep_iterates=True, before=None,
                   stop=stopping_residual):
     """The iteration loop behind every solver of the package, from ``w``.
 
     A point is a tuple of arrays whose first ``blocks`` entries form the
     iterate; any further ones are data carried with it, such as ``A x``.
-    Step k reads ``alpha_k`` off ``schedule``, forms ``d = w_k - w_{k-1}``
-    only when the schedule reads its squared G-norm or ``alpha_k`` is
-    nonzero (else ``d`` is None), and calls ``step(w_k, w_{k-1}, d,
-    alpha_k)`` for ``(wbar_k, w_{k+1}, objective at w_{k+1})``; the step
-    may turn ``d`` into ``wbar_k`` in place (:func:`extrapolate`). ``gquad(d, sq=None)`` is ``||d||_G^2``,
+    Step k takes ``alpha_k = alpha(k)``, forms ``d = w_k - w_{k-1}`` only
+    when ``alpha_k`` is nonzero (else ``d`` is None), and calls
+    ``step(w_k, w_{k-1}, d, alpha_k)`` for ``(wbar_k, w_{k+1}, objective
+    at w_{k+1})``; the step may turn ``d`` into ``wbar_k`` in place
+    (:func:`extrapolate`). ``gquad(d, sq=None)`` is ``||d||_G^2``,
     ``sq`` being the squared block norms of ``d`` when already formed.
     ``before(k, w_k, objective at w_k)``, when given, runs first in each
     step, for updates that change G such as a penalty rule.
@@ -223,11 +187,10 @@ def inertial_loop(step, gquad, schedule, w, tol, max_iter, *, blocks=1,
     for k in range(max_iter):
         if before is not None:
             before(k, w, obj)
-        a, dsq, d = (None if schedule.kind == SUMMABLE else schedule.alpha(k)), 0.0, None
-        if a is None or a:
+        a, dsq, d = alpha(k), 0.0, None
+        if a:
             d = [u - v for u, v in zip(w, w_prev)]
             dsq = gquad(d)
-            a = schedule.alpha(k, dsq)
         wbar, nxt, obj = step(w, w_prev, d, a)
         diff = [u - v for u, v in zip(nxt, wbar)]
         sq = [_sq(u) for u in diff[:blocks]]
@@ -283,7 +246,7 @@ def run_inertial_ppa(problem, G, schedule, w0, tol=1e-5, max_iter=1000, w_star=N
         return (wbar,), (w_next,), None
 
     return inertial_loop(
-        step, lambda d, sq=None: G.quad(d[0]), schedule, (w,), tol, max_iter,
+        step, lambda d, sq=None: G.quad(d[0]), schedule.alpha, (w,), tol, max_iter,
         w_star=None if w_star is None else (np.asarray(w_star, dtype=np.float64),),
     )[0]
 
@@ -413,8 +376,6 @@ def nesterov_ippa(prox_f, w0, n_iters, objective=None):
     t = [1.0]
     for _ in range(n_iters):
         t.append((1.0 + math.sqrt(1.0 + 4.0 * t[-1] * t[-1])) / 2.0)
-    schedule = SimpleNamespace(kind="t-sequence",
-                               alpha=lambda k, d=0.0: (t[k] - 1.0) / t[k + 1])
 
     def step(cur, prev, d, alpha):
         (wbar,) = extrapolate(cur, d, alpha)
@@ -422,7 +383,8 @@ def nesterov_ippa(prox_f, w0, n_iters, objective=None):
         return (wbar,), (w_next,), None if objective is None else float(objective(w_next))
 
     trace, _ = inertial_loop(
-        step, lambda d, sq=None: sq[0] if sq else _sq(d[0]), schedule, (w,), 0.0, n_iters,
+        step, lambda d, sq=None: sq[0] if sq else _sq(d[0]),
+        lambda k: (t[k] - 1.0) / t[k + 1], (w,), 0.0, n_iters,
         objective=None if objective is None else [float(objective(w))],
     )
     trace.extras["t"] = t

@@ -542,13 +542,16 @@ class TestCli:
         ({"jobs": None}, "jobs"),
         ({"grid.transforms": []}, "transforms must be a nonempty list"),
         ({"solver.alphas": []}, "alphas must be a nonempty list"),
+        ({"seeds": [0, 0]}, "seeds repeats a value"),
+        ({"solver.alphas": [0.1, 0.1]}, "alphas repeats a value"),
         # cells the measurement operator cannot take
         ({"grid.transforms": ["fft2"]}, "fft2 at size 16 cannot take q_ratio 0.8"),
         ({"grid.transforms": ["wht"], "grid.sizes": [24]}, "wht at size 24 cannot take q_ratio 0.8"),
         ({"grid.sizes": [4], "grid.q_ratios": [0.01]}, "dct2 at size 4 cannot take q_ratio 0.01"),
     ], ids=["sizes-scalar", "seeds-scalar", "alphas-scalar", "tau-text", "max_iter-float",
             "sizes-float", "ranks-float", "seeds-float", "jobs-float", "transforms-null",
-            "jobs-null", "transforms-empty", "alphas-empty", "fft2-q-above-half",
+            "jobs-null", "transforms-empty", "alphas-empty", "seeds-duplicate",
+            "alphas-duplicate", "fft2-q-above-half",
             "wht-not-power-of-two", "q-zero"])
     def test_bench_malformed_config_is_usage_error(self, tmp_path, capsys, changes, needle):
         doc = yaml.safe_load(TINY_YAML)

@@ -15,7 +15,6 @@ from iprox import cpcp, prox
 from iprox.numkit import SeededRng, make_measurement_op
 from iprox.prox import svt
 from iprox.splitting import LadmmParams, SeparableProblem, _gquad, gladmm_operator
-from iprox.vi_core import InertialSchedule
 
 
 def small_instance(seed=3, m=16, n=16, r=1, nnz=5, q=100, kind="dct2"):
@@ -236,8 +235,8 @@ class TestNorms:
             assert trace.step_residuals[k] == pytest.approx(step, rel=1e-12)
 
     def test_inertia_term_recorded(self):
-        # delta_k = 2 alpha ||w_k - w_{k-1}||_G^2 at every step, not only
-        # when a schedule reads the G-norm
+        # delta_k = 2 alpha ||w_k - w_{k-1}||_G^2 at every step: the loop
+        # forms the difference whenever alpha_k is nonzero
         inst = small_instance()
         alpha = 0.28
 
@@ -433,13 +432,6 @@ class TestSolvers:
         assert len(set(betas[30:])) == 1
         assert all(1e-3 <= b <= 1e2 for b in betas)
 
-    def test_schedule_object_accepted(self):
-        inst = small_instance()
-        schedule = InertialSchedule.summable_guard(0.3, C=0.5)
-        state, trace = cpcp.iladmm_cpcp(inst, alpha=schedule, max_iter=30, tol=0.0)
-        assert trace.iterations == 30
-        assert all(0.0 <= a <= 0.3 for a in trace.alphas)
-
     def test_step_size_validation(self):
         inst = small_instance()
         with pytest.raises(ValueError):
@@ -461,7 +453,7 @@ class TestRecoveryMetrics:
         metrics = cpcp.recovery_metrics(state, inst)
         assert metrics.rel_l == 0.0 and metrics.rel_s == 0.0
         assert metrics.iters == 5 and metrics.converged
-        assert metrics.q_over_dof == inst.q_over_dof
+        assert set(vars(metrics)) == {"rel_l", "rel_s", "iters", "converged"}
 
     def test_relative_and_absolute_scaling(self):
         inst = small_instance()

@@ -29,7 +29,6 @@ from iprox.vi_core import (
     inertial_ppa_step,
     nesterov_ippa,
     run_inertial_ppa,
-    summable_alpha,
 )
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -93,40 +92,12 @@ class TestInertialSchedule:
     def test_guaranteed_regime_boundary(self):
         assert not InertialSchedule.constant(1.0 / 3.0).guaranteed_regime
         assert InertialSchedule.constant(0.33).guaranteed_regime
-        assert not InertialSchedule.summable_guard(0.1).guaranteed_regime
-
-    def test_summable_guard_caps(self):
-        s = InertialSchedule.summable_guard(0.9, C=2.0)
-        # tiny displacement: guard is inactive, cap applies
-        assert s.alpha(3, 1e-12) == pytest.approx(0.9)
-        # large displacement: alpha * d <= C / k^2
-        d = 50.0
-        a = s.alpha(4, d)
-        assert a * d <= 2.0 / 16.0 + 1e-15
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            InertialSchedule("bogus", 0.1)
         with pytest.raises(ValueError):
             InertialSchedule.constant(1.0)
         with pytest.raises(ValueError):
             InertialSchedule.constant(-0.1)
-        with pytest.raises(ValueError):
-            InertialSchedule.summable_guard(0.1, C=0.0)
-
-    def test_summable_alpha_series_bound(self):
-        # sum_k alpha_k d_k is dominated by C * pi^2 / 6 for any d sequence
-        rng = np.random.default_rng(1)
-        C = 1.5
-        total = 0.0
-        for k in range(1, 2000):
-            d = float(rng.uniform(0.0, 100.0))
-            total += summable_alpha(k, d, 0.99, C=C) * d
-        assert total <= C * math.pi**2 / 6.0 + 1e-9
-
-    def test_summable_alpha_rejects_k_zero(self):
-        with pytest.raises(ValueError):
-            summable_alpha(0, 1.0, 0.5)
 
 
 class TestEngineStep:
@@ -242,19 +213,24 @@ class TestRunInertialPpa:
                 np.zeros(2), tol=-1.0,
             )
 
-    def test_summable_guard_delta_series(self):
-        rng = SeededRng(9)
-        problem, _ = strongly_monotone_affine_vi(4, rng)
-        C = 0.5
+    @pytest.mark.parametrize("alpha, per_step", [(0.0, 1), (0.28, 2)])
+    def test_difference_formed_only_under_inertia(self, alpha, per_step):
+        # without w_star, G.quad weighs each step residual, and the last
+        # difference w_k - w_{k-1} only when alpha_k is nonzero
+        problem, _ = strongly_monotone_affine_vi(4, SeededRng(9))
+        calls = []
+
+        class CountingWeight(WeightOperator):
+            def quad(self, v):
+                calls.append(1)
+                return super().quad(v)
+
         trace = run_inertial_ppa(
-            problem,
-            eye_weight(4),
-            InertialSchedule.summable_guard(0.9, C=C),
-            np.ones(4) * 5.0,
-            tol=0.0,
-            max_iter=500,
+            problem, CountingWeight(np.eye(4)), InertialSchedule.constant(alpha),
+            np.ones(4) * 5.0, tol=0.0, max_iter=30,
         )
-        assert sum(trace.delta) <= 2.0 * C * math.pi**2 / 6.0 + 1e-10
+        assert trace.iterations == 30
+        assert len(calls) == per_step * 30
 
 
 class TestResidualRateBound:
