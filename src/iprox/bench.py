@@ -38,8 +38,8 @@ from .numkit import (
     KINDS,
     RNG_ALGORITHM,
     SVT_PATHS,
+    _dct_kernel,
     _one_blas_thread,
-    _scipy_fft,
     measurement_domain,
 )
 from .vi_core import InertialSchedule
@@ -311,11 +311,10 @@ def _worker_pool(jobs):
     """The grid's executor: ``jobs`` forked worker processes, each with
     one BLAS thread (see :func:`iprox.numkit._one_blas_thread`).
 
-    The initializer sets only the OpenBLAS libraries loaded at the fork.
-    ``scipy.fft`` brings its own OpenBLAS, which a worker importing it
-    later would run at the default thread count, so a grid with DCT-II
-    cells imports it in the parent first (:func:`run_grid`). Importing it
-    in each worker would also cost each one about 0.4 s and 27 MB (2 CPUs)."""
+    The initializer sets the OpenBLAS libraries loaded at the fork; the
+    grid's transforms load no other (numpy's is the only one, and the
+    DCT-II kernel, which :func:`run_grid` loads before the fork, brings
+    none)."""
     # imported here: only a grid run needs them, and at module level they
     # added about 0.5 MB to the peak RSS of every process importing iprox
     import multiprocessing
@@ -338,13 +337,14 @@ def run_grid(config):
     recorded as a cell error. Records are assembled in deterministic
     grid order regardless of scheduling.
 
-    A grid with DCT-II cells imports the DCT backend before the workers
-    fork, so that they inherit it with one BLAS thread (see
-    :func:`_worker_pool`); a grid without loads no scipy anywhere.
+    A grid with DCT-II cells loads the DCT-II kernel (see
+    :func:`iprox.numkit._dct_kernel`) before the workers fork, so every
+    worker inherits it instead of loading it itself; no process of a grid
+    imports a scipy module.
     """
     config.validate()
     if DCT2 in config.transforms:
-        _scipy_fft()
+        _dct_kernel()
     alphas = tuple(config.alphas) if config.alphas is not None else (config.alpha,)
     cells = list(itertools.product(
         config.sizes, config.ranks, config.nnz_ratios,

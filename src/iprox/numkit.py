@@ -6,19 +6,27 @@ operators, orthonormal 2-D transforms (DCT-II, Walsh-Hadamard, DFT),
 partial measurement operators built from randomly selected transform
 coefficients, and a seeded random source with named substreams.
 
-Only the DCT-II needs scipy, and :func:`_scipy_fft` imports ``scipy.fft``
-on the first DCT-II call, not at import: the Walsh-Hadamard kernel is
-numpy's GEMM and the DFT is ``numpy.fft``. A process that imports the
-package and runs only those transforms loads no scipy, which took the
-peak RSS of the benchmark's 256^2 WHT run from 85.8 to 67.4 MB and its
-set-up from 0.39 to 0.16 s (medians of 10 runs, 2 CPUs).
+Only the DCT-II needs scipy, and of scipy only its compiled pocketfft
+kernel: :func:`_dct_kernel` loads that one extension file on the first
+DCT-II call, without importing ``scipy.fft``, whose package import also
+loads ``scipy.special`` and scipy's own OpenBLAS. The Walsh-Hadamard
+kernel is numpy's GEMM and the DFT is ``numpy.fft``, so a process that
+imports the package holds no scipy module and no second OpenBLAS, and a
+DCT-II process holds only the kernel. On 2 CPUs, medians of 10 runs,
+that took the peak RSS of the benchmark's 256^2 WHT run from 85.8 to
+67.4 MB, and of its 256^2 DCT2 run from 79.9 to 62.5 MB with its set-up
+from 0.34 to 0.14 s.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -409,18 +417,39 @@ def fwht(vec):
     return v.ravel() / math.sqrt(n)
 
 
-# holds scipy.fft once _scipy_fft has imported it in full
-_DCT_BACKEND = {}
+# where scipy keeps the pocketfft extension, relative to its package
+_POCKETFFT_DIR = os.path.join("fft", "_pocketfft")
+# the extension's full module name; its last part names its init function
+_POCKETFFT = "scipy.fft._pocketfft.pypocketfft"
 
 
-def _scipy_fft():
-    """``scipy.fft``, the DCT-II backend, imported on the first call; a
-    later call costs one dictionary lookup."""
-    fft = _DCT_BACKEND.get("fft")
-    if fft is None:
-        import scipy.fft as fft
-        _DCT_BACKEND["fft"] = fft
-    return fft
+@functools.cache
+def _dct_kernel():
+    """scipy's pocketfft extension, the DCT-II kernel, loaded from its file
+    on the first call; a later call returns the same module.
+
+    Finding scipy's package directory imports nothing, and loading the one
+    extension file imports no scipy module: ``import scipy.fft`` would add
+    ``scipy.special`` and scipy's own OpenBLAS, about 21 MB of RSS and
+    0.22-0.27 s on 2 CPUs, where the kernel alone takes 0.5 MB and under
+    1 ms. Raises ImportError, and caches nothing, when the extension is
+    not found.
+    """
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("the dct2 transform needs scipy, which is not installed")
+    dirs = [os.path.join(loc, _POCKETFFT_DIR) for loc in scipy.submodule_search_locations]
+    for path in (os.path.join(d, "pypocketfft" + suffix) for d in dirs
+                 for suffix in importlib.machinery.EXTENSION_SUFFIXES):
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_loader(
+                _POCKETFFT, importlib.machinery.ExtensionFileLoader(_POCKETFFT, path))
+            kernel = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(kernel)
+            return kernel
+    from importlib.metadata import version
+    raise ImportError(f"no pocketfft extension (pypocketfft) in {os.pathsep.join(dirs)}; "
+                      f"scipy {version('scipy')} keeps it elsewhere")
 
 
 def orthonormal_transform(kind, image, inverse=False):
@@ -430,16 +459,20 @@ def orthonormal_transform(kind, image, inverse=False):
     orthonormal Walsh-Hadamard transform to the row-major vectorized image
     (the total size must be a power of two) and reshapes back; it is its
     own inverse. ``fft2`` is the orthonormal 2-D DFT with complex output.
-    All three preserve the Euclidean norm.
+    All three preserve the Euclidean norm. ``dct2`` and ``wht`` refuse
+    complex input with a ValueError.
     """
     a = np.asarray(image)
     if a.ndim != 2:
         raise ValueError(f"transform input must be 2-D, got shape {a.shape}")
+    if kind in (DCT2, WHT) and np.iscomplexobj(a):
+        raise ValueError(f"the {kind} transform takes real input, got {a.dtype}")
     if kind == DCT2:
-        fft = _scipy_fft()
-        if inverse:
-            return fft.idctn(a, type=2, norm="ortho")
-        return fft.dctn(a, type=2, norm="ortho")
+        # the call scipy.fft.dctn / idctn(type=2, norm="ortho") makes: type
+        # 2 forward and 3 inverse, both axes, orthonormal scaling, no output
+        # array, one thread, no orthogonalize override
+        return _dct_kernel().dct(np.asarray(a, dtype=np.float64), 3 if inverse else 2,
+                                 (0, 1), 1, None, 1, None)
     if kind == WHT:
         # self-inverse, so the flag is accepted but changes nothing
         return fwht(a.ravel()).reshape(a.shape)
@@ -527,6 +560,8 @@ class MeasurementOp:
 
     def apply(self, image):
         """Measure ``image``: transform, then subsample coefficients."""
+        if np.iscomplexobj(image):
+            raise ValueError("measurements are taken of real images, got a complex one")
         x = np.asarray(image, dtype=np.float64)
         if x.shape != (self.image_rows, self.image_cols):
             raise ValueError(

@@ -275,10 +275,6 @@ class TestRunGrid:
         assert strip_wall_times(trials) == record_docs(records)[0]["trials"]
 
     def test_workers_run_one_blas_thread(self):
-        # load the DCT backend's own OpenBLAS, as a DCT grid does before
-        # it forks, so that the libraries seen do not depend on whether an
-        # earlier test ran a DCT
-        numkit._scipy_fft()
         loaded = _blas_threads()
         if not loaded:
             pytest.skip("no OpenBLAS loaded")

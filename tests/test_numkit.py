@@ -102,6 +102,11 @@ class TestTransforms:
         back = numkit.orthonormal_transform(numkit.FFT2, Y, inverse=True)
         assert np.abs(back.real - X).max() < 1e-12
 
+    @pytest.mark.parametrize("kind", [numkit.DCT2, numkit.WHT])
+    def test_real_transforms_reject_complex_input(self, kind):
+        with pytest.raises(ValueError, match="takes real input, got complex128"):
+            numkit.orthonormal_transform(kind, np.ones((4, 4)) + 1j * np.eye(4))
+
 
 class TestFftHalfDomain:
     def test_small_grid_enumeration(self):
@@ -180,6 +185,11 @@ class TestMeasurementOp:
         bad = np.array([1 * 4 + 1, 3 * 4 + 3])
         with pytest.raises(ValueError):
             numkit.MeasurementOp(numkit.FFT2, 4, 4, bad)
+
+    def test_apply_rejects_complex_image(self):
+        for op in self._ops(numkit.SeededRng(15)):
+            with pytest.raises(ValueError, match="real images"):
+                op.apply(np.ones((8, 8)) + 1j * np.eye(8))
 
     def test_indices_read_only(self):
         op = numkit.MeasurementOp(numkit.DCT2, 4, 4, np.array([0, 5]))
