@@ -186,10 +186,37 @@ class RecoveryBatch:
     size: int
     runs: list
 
+    @classmethod
+    def from_records(cls, records):
+        """The batch of one cell's sweep records (:func:`iprox.bench.run_grid`
+        with ``alphas`` set): one run per seed, holding the plain solve and
+        each record's factor. Records of several cells raise ValueError, and
+        a cell error raises RuntimeError with the worker's traceback."""
+        if len({(r.m, r.n, r.r, r.nnz_ratio, r.q_ratio, r.transform)
+                for r in records}) != 1:
+            raise ValueError("the records must cover exactly one cell")
+        runs = None
+        for rec in records:
+            if rec.error is not None:
+                raise RuntimeError(f"{rec.error}\n{rec.traceback}")
+            if runs is None:
+                runs = [{0.0: _metrics(t["ladmm"])} for t in rec.trials]
+            for run, trial in zip(runs, rec.trials):
+                run[rec.alpha] = _metrics(trial["iladmm"])
+        return cls(records[0].m, runs)
+
+
+def _metrics(outcome):
+    """The :class:`~iprox.cpcp.RecoveryMetrics` of a grid trial's solve."""
+    return cpcp.RecoveryMetrics(outcome["rel_l"], outcome["rel_s"], outcome["iters"],
+                                outcome["converged"])
+
 
 def recovery_batch(size, rank, q_ratio, seeds, alphas):
     """Solve one ``size x size`` instance per seed plainly and at each
-    factor in ``alphas``; the batch criteria 7 and 8 read."""
+    factor in ``alphas``, in this process; the batch criteria 7 and 8
+    read. :meth:`RecoveryBatch.from_records` reads the same batch off a
+    grid run, whose solves run in worker processes."""
     q, nnz = cpcp.counts_from_ratios(size, size, q_ratio, 0.05)
     runs = []
     for seed in seeds:

@@ -19,7 +19,14 @@ def soft_threshold(v, kappa):
     if kappa < 0:
         raise ValueError(f"threshold must be nonnegative, got {kappa}")
     a = np.asarray(v, dtype=np.float64)
-    return np.sign(a) * np.maximum(np.abs(a) - kappa, 0.0)
+    # sign(a) * max(|a| - kappa, 0), bit for bit, formed in place in |a|
+    # so that it takes two full-size arrays; [...] and [()] let a 0-d
+    # input give a scalar, as the ufuncs do
+    out = np.abs(a)[...]
+    out -= kappa
+    np.maximum(out, 0.0, out=out)
+    out *= np.sign(a)
+    return out[()]
 
 
 def svt_with_values(mat, kappa, warm=None):

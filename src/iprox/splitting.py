@@ -83,6 +83,11 @@ class SeparableProblem:
                 setattr(self, name, M)
 
     @cached_property
+    def _weightings(self):
+        """The dense weightings built so far, by ``(beta, tau, eta)``."""
+        return {}
+
+    @cached_property
     def _ops(self):
         return tuple(M if hasattr(M, "apply") else _MatrixOp(M)
                      for M in (self.A, self.B))
@@ -278,21 +283,27 @@ def gladmm_operator(prob, params):
     ``diag(beta (I/tau - A'A), [beta/eta I, -B'; -B, I/beta])`` on packed
     ``(x, y, p)``, for the certificates on matrix problems; an operator
     problem raises TypeError. Solves weight their steps with the same
-    norm in closed form, from carried ``A x`` and ``B y``.
+    norm in closed form, from carried ``A x`` and ``B y``. The matrix is
+    built once per problem and ``(beta, tau, eta)`` and then shared, so
+    it is read-only.
     """
     A, B = prob.A, prob.B
     if not (isinstance(A, np.ndarray) and isinstance(B, np.ndarray)):
         raise TypeError("the dense weighting G needs matrix data A and B")
-    beta, tau, eta = params.beta, params.tau, params.eta
-    n1, n2, m = prob.n1, prob.n2, prob.m
-    # filled block by block: np.block takes twice as long at 8 x 8 x 8
-    G = np.zeros((n1 + n2 + m, n1 + n2 + m))
-    G[:n1, :n1] = beta * (np.eye(n1) / tau - A.T @ A)
-    G[n1 : n1 + n2, n1 : n1 + n2] = (beta / eta) * np.eye(n2)
-    G[n1 : n1 + n2, n1 + n2 :] = -B.T
-    G[n1 + n2 :, n1 : n1 + n2] = -B
-    G[n1 + n2 :, n1 + n2 :] = np.eye(m) / beta
-    return WeightOperator(G)
+    key = (float(params.beta), float(params.tau), float(params.eta))
+    if key not in prob._weightings:
+        beta, tau, eta = key
+        n1, n2, m = prob.n1, prob.n2, prob.m
+        # filled block by block: np.block takes twice as long at 8 x 8 x 8
+        G = np.zeros((n1 + n2 + m, n1 + n2 + m))
+        G[:n1, :n1] = beta * (np.eye(n1) / tau - A.T @ A)
+        G[n1 : n1 + n2, n1 : n1 + n2] = (beta / eta) * np.eye(n2)
+        G[n1 : n1 + n2, n1 + n2 :] = -B.T
+        G[n1 + n2 :, n1 : n1 + n2] = -B
+        G[n1 + n2 :, n1 + n2 :] = np.eye(m) / beta
+        G.flags.writeable = False  # shared by every caller with these parameters
+        prob._weightings[key] = WeightOperator(G)
+    return prob._weightings[key]
 
 
 def lagrangian(prob, x, y, p):
@@ -310,8 +321,8 @@ def _step(prob, beta, tau, eta, xb, yb, pb, axb, byb):
     adjoints once each.
     """
     opA, opB = prob._ops
-    r1 = axb + byb - prob.b
-    x1, fx = prob.f_prox.eval(xb - tau * opA.adjoint(r1 - pb / beta), tau / beta)
+    x1, fx = prob.f_prox.eval(xb - tau * opA.adjoint(axb + byb - prob.b - pb / beta),
+                              tau / beta)
     ax1 = opA.apply(x1)
     r2 = ax1 + byb - prob.b
     p1 = pb - beta * r2
@@ -325,8 +336,9 @@ def _carried(prob, w):
     input shapes."""
     opA, opB = prob._ops
     if w is None:
-        zero = np.zeros(prob.m)
-        return np.zeros(opA.input_shape), np.zeros(opB.input_shape), zero, zero, zero
+        # distinct arrays: the loop writes into the blocks of its start point
+        return (np.zeros(opA.input_shape), np.zeros(opB.input_shape),
+                np.zeros(prob.m), np.zeros(prob.m), np.zeros(prob.m))
     x, y, p = prob.split(w)
     x, y = x.reshape(opA.input_shape), y.reshape(opB.input_shape)
     return x, y, p, opA.apply(x), opB.apply(y)
@@ -409,7 +421,7 @@ def _run(prob, penalty, tau, eta, schedule, tol, max_iter, w_star=None,
             r = w[3] + w[4] - prob.b
             penalty.apply_rule(float(r @ r), objective)
 
-    def step(w, w_prev, d, alpha):
+    def step(w, d, alpha):
         betas.append(penalty.beta)
         base = extrapolate(w, d, alpha)
         *nxt, objective = _step(prob, penalty.beta, tau, eta, *base)

@@ -149,6 +149,11 @@ def extrapolate(w, d, alpha):
     return d
 
 
+def _overlap(us, vs):
+    """Whether two points may share memory, block by block."""
+    return any(map(np.may_share_memory, us, vs))
+
+
 def inertial_loop(step, gquad, alpha, w, tol, max_iter, *, blocks=1,
                   w_star=None, objective=None, keep_iterates=True, before=None,
                   stop=stopping_residual):
@@ -156,20 +161,36 @@ def inertial_loop(step, gquad, alpha, w, tol, max_iter, *, blocks=1,
 
     A point is a tuple of arrays whose first ``blocks`` entries form the
     iterate; any further ones are data carried with it, such as ``A x``.
-    Step k takes ``alpha_k = alpha(k)``, forms ``d = w_k - w_{k-1}`` only
-    when ``alpha_k`` is nonzero (else ``d`` is None), and calls
-    ``step(w_k, w_{k-1}, d, alpha_k)`` for ``(wbar_k, w_{k+1}, objective
-    at w_{k+1})``; the step may turn ``d`` into ``wbar_k`` in place
-    (:func:`extrapolate`). ``gquad(d, sq=None)`` is ``||d||_G^2``,
-    ``sq`` being the squared block norms of ``d`` when already formed.
-    ``before(k, w_k, objective at w_k)``, when given, runs first in each
-    step, for updates that change G such as a penalty rule.
+    Step k takes ``alpha_k = alpha(k)``, forms the last step
+    ``d_k = w_k - w_{k-1}`` only when ``alpha_k`` is nonzero (else ``d_k``
+    is None), and calls ``step(w_k, d_k, alpha_k)`` for ``(wbar_k,
+    w_{k+1}, objective at w_{k+1})``; the step may turn ``d_k`` into
+    ``wbar_k`` in place (:func:`extrapolate`). ``gquad(d, sq=None)`` is
+    ``||d||_G^2``, ``sq`` being the squared block norms of ``d`` when
+    already formed. ``before(k, w_k, objective at w_k)``, when given, runs
+    first in each step, for updates that change G such as a penalty rule.
+
+    The loop owns ``w`` and reuses the storage of the points it retires,
+    so an inertial step holds three points (``w_k``, ``d_k`` turned
+    ``wbar_k``, ``w_{k+1}``) and a plain one two:
+
+    - ``d_k`` is written into the arrays of ``w_{k-1}``, which no later
+      step reads, unless they hold ``w_k`` (as at k = 0, where
+      ``w_{k-1}`` is ``w_0``);
+    - ``w_{k+1} - wbar_k`` is written into the arrays of ``wbar_k``, once
+      ``||wbar_k||^2`` is taken, unless they hold ``w_{k+1}`` or hold
+      ``w_k`` while ``alpha_{k+1}`` is nonzero.
+
+    ``wbar_k`` may be ``w_k`` itself or ``d_k`` (or new arrays), and
+    ``w_{k+1}`` may share memory with ``wbar_k``, block by block, as the
+    output of an identity prox does; otherwise the arrays of the start
+    point and of the points a step returns must not overlap.
 
     Stops when ``stop(||w_{k+1} - wbar_k||^2, ||wbar_k||^2) < tol``, the
     norms taken over the blocks, or after ``max_iter`` steps. The trace's
     objective list starts as ``objective`` (None records none); ``phi`` is
     recorded when ``w_star`` (a point) is given. Returns the trace and the
-    last point; no difference or extrapolated point outlives its step.
+    last point.
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
@@ -177,7 +198,8 @@ def inertial_loop(step, gquad, alpha, w, tol, max_iter, *, blocks=1,
     def pack(w):
         return np.concatenate(w[:blocks], axis=None)
 
-    w_prev = w
+    # w_{k-1}, and whether d_k may take its arrays
+    prev, free = w, False
     trace = SolverTrace(
         iterates=[pack(w)] if keep_iterates else None,
         phi=None if w_star is None else [gquad([u - v for u, v in zip(w, w_star)])],
@@ -189,14 +211,23 @@ def inertial_loop(step, gquad, alpha, w, tol, max_iter, *, blocks=1,
             before(k, w, obj)
         a, dsq, d = alpha(k), 0.0, None
         if a:
-            d = [u - v for u, v in zip(w, w_prev)]
+            d = [np.subtract(u, v, out=v if free else None) for u, v in zip(w, prev)]
             dsq = gquad(d)
-        wbar, nxt, obj = step(w, w_prev, d, a)
-        diff = [u - v for u, v in zip(nxt, wbar)]
+        prev = None
+        wbar, nxt, obj = step(w, d, a)
+        del d
+        wsq = sum(_sq(u) for u in wbar[:blocks])
+        held = _overlap(nxt, wbar)
+        shared = (held or (k + 1 < max_iter and alpha(k + 1))) and _overlap(wbar, w)
+        # w_k's arrays hold w_{k+1} only through wbar_k
+        free = not (held and shared)
+        diff = [np.subtract(u, v, out=None if held or shared else v)
+                for u, v in zip(nxt, wbar)]
+        del wbar
         sq = [_sq(u) for u in diff[:blocks]]
-        rel = stop(sum(sq), sum(_sq(u) for u in wbar[:blocks]))
+        rel = stop(sum(sq), wsq)
         trace.step_residuals.append(gquad(diff, sq))
-        del d, wbar, diff
+        del diff
         trace.alphas.append(a)
         trace.delta.append(2.0 * a * dsq)
         trace.stop_residuals.append(rel)
@@ -206,7 +237,7 @@ def inertial_loop(step, gquad, alpha, w, tol, max_iter, *, blocks=1,
             trace.iterates.append(pack(nxt))
         if trace.phi is not None:
             trace.phi.append(gquad([u - v for u, v in zip(nxt, w_star)]))
-        w_prev, w = w, nxt
+        prev, w = w, nxt
         trace.iterations = k + 1
         if rel < tol:
             trace.converged = True
@@ -214,17 +245,18 @@ def inertial_loop(step, gquad, alpha, w, tol, max_iter, *, blocks=1,
     return trace, w
 
 
-def inertial_ppa_step(problem, G, w_k, w_km1, alpha_k):
+def inertial_ppa_step(problem, G, w_k, d, alpha_k):
     """One engine step: extrapolate, then resolve.
 
-    Returns ``(wbar, w_next)`` where ``wbar = w_k + alpha_k (w_k - w_km1)``
-    and ``w_next`` solves the regularized inequality at ``wbar``.
+    Returns ``(wbar, w_next)`` where ``wbar = w_k + alpha_k d`` for the
+    last step ``d = w_k - w_{k-1}`` (``w_k`` itself when ``alpha_k`` is
+    0, and then ``d`` may be None), and ``w_next`` solves the regularized
+    inequality at ``wbar``. Neither argument is modified.
     """
     if alpha_k < 0:
         raise ValueError("alpha must be nonnegative")
     w_k = np.asarray(w_k, dtype=np.float64)
-    w_km1 = np.asarray(w_km1, dtype=np.float64)
-    wbar = w_k + alpha_k * (w_k - w_km1)
+    wbar = w_k + alpha_k * np.asarray(d, dtype=np.float64) if alpha_k else w_k
     w_next = problem.resolvent(wbar, G)
     return wbar, np.asarray(w_next, dtype=np.float64)
 
@@ -235,14 +267,15 @@ def run_inertial_ppa(problem, G, schedule, w0, tol=1e-5, max_iter=1000, w_star=N
     Each step is :func:`inertial_ppa_step` inside :func:`inertial_loop`.
     Stops when ``||w_next - wbar|| / (1 + ||wbar||) < tol`` or at
     ``max_iter``. When ``w_star`` is given the trace records
-    ``phi_k = ||w_k - w*||_G^2``.
+    ``phi_k = ||w_k - w*||_G^2``. ``w0`` is copied, not modified.
     """
     w = np.asarray(w0, dtype=np.float64).copy()
     if w.shape != (problem.dim,):
         raise ValueError(f"w0 must have shape ({problem.dim},), got {w.shape}")
 
-    def step(cur, prev, d, alpha):
-        wbar, w_next = inertial_ppa_step(problem, G, cur[0], prev[0], alpha)
+    def step(cur, d, alpha):
+        wbar, w_next = inertial_ppa_step(problem, G, cur[0],
+                                         None if d is None else d[0], alpha)
         return (wbar,), (w_next,), None
 
     return inertial_loop(
@@ -377,7 +410,7 @@ def nesterov_ippa(prox_f, w0, n_iters, objective=None):
     for _ in range(n_iters):
         t.append((1.0 + math.sqrt(1.0 + 4.0 * t[-1] * t[-1])) / 2.0)
 
-    def step(cur, prev, d, alpha):
+    def step(cur, d, alpha):
         (wbar,) = extrapolate(cur, d, alpha)
         w_next = np.asarray(prox_f(wbar, 1.0), dtype=np.float64)
         return (wbar,), (w_next,), None if objective is None else float(objective(w_next))

@@ -19,15 +19,15 @@ all) and checks one documented guarantee at its stated tolerance:
 
 The checks themselves live in :mod:`iprox.checks`; these gates run them
 at full scale, where ``iprox verify`` runs them at fixture scale.
-Criteria 7 and 8 share one batch of 256 x 256 runs; expect the module to
-take about a minute.
+Criteria 7 and 8 share one batch of 256 x 256 runs, solved in two worker
+processes; expect the module to take about half a minute.
 """
 
 import json
 
 import pytest
 
-from iprox import checks, cli
+from iprox import bench, checks, cli
 
 
 def report(num, result):
@@ -37,8 +37,12 @@ def report(num, result):
 
 @pytest.fixture(scope="module")
 def desk_batch():
-    """256 x 256, rank 5, q = 0.6 area, seeds 0-4: plain, 0.28 and 0.05."""
-    return checks.recovery_batch(256, 5, 0.6, seeds=range(5), alphas=(0.28, 0.05))
+    """256 x 256, rank 5, q = 0.6 area, seeds 0-4: plain, 0.28 and 0.05,
+    solved in the grid's two worker processes at one BLAS thread each."""
+    config = bench.RunConfig(sizes=(256,), ranks=(5,), nnz_ratios=(0.05,),
+                             q_ratios=(0.6,), seeds=tuple(range(5)),
+                             alphas=(0.28, 0.05), jobs=2)
+    return checks.RecoveryBatch.from_records(bench.run_grid(config))
 
 
 def test_criterion_01_step_characterization():

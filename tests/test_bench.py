@@ -320,6 +320,21 @@ class TestRunGrid:
         assert zero.iter_ratio == 1.0
         assert zero.mean_rel_l_iladmm == zero.mean_rel_l_ladmm
 
+    def test_sweep_records_give_the_in_process_recovery_batch(self):
+        # criteria 7 and 8 read their batch off a sweep run by the grid
+        seeds, alphas = (0, 1), (0.28, 0.1)
+        records = bench.run_grid(tiny_config(sizes=(24,), seeds=seeds, alphas=alphas,
+                                             max_iter=1000, jobs=2))
+        got = checks.RecoveryBatch.from_records(records)
+        want = checks.recovery_batch(24, 2, 0.8, seeds, alphas)
+        assert got == want and len(got.runs) == 2 and set(got.runs[0]) == {0.0, *alphas}
+        with pytest.raises(ValueError, match="one cell"):
+            checks.RecoveryBatch.from_records(
+                bench.run_grid(tiny_config(sizes=(16, 24), seeds=(0,))))
+        failed = bench.run_grid(tiny_config(sizes=(16,), ranks=(40,), seeds=(0,)))
+        with pytest.raises(RuntimeError, match="generate_instance"):
+            checks.RecoveryBatch.from_records(failed)
+
     def test_failing_cell_is_recorded_not_raised(self):
         records = bench.run_grid(
             tiny_config(sizes=(16,), ranks=(40,), seeds=(0,), max_iter=5)

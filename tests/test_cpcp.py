@@ -322,8 +322,9 @@ class TestSolvers:
         calls = []
 
         def spy(z, kappa, warm):
+            # copies: the loop reuses the arrays of the points it retires
             out = prox.svt_with_values(z, kappa, warm)
-            calls.append((z.copy(), kappa, out, warm.paths[-1]))
+            calls.append((z.copy(), kappa, (out[0].copy(), out[1]), warm.paths[-1]))
             return out
 
         monkeypatch.setattr(cpcp, "svt_with_values", spy)

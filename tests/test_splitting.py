@@ -17,7 +17,13 @@ from iprox import splitting as sp
 from iprox.fixtures import random_qp
 from iprox.numkit import SeededRng
 from iprox.prox import l1_oracle
-from iprox.vi_core import InertialSchedule, MixedViProblem, ProbeSet, run_inertial_ppa
+from iprox.vi_core import (
+    InertialSchedule,
+    MixedViProblem,
+    ProbeSet,
+    WeightOperator,
+    run_inertial_ppa,
+)
 
 
 def tiny_qp(seed=100, n1=3, n2=3, m=2):
@@ -114,6 +120,19 @@ class TestWeightings:
         assert G.quad(w) == pytest.approx(2.0, abs=1e-15)
         assert np.allclose(G.apply(w), want @ w, atol=1e-15)
 
+    def test_weighting_is_built_once_per_problem_and_parameters(self):
+        prob, _ = tiny_qp()
+        params = safe_params(prob)
+        G = sp.gladmm_operator(prob, params)
+        assert sp.gladmm_operator(prob, sp.LadmmParams(params.beta, params.tau,
+                                                       params.eta)) is G
+        assert not G.matrix.flags.writeable
+        other = sp.gladmm_operator(prob, safe_params(prob, beta=2.0))
+        assert other is not G and not np.array_equal(other.matrix, G.matrix)
+        # a problem with the same data has its own weightings
+        twin = sp.SeparableProblem(prob.A, prob.B, prob.b, prob.f_prox, prob.g_prox)
+        assert sp.gladmm_operator(twin, params) is not G
+
     def test_linearized_weighting_positive_definite(self):
         prob, _ = tiny_qp()
         G = sp.gladmm_operator(prob, safe_params(prob))
@@ -174,6 +193,12 @@ class TestSteps:
         wbar, inertial = sp.iladmm_step(prob, params, w, w_prev, 0.0)
         assert np.array_equal(wbar, w)
         assert np.array_equal(plain, inertial)
+
+    def test_zero_start_blocks_share_no_memory(self):
+        # the loop writes into the blocks of its start point
+        blocks = sp._carried(tiny_qp()[0], None)
+        assert all(not np.shares_memory(u, v)
+                   for i, u in enumerate(blocks) for v in blocks[i + 1 :])
 
     def test_extrapolation_covers_all_blocks(self):
         prob, _ = tiny_qp()
@@ -457,5 +482,17 @@ class TestProbeSets:
 
         monkeypatch.setattr(sp, "MixedViProblem", counted)
         # 20 fixtures x 10 steps: one build per fixture, not one per step
+        assert checks.step_characterization(1.0).ok
+        assert len(built) == 20
+
+    def test_criterion_1_builds_the_dense_weighting_once_per_fixture(self, monkeypatch):
+        built = []
+
+        def counted(G):
+            built.append(1)
+            return WeightOperator(G)
+
+        monkeypatch.setattr(sp, "WeightOperator", counted)
+        # 20 fixtures x 10 steps at one parameter set each
         assert checks.step_characterization(1.0).ok
         assert len(built) == 20

@@ -4,18 +4,23 @@ Fixtures come with exact solutions from direct solves, so convergence
 and rate checks compare against independent oracles rather than the
 solver's own output. A step size is folded into the weighting: the
 engine's only proximal parameter is ``G``. One step of the engine is
-also pinned to hand-computed values on a one-dimensional problem.
+also pinned to hand-computed values on a one-dimensional problem. The
+loop, which reuses the storage of the points it retires, is checked
+bitwise against a reference loop that allocates every difference anew.
 """
 
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from iprox import prox
+from iprox import cpcp, prox, splitting, vi_core
 from iprox.fixtures import (
     affine_vi,
     affine_vi_solution,
+    random_qp,
     strongly_monotone_affine_vi,
 )
 from iprox.numkit import SeededRng
@@ -23,12 +28,14 @@ from iprox.vi_core import (
     InertialSchedule,
     MixedViProblem,
     ProbeSet,
+    SolverTrace,
     WeightOperator,
     check_residual_rate_bound,
     gippa_slack,
     inertial_ppa_step,
     nesterov_ippa,
     run_inertial_ppa,
+    stopping_residual,
 )
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -102,12 +109,12 @@ class TestInertialSchedule:
 
 class TestEngineStep:
     def test_hand_computed_step(self):
-        # F(w) = w, theta = 0, G = 1:
-        #   wbar = 1.2 + 0.2 (1.2 - 0.8)       = 1.28
+        # F(w) = w, theta = 0, G = 1, last step d = 1.2 - 0.8:
+        #   wbar = 1.2 + 0.2 * 0.4             = 1.28
         #   w+ solves (1 + 1) w = wbar         = 0.64
         problem = affine_vi(np.array([[1.0]]), np.array([0.0]))
         wbar, w_next = inertial_ppa_step(
-            problem, eye_weight(1), np.array([1.2]), np.array([0.8]), 0.2
+            problem, eye_weight(1), np.array([1.2]), np.array([0.4]), 0.2
         )
         assert wbar[0] == pytest.approx(1.28, abs=1e-15)
         assert w_next[0] == pytest.approx(0.64, abs=1e-15)
@@ -116,7 +123,7 @@ class TestEngineStep:
         problem = affine_vi(np.array([[1.0]]), np.array([0.0]))
         with pytest.raises(ValueError):
             inertial_ppa_step(
-                problem, eye_weight(1), np.array([1.0]), np.array([1.0]), -0.1
+                problem, eye_weight(1), np.array([1.0]), np.array([0.0]), -0.1
             )
 
     def test_step_solves_regularized_inequality(self):
@@ -125,7 +132,7 @@ class TestEngineStep:
         problem, _ = strongly_monotone_affine_vi(4, rng)
         G = WeightOperator.from_matrix(np.eye(4) / 0.7)
         w_k = np.array([0.3, -0.2, 0.9, 0.0])
-        wbar, w_next = inertial_ppa_step(problem, G, w_k, np.zeros(4), 0.25)
+        wbar, w_next = inertial_ppa_step(problem, G, w_k, w_k.copy(), 0.25)
         probe_rng = np.random.default_rng(2)
         probes = ProbeSet.evaluate(problem, problem.theta,
                                    [probe_rng.uniform(-2, 2, 4) for _ in range(100)])
@@ -323,3 +330,169 @@ class TestAffineFixtures:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             affine_vi(np.eye(3), np.zeros(2))
+
+
+def reference_loop(step, gquad, alpha, w, tol, max_iter, *, blocks=1, w_star=None,
+                   objective=None, keep_iterates=True, before=None,
+                   stop=stopping_residual):
+    """``inertial_loop`` with every difference in fresh arrays and
+    ``w_{k-1}`` kept through the step: the reference for the loop that
+    reuses the storage of the points it retires."""
+
+    def pack(v):
+        return np.concatenate(v[:blocks], axis=None)
+
+    def sq(u):
+        return float(np.vdot(u, u))
+
+    trace = SolverTrace(
+        iterates=[pack(w)] if keep_iterates else None,
+        phi=None if w_star is None else [gquad([u - v for u, v in zip(w, w_star)])],
+        objective=objective,
+    )
+    w_prev, obj = w, None
+    for k in range(max_iter):
+        if before is not None:
+            before(k, w, obj)
+        a, dsq, d = alpha(k), 0.0, None
+        if a:
+            d = [u - v for u, v in zip(w, w_prev)]
+            dsq = gquad(d)
+        wbar, nxt, obj = step(w, d, a)
+        diff = [u - v for u, v in zip(nxt, wbar)]
+        sqs = [sq(u) for u in diff[:blocks]]
+        rel = stop(sum(sqs), sum(sq(u) for u in wbar[:blocks]))
+        trace.step_residuals.append(gquad(diff, sqs))
+        trace.alphas.append(a)
+        trace.delta.append(2.0 * a * dsq)
+        trace.stop_residuals.append(rel)
+        if trace.objective is not None:
+            trace.objective.append(obj)
+        if trace.iterates is not None:
+            trace.iterates.append(pack(nxt))
+        if trace.phi is not None:
+            trace.phi.append(gquad([u - v for u, v in zip(nxt, w_star)]))
+        w_prev, w = w, nxt
+        trace.iterations = k + 1
+        if rel < tol:
+            trace.converged = True
+            break
+    return trace, w
+
+
+def _bits(value):
+    """A value with every float and array replaced by its bytes."""
+    if isinstance(value, dict):
+        return {k: _bits(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    if isinstance(value, (float, np.ndarray, np.floating)):
+        a = np.asarray(value)
+        return a.dtype.str, a.shape, a.tobytes()
+    return value
+
+
+# zero and nonzero factors in turn: a plain step followed by an inertial one
+# must keep w_k, which the plain step may otherwise overwrite
+SWITCHING = SimpleNamespace(alpha=lambda k: 0.0 if k % 3 == 0 else 0.28)
+
+
+def _solves():
+    """Solver calls on fixed data, by name: ``(starts, solve)``, where
+    ``solve(*starts)`` returns a trace and must leave ``starts``, the
+    caller's start or reference points, unchanged."""
+    qp, star = random_qp(8, 8, 8, SeededRng(3000))
+    params = splitting.LadmmParams(beta=1.0, tau=0.9 / qp.rho_ata, eta=0.9 / qp.rho_btb)
+    vi, vi_star = strongly_monotone_affine_vi(8, SeededRng(6000))
+    c = SeededRng(7000).normal(10) * 3.0
+    inst = cpcp.generate_instance(32, 32, 2, 51, "wht", 819, 5)
+
+    def iladmm(schedule):
+        return [], lambda: splitting.run_iladmm(qp, params, schedule, tol=0.0, max_iter=60)
+
+    def ppa(schedule):
+        return [np.ones(8) * 2.0, vi_star], lambda w0, ws: run_inertial_ppa(
+            vi, eye_weight(8), schedule, w0, tol=0.0, max_iter=60, w_star=ws)
+
+    def nesterov(prox_f, objective=None):
+        return [np.linspace(-1.0, 1.0, 10)], lambda w0: nesterov_ippa(
+            prox_f, w0, 40, objective=objective)
+
+    def cpcp_solve(alpha):
+        def solve():
+            state, trace = cpcp.iladmm_cpcp(inst, alpha=alpha)
+            trace.extras["state"] = (state.L, state.S, state.p)
+            return trace
+        return [], solve
+
+    return {
+        "run_ladmm": ([star], lambda ws: splitting.run_ladmm(qp, params, tol=0.0,
+                                                             max_iter=60, w_star=ws)),
+        "run_iladmm": iladmm(InertialSchedule(0.28)),
+        "run_iladmm-switching": iladmm(SWITCHING),
+        "run_inertial_ppa-plain": ppa(InertialSchedule(0.0)),
+        "run_inertial_ppa": ppa(InertialSchedule(0.28)),
+        "run_inertial_ppa-switching": ppa(SWITCHING),
+        "nesterov_ippa": nesterov(lambda z, lam: (z + lam * c) / (1.0 + lam),
+                                  lambda w: 0.5 * float(np.sum((w - c) ** 2))),
+        "nesterov_ippa-identity": nesterov(lambda z, lam: z),
+        "nesterov_ippa-l1": nesterov(lambda z, lam: prox.soft_threshold(z - 0.3, lam)),
+        "cpcp-plain": cpcp_solve(0.0),
+        "cpcp": cpcp_solve(0.28),
+    }
+
+
+class TestStorageReuse:
+    @pytest.mark.parametrize("name", list(_solves()))
+    def test_traces_match_the_reference_loop_bitwise(self, monkeypatch, name):
+        starts, solve = _solves()[name]
+        kept = [u.copy() for u in starts]
+        trace = solve(*starts)
+        assert _bits(starts) == _bits(kept)
+        monkeypatch.setattr(vi_core, "inertial_loop", reference_loop)
+        monkeypatch.setattr(splitting, "inertial_loop", reference_loop)
+        want = solve(*kept)
+        assert trace.iterations == want.iterations > 1
+        assert _bits(vars(trace)) == _bits(vars(want))
+
+    @pytest.mark.parametrize("alpha, points", [(0.28, 3), (0.0, 2)])
+    def test_the_loop_holds_three_points_inertial_and_two_plain(self, alpha, points):
+        # a step that allocates nothing but w_{k+1}, so the peak is the
+        # loop's own: w_k, d_k turned wbar_k, and w_{k+1}
+        n = 1 << 16
+
+        def step(w, d, a):
+            wbar = vi_core.extrapolate(w, d, a)
+            return wbar, [u * 0.5 for u in wbar], None
+
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            # the loop owns its start point: no reference to it is kept here
+            vi_core.inertial_loop(step, lambda d, sq=None: sum(map(vi_core._sq, d)),
+                                  InertialSchedule(alpha).alpha,
+                                  (np.ones(n), np.full(n, 2.0)), 0.0, 6,
+                                  keep_iterates=False)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < (points + 0.25) * 2 * n * 8
+
+    @pytest.mark.parametrize("alpha, points", [(0.28, 3), (0.0, 2)])
+    def test_a_solve_holds_three_points_inertial_and_two_plain(self, alpha, points):
+        # 64 x 64 WHT, q = 0.8 area: a point (L, S, p, A L, A S) is
+        # 2 n^2 + 3 q floats. Allowed: the points plus five n x n arrays for
+        # the SVT and the transforms; holding w_{k-1}, a fresh d_k and a
+        # fresh w_{k+1} - wbar_k, as a loop that reuses no storage does,
+        # takes two points more
+        n, q = 64, 3276
+        inst = cpcp.generate_instance(n, n, 2, 205, "wht", q, 0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            state, _ = cpcp.iladmm_cpcp(inst, alpha=alpha)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert state.converged
+        assert peak <= (points * (2 * n * n + 3 * q) + 5 * n * n) * 8
