@@ -26,8 +26,8 @@ from .vi_core import (
     MixedViProblem,
     ProbeSet,
     WeightOperator,
+    _point,
     _sq,
-    extrapolate,
     gippa_slack,
     inertial_loop,
     stopping_residual,
@@ -339,7 +339,7 @@ def _carried(prob, w):
         # distinct arrays: the loop writes into the blocks of its start point
         return (np.zeros(opA.input_shape), np.zeros(opB.input_shape),
                 np.zeros(prob.m), np.zeros(prob.m), np.zeros(prob.m))
-    x, y, p = prob.split(w)
+    x, y, p = prob.split(_point(w, prob.n1 + prob.n2 + prob.m, "a packed point"))
     x, y = x.reshape(opA.input_shape), y.reshape(opB.input_shape)
     return x, y, p, opA.apply(x), opB.apply(y)
 
@@ -421,11 +421,10 @@ def _run(prob, penalty, tau, eta, schedule, tol, max_iter, w_star=None,
             r = w[3] + w[4] - prob.b
             penalty.apply_rule(float(r @ r), objective)
 
-    def step(w, d, alpha):
+    def step(wbar):
         betas.append(penalty.beta)
-        base = extrapolate(w, d, alpha)
-        *nxt, objective = _step(prob, penalty.beta, tau, eta, *base)
-        return base, nxt, objective
+        *nxt, objective = _step(prob, penalty.beta, tau, eta, *wbar)
+        return nxt, objective
 
     trace, last = inertial_loop(
         step, lambda d, sq=None: _gquad(penalty.beta, tau, eta, d, sq), schedule.alpha,
@@ -560,7 +559,7 @@ def nonergodic_report(trace, prob, params, w_star, mono_rtol=1e-12, tol=1e-8):
         for k in range(1, res.size)
         if res[k] > res[k - 1] * (1.0 + mono_rtol)
     ]
-    phi0 = G.quad(iters[0] - w_star)
+    phi0 = G.quad(iters[0] - _point(w_star, iters[0].size, "w_star"))
     ks = np.arange(1, res.size + 1)
     scaled = ks * res**2
     bound = [int(k) for k, s in zip(ks, scaled) if s > phi0 + tol]

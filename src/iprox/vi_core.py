@@ -138,20 +138,12 @@ def _sq(u):
     return float(np.vdot(u, u))
 
 
-def extrapolate(w, d, alpha):
-    """``w + alpha d`` for a point ``w`` and its last step ``d``, formed in
-    place in ``d``; ``w`` itself when ``alpha`` is 0 (``d`` may be None)."""
-    if not alpha:
-        return w
-    for u, du in zip(w, d):
-        du *= alpha
-        du += u
-    return d
-
-
-def _overlap(us, vs):
-    """Whether two points may share memory, block by block."""
-    return any(map(np.may_share_memory, us, vs))
+def _point(w, dim, name):
+    """``w`` as a float vector; ValueError unless it has length ``dim``."""
+    w = np.asarray(w, dtype=np.float64)
+    if w.shape != (dim,):
+        raise ValueError(f"{name} must have length {dim}, got shape {w.shape}")
+    return w
 
 
 def inertial_loop(step, gquad, alpha, w, tol, max_iter, *, blocks=1,
@@ -161,30 +153,26 @@ def inertial_loop(step, gquad, alpha, w, tol, max_iter, *, blocks=1,
 
     A point is a tuple of arrays whose first ``blocks`` entries form the
     iterate; any further ones are data carried with it, such as ``A x``.
-    Step k takes ``alpha_k = alpha(k)``, forms the last step
-    ``d_k = w_k - w_{k-1}`` only when ``alpha_k`` is nonzero (else ``d_k``
-    is None), and calls ``step(w_k, d_k, alpha_k)`` for ``(wbar_k,
-    w_{k+1}, objective at w_{k+1})``; the step may turn ``d_k`` into
-    ``wbar_k`` in place (:func:`extrapolate`). ``gquad(d, sq=None)`` is
-    ``||d||_G^2``, ``sq`` being the squared block norms of ``d`` when
-    already formed. ``before(k, w_k, objective at w_k)``, when given, runs
-    first in each step, for updates that change G such as a penalty rule.
+    Step k takes ``alpha_k = alpha(k)``, which must be nonnegative, forms
+    ``wbar_k = w_k + alpha_k (w_k - w_{k-1})`` (``w_k`` itself when
+    ``alpha_k`` is 0), and calls ``step(wbar_k)`` for ``(w_{k+1},
+    objective at w_{k+1})``. The step must not modify ``wbar_k``, and the
+    arrays it returns must share memory with no point the loop holds.
+    ``gquad(d, sq=None)`` is ``||d||_G^2``, ``sq`` being the squared block
+    norms of ``d`` when already formed. ``before(k, w_k, objective at
+    w_k)``, when given, runs first in each step, for updates that change G
+    such as a penalty rule.
 
     The loop owns ``w`` and reuses the storage of the points it retires,
-    so an inertial step holds three points (``w_k``, ``d_k`` turned
-    ``wbar_k``, ``w_{k+1}``) and a plain one two:
+    so an inertial step holds three points (``w_k``, ``wbar_k``,
+    ``w_{k+1}``) and a plain one two:
 
-    - ``d_k`` is written into the arrays of ``w_{k-1}``, which no later
-      step reads, unless they hold ``w_k`` (as at k = 0, where
-      ``w_{k-1}`` is ``w_0``);
+    - ``d_k = w_k - w_{k-1}`` is written into the arrays of ``w_{k-1}``
+      (new arrays at k = 0, where ``w_{k-1}`` is ``w_0``) and turned into
+      ``wbar_k`` there, in place;
     - ``w_{k+1} - wbar_k`` is written into the arrays of ``wbar_k``, once
-      ``||wbar_k||^2`` is taken, unless they hold ``w_{k+1}`` or hold
-      ``w_k`` while ``alpha_{k+1}`` is nonzero.
-
-    ``wbar_k`` may be ``w_k`` itself or ``d_k`` (or new arrays), and
-    ``w_{k+1}`` may share memory with ``wbar_k``, block by block, as the
-    output of an identity prox does; otherwise the arrays of the start
-    point and of the points a step returns must not overlap.
+      ``||wbar_k||^2`` is taken, unless they are ``w_k``'s and
+      ``alpha_{k+1}`` is nonzero.
 
     Stops when ``stop(||w_{k+1} - wbar_k||^2, ||wbar_k||^2) < tol``, the
     norms taken over the blocks, or after ``max_iter`` steps. The trace's
@@ -194,12 +182,13 @@ def inertial_loop(step, gquad, alpha, w, tol, max_iter, *, blocks=1,
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
 
     def pack(w):
         return np.concatenate(w[:blocks], axis=None)
 
-    # w_{k-1}, and whether d_k may take its arrays
-    prev, free = w, False
+    prev = w  # w_{k-1}
     trace = SolverTrace(
         iterates=[pack(w)] if keep_iterates else None,
         phi=None if w_star is None else [gquad([u - v for u, v in zip(w, w_star)])],
@@ -209,20 +198,21 @@ def inertial_loop(step, gquad, alpha, w, tol, max_iter, *, blocks=1,
     for k in range(max_iter):
         if before is not None:
             before(k, w, obj)
-        a, dsq, d = alpha(k), 0.0, None
+        a, dsq, wbar = alpha(k), 0.0, w
+        if a < 0:
+            raise ValueError(f"alpha_{k} = {a} is negative")
         if a:
-            d = [np.subtract(u, v, out=v if free else None) for u, v in zip(w, prev)]
-            dsq = gquad(d)
+            # d_k, turned into wbar_k in place
+            wbar = [np.subtract(u, v, out=v if k else None) for u, v in zip(w, prev)]
+            dsq = gquad(wbar)
+            for u, du in zip(w, wbar):
+                du *= a
+                du += u
         prev = None
-        wbar, nxt, obj = step(w, d, a)
-        del d
+        nxt, obj = step(wbar)
         wsq = sum(_sq(u) for u in wbar[:blocks])
-        held = _overlap(nxt, wbar)
-        shared = (held or (k + 1 < max_iter and alpha(k + 1))) and _overlap(wbar, w)
-        # w_k's arrays hold w_{k+1} only through wbar_k
-        free = not (held and shared)
-        diff = [np.subtract(u, v, out=None if held or shared else v)
-                for u, v in zip(nxt, wbar)]
+        keep = wbar is w and k + 1 < max_iter and alpha(k + 1)
+        diff = [np.subtract(u, v, out=None if keep else v) for u, v in zip(nxt, wbar)]
         del wbar
         sq = [_sq(u) for u in diff[:blocks]]
         rel = stop(sum(sq), wsq)
@@ -245,20 +235,12 @@ def inertial_loop(step, gquad, alpha, w, tol, max_iter, *, blocks=1,
     return trace, w
 
 
-def inertial_ppa_step(problem, G, w_k, d, alpha_k):
-    """One engine step: extrapolate, then resolve.
-
-    Returns ``(wbar, w_next)`` where ``wbar = w_k + alpha_k d`` for the
-    last step ``d = w_k - w_{k-1}`` (``w_k`` itself when ``alpha_k`` is
-    0, and then ``d`` may be None), and ``w_next`` solves the regularized
-    inequality at ``wbar``. Neither argument is modified.
-    """
-    if alpha_k < 0:
-        raise ValueError("alpha must be nonnegative")
-    w_k = np.asarray(w_k, dtype=np.float64)
-    wbar = w_k + alpha_k * np.asarray(d, dtype=np.float64) if alpha_k else w_k
-    w_next = problem.resolvent(wbar, G)
-    return wbar, np.asarray(w_next, dtype=np.float64)
+def inertial_ppa_step(problem, G, wbar):
+    """One engine step: the solution of the regularized inequality at the
+    extrapolated point ``wbar``, as a new array (never ``wbar`` itself,
+    even when the resolvent returns its argument). ``wbar`` is not
+    modified."""
+    return np.array(problem.resolvent(wbar, G), dtype=np.float64)
 
 
 def run_inertial_ppa(problem, G, schedule, w0, tol=1e-5, max_iter=1000, w_star=None):
@@ -269,18 +251,14 @@ def run_inertial_ppa(problem, G, schedule, w0, tol=1e-5, max_iter=1000, w_star=N
     ``max_iter``. When ``w_star`` is given the trace records
     ``phi_k = ||w_k - w*||_G^2``. ``w0`` is copied, not modified.
     """
-    w = np.asarray(w0, dtype=np.float64).copy()
-    if w.shape != (problem.dim,):
-        raise ValueError(f"w0 must have shape ({problem.dim},), got {w.shape}")
+    w = _point(w0, problem.dim, "w0").copy()
 
-    def step(cur, d, alpha):
-        wbar, w_next = inertial_ppa_step(problem, G, cur[0],
-                                         None if d is None else d[0], alpha)
-        return (wbar,), (w_next,), None
+    def step(wbar):
+        return (inertial_ppa_step(problem, G, wbar[0]),), None
 
     return inertial_loop(
         step, lambda d, sq=None: G.quad(d[0]), schedule.alpha, (w,), tol, max_iter,
-        w_star=None if w_star is None else (np.asarray(w_star, dtype=np.float64),),
+        w_star=None if w_star is None else (_point(w_star, problem.dim, "w_star"),),
     )[0]
 
 
@@ -374,7 +352,8 @@ def check_residual_rate_bound(trace, G, w_star, tol=1e-10):
         raise ValueError(f"extrapolation cap must stay below 1/3, got {alpha}")
 
     constant = 1.0 + 2.0 / (1.0 - 3.0 * alpha)
-    phi0 = G.quad(np.asarray(trace.iterates[0]) - np.asarray(w_star))
+    w0 = np.asarray(trace.iterates[0])
+    phi0 = G.quad(w0 - _point(w_star, w0.size, "w_star"))
     res = np.asarray(trace.step_residuals, dtype=np.float64)
     running_min = np.minimum.accumulate(res)
     ks = np.arange(1, res.size + 1)
@@ -399,8 +378,8 @@ def nesterov_ippa(prox_f, w0, n_iters, objective=None):
     ``t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2`` and extrapolation factor
     ``alpha_k = (t_k - 1) / t_{k+1}``; each step applies ``prox_f(z, 1.0)``
     at the extrapolated point ``z`` (a step ``lambda`` is the prox of
-    ``lambda f``). The objective
-    gap decays as O(1/k^2). Runs all ``n_iters`` steps of
+    ``lambda f``) and copies its output, which may be ``z`` itself. The
+    objective gap decays as O(1/k^2). Runs all ``n_iters`` steps of
     :func:`inertial_loop`, whose residuals here are Euclidean.
 
     Returns a :class:`SolverTrace`; ``extras["t"]`` holds t_0..t_K.
@@ -410,10 +389,9 @@ def nesterov_ippa(prox_f, w0, n_iters, objective=None):
     for _ in range(n_iters):
         t.append((1.0 + math.sqrt(1.0 + 4.0 * t[-1] * t[-1])) / 2.0)
 
-    def step(cur, d, alpha):
-        (wbar,) = extrapolate(cur, d, alpha)
-        w_next = np.asarray(prox_f(wbar, 1.0), dtype=np.float64)
-        return (wbar,), (w_next,), None if objective is None else float(objective(w_next))
+    def step(wbar):
+        w_next = np.array(prox_f(wbar[0], 1.0), dtype=np.float64)
+        return (w_next,), None if objective is None else float(objective(w_next))
 
     trace, _ = inertial_loop(
         step, lambda d, sq=None: sq[0] if sq else _sq(d[0]),

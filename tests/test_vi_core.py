@@ -109,34 +109,91 @@ class TestInertialSchedule:
 
 class TestEngineStep:
     def test_hand_computed_step(self):
-        # F(w) = w, theta = 0, G = 1, last step d = 1.2 - 0.8:
-        #   wbar = 1.2 + 0.2 * 0.4             = 1.28
-        #   w+ solves (1 + 1) w = wbar         = 0.64
+        # F(w) = w, theta = 0, G = 1: w+ solves (1 + 1) w = wbar, so from
+        # w_0 = 1.6 at alpha = 0.2 (the pre-iterate is w_0):
+        #   w_1 = 1.6 / 2                                  = 0.8
+        #   wbar_1 = 0.8 + 0.2 (0.8 - 1.6) = 0.64, w_2     = 0.32
         problem = affine_vi(np.array([[1.0]]), np.array([0.0]))
-        wbar, w_next = inertial_ppa_step(
-            problem, eye_weight(1), np.array([1.2]), np.array([0.4]), 0.2
-        )
-        assert wbar[0] == pytest.approx(1.28, abs=1e-15)
-        assert w_next[0] == pytest.approx(0.64, abs=1e-15)
-
-    def test_validation(self):
-        problem = affine_vi(np.array([[1.0]]), np.array([0.0]))
-        with pytest.raises(ValueError):
-            inertial_ppa_step(
-                problem, eye_weight(1), np.array([1.0]), np.array([0.0]), -0.1
-            )
+        w_next = inertial_ppa_step(problem, eye_weight(1), np.array([0.64]))
+        assert w_next[0] == pytest.approx(0.32, abs=1e-15)
+        trace = run_inertial_ppa(problem, eye_weight(1), InertialSchedule(0.2),
+                                 np.array([1.6]), tol=0.0, max_iter=2)
+        assert np.allclose(np.ravel(trace.iterates), [1.6, 0.8, 0.32], rtol=0, atol=1e-15)
+        assert np.allclose(trace.step_residuals, [0.8**2, 0.32**2], rtol=1e-14)
 
     def test_step_solves_regularized_inequality(self):
         # a step size of 0.7 under the identity is the weighting I / 0.7
         rng = SeededRng(11)
         problem, _ = strongly_monotone_affine_vi(4, rng)
         G = WeightOperator.from_matrix(np.eye(4) / 0.7)
-        w_k = np.array([0.3, -0.2, 0.9, 0.0])
-        wbar, w_next = inertial_ppa_step(problem, G, w_k, w_k.copy(), 0.25)
+        wbar = np.array([0.3, -0.2, 0.9, 0.0]) * 1.25
+        w_next = inertial_ppa_step(problem, G, wbar)
         probe_rng = np.random.default_rng(2)
         probes = ProbeSet.evaluate(problem, problem.theta,
                                    [probe_rng.uniform(-2, 2, 4) for _ in range(100)])
         assert gippa_slack(problem, G, wbar, w_next, probes) >= -1e-8
+
+
+def _refused():
+    """Solver calls the loop must refuse, by name: ``(call, message)``."""
+    vi = affine_vi(np.eye(2), np.zeros(2))
+    qp, _ = random_qp(4, 4, 3, SeededRng(20))
+    params = splitting.LadmmParams(beta=1.0, tau=0.9 / qp.rho_ata, eta=0.9 / qp.rho_btb)
+    # a schedule object may do what InertialSchedule refuses
+    backwards = SimpleNamespace(alpha=lambda k: -0.1 if k == 2 else 0.1)
+    return {
+        "run_inertial_ppa-alpha": (lambda: run_inertial_ppa(
+            vi, eye_weight(2), backwards, np.ones(2), tol=0.0, max_iter=5),
+            r"alpha_2 = -0\.1 is negative"),
+        "run_inertial_ppa-max_iter": (lambda: run_inertial_ppa(
+            vi, eye_weight(2), InertialSchedule(0.1), np.ones(2), max_iter=-1),
+            "max_iter must be nonnegative, got -1"),
+        "run_iladmm-alpha": (lambda: splitting.run_iladmm(
+            qp, params, backwards, tol=0.0, max_iter=5), r"alpha_2 = -0\.1 is negative"),
+        "run_iladmm-max_iter": (lambda: splitting.run_iladmm(
+            qp, params, InertialSchedule(0.1), max_iter=-1),
+            "max_iter must be nonnegative, got -1"),
+        "nesterov_ippa-max_iter": (lambda: nesterov_ippa(lambda z, lam: z, np.ones(2), -2),
+                                   "max_iter must be nonnegative, got -2"),
+    }
+
+
+def _misshapen():
+    """Calls given a reference point of the wrong length, by name:
+    ``(call, expected length)``."""
+    vi, _ = strongly_monotone_affine_vi(8, SeededRng(6000))
+    qp, star = random_qp(4, 4, 3, SeededRng(20240814))
+    params = splitting.LadmmParams(beta=0.1, tau=0.9 / qp.rho_ata, eta=0.9 / qp.rho_btb)
+
+    def ppa(w_star=None):
+        return run_inertial_ppa(vi, eye_weight(8), InertialSchedule(0.28),
+                                np.ones(8) * 2.0, tol=0.0, max_iter=5, w_star=w_star)
+
+    def ladmm(w_star=None):
+        return splitting.run_ladmm(qp, params, tol=0.0, max_iter=5, w_star=w_star)
+
+    return {
+        "run_inertial_ppa": (lambda: ppa(np.array([0.5])), 8),
+        "check_residual_rate_bound": (lambda: check_residual_rate_bound(
+            ppa(), eye_weight(8), np.array([0.5])), 8),
+        "nonergodic_report": (lambda: splitting.nonergodic_report(
+            ladmm(), qp, params, np.array([1.0])), 11),
+        "run_ladmm": (lambda: ladmm(star[:5]), 11),
+    }
+
+
+class TestLoopValidation:
+    @pytest.mark.parametrize("name", list(_refused()))
+    def test_loop_refuses_negative_alpha_or_max_iter(self, name):
+        call, message = _refused()[name]
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    @pytest.mark.parametrize("name", list(_misshapen()))
+    def test_reference_point_of_wrong_length_is_refused(self, name):
+        call, length = _misshapen()[name]
+        with pytest.raises(ValueError, match=f"must have length {length}, got shape"):
+            call()
 
 
 class TestRunInertialPpa:
@@ -335,9 +392,9 @@ class TestAffineFixtures:
 def reference_loop(step, gquad, alpha, w, tol, max_iter, *, blocks=1, w_star=None,
                    objective=None, keep_iterates=True, before=None,
                    stop=stopping_residual):
-    """``inertial_loop`` with every difference in fresh arrays and
-    ``w_{k-1}`` kept through the step: the reference for the loop that
-    reuses the storage of the points it retires."""
+    """``inertial_loop`` with every difference and extrapolated point in
+    fresh arrays and ``w_{k-1}`` kept through the step: the reference for
+    the loop that reuses the storage of the points it retires."""
 
     def pack(v):
         return np.concatenate(v[:blocks], axis=None)
@@ -354,11 +411,12 @@ def reference_loop(step, gquad, alpha, w, tol, max_iter, *, blocks=1, w_star=Non
     for k in range(max_iter):
         if before is not None:
             before(k, w, obj)
-        a, dsq, d = alpha(k), 0.0, None
+        a, dsq, wbar = alpha(k), 0.0, w
         if a:
             d = [u - v for u, v in zip(w, w_prev)]
             dsq = gquad(d)
-        wbar, nxt, obj = step(w, d, a)
+            wbar = [u + a * du for u, du in zip(w, d)]
+        nxt, obj = step(wbar)
         diff = [u - v for u, v in zip(nxt, wbar)]
         sqs = [sq(u) for u in diff[:blocks]]
         rel = stop(sum(sqs), sum(sq(u) for u in wbar[:blocks]))
@@ -404,15 +462,18 @@ def _solves():
     qp, star = random_qp(8, 8, 8, SeededRng(3000))
     params = splitting.LadmmParams(beta=1.0, tau=0.9 / qp.rho_ata, eta=0.9 / qp.rho_btb)
     vi, vi_star = strongly_monotone_affine_vi(8, SeededRng(6000))
+    # a resolvent that returns its argument: only the step's copy keeps the
+    # loop from writing w_{k+1} - wbar_k into w_{k+1}
+    identity = MixedViProblem(dim=8, theta=vi.theta, F=vi.F, resolvent=lambda z, G: z)
     c = SeededRng(7000).normal(10) * 3.0
     inst = cpcp.generate_instance(32, 32, 2, 51, "wht", 819, 5)
 
     def iladmm(schedule):
         return [], lambda: splitting.run_iladmm(qp, params, schedule, tol=0.0, max_iter=60)
 
-    def ppa(schedule):
+    def ppa(schedule, problem=vi):
         return [np.ones(8) * 2.0, vi_star], lambda w0, ws: run_inertial_ppa(
-            vi, eye_weight(8), schedule, w0, tol=0.0, max_iter=60, w_star=ws)
+            problem, eye_weight(8), schedule, w0, tol=0.0, max_iter=60, w_star=ws)
 
     def nesterov(prox_f, objective=None):
         return [np.linspace(-1.0, 1.0, 10)], lambda w0: nesterov_ippa(
@@ -433,6 +494,9 @@ def _solves():
         "run_inertial_ppa-plain": ppa(InertialSchedule(0.0)),
         "run_inertial_ppa": ppa(InertialSchedule(0.28)),
         "run_inertial_ppa-switching": ppa(SWITCHING),
+        "run_inertial_ppa-identity-plain": ppa(InertialSchedule(0.0), identity),
+        "run_inertial_ppa-identity": ppa(InertialSchedule(0.28), identity),
+        "run_inertial_ppa-identity-switching": ppa(SWITCHING, identity),
         "nesterov_ippa": nesterov(lambda z, lam: (z + lam * c) / (1.0 + lam),
                                   lambda w: 0.5 * float(np.sum((w - c) ** 2))),
         "nesterov_ippa-identity": nesterov(lambda z, lam: z),
@@ -461,9 +525,8 @@ class TestStorageReuse:
         # loop's own: w_k, d_k turned wbar_k, and w_{k+1}
         n = 1 << 16
 
-        def step(w, d, a):
-            wbar = vi_core.extrapolate(w, d, a)
-            return wbar, [u * 0.5 for u in wbar], None
+        def step(wbar):
+            return [u * 0.5 for u in wbar], None
 
         tracemalloc.start()
         try:
