@@ -276,35 +276,32 @@ def _solve(inst, settings, alpha=None):
     return state, trace, _solver_outcome(state, trace, inst, time.perf_counter() - t0)
 
 
-def _run_trial(cell, seed, config, alphas):
+def _run_solve(cell, seed, config, alpha):
+    """One grid task: ``cell``'s instance at ``seed``, generated afresh and
+    solved plainly (``alpha`` None) or inertially at ``alpha``; returns
+    the instance's counts and the solve's :func:`_solver_outcome`, or the
+    error with its traceback."""
     size, rank, nnz_ratio, q_ratio, kind = cell
     try:
         q, nnz = counts_from_ratios(size, size, q_ratio, nnz_ratio)
         inst = generate_instance(size, size, rank, nnz, kind, q, seed)
-        return {
-            "seed": seed,
-            "q": inst.q,
-            "nnz": inst.nnz,
-            "dof": inst.dof,
-            "ladmm": _solve(inst, config)[2],
-            "iladmm": {a: _solve(inst, config, alpha=a)[2] for a in alphas},
-        }
+        return {"q": inst.q, "nnz": inst.nnz, "dof": inst.dof,
+                "outcome": _solve(inst, config, alpha)[2]}
     except Exception as exc:  # cell failures must not kill the grid
-        return _trial_error(seed, exc)
+        return _task_error(exc)
 
 
-def _trial_error(seed, exc):
-    return {"seed": seed, "error": f"{type(exc).__name__}: {exc}",
-            "traceback": traceback.format_exc()}
+def _task_error(exc):
+    return {"error": f"{type(exc).__name__}: {exc}", "traceback": traceback.format_exc()}
 
 
-def _trial_result(fut, seed):
-    """The outcome of a submitted trial; a worker that died (a crash or an
-    exit) fails its trial and every one still pending, as trial errors."""
+def _task_result(fut):
+    """The outcome of a submitted task; a worker that died (a crash or an
+    exit) fails its task and every one still pending, as task errors."""
     try:
         return fut.result()
     except BrokenExecutor as exc:
-        return _trial_error(seed, exc)
+        return _task_error(exc)
 
 
 def _worker_pool(jobs):
@@ -328,14 +325,16 @@ def _worker_pool(jobs):
 def run_grid(config):
     """Run the full grid; returns one RunRecord per (cell, alpha).
 
-    Both solvers see the same instance in every trial. Trials run in
-    ``config.jobs`` worker processes, one BLAS thread each; a thread
-    pool made ``jobs=2`` slower than serial, since the trials hold the
-    GIL and each thread drove a 2-thread BLAS (on 2 CPUs, a 64 x 64 grid
-    of 3 cells and 2 seeds took 2.0-2.2 s at 2 threads, 1.4 s at 1, and
-    takes 0.8 s in 2 workers). A trial whose worker died is
-    recorded as a cell error. Records are assembled in deterministic
-    grid order regardless of scheduling.
+    Both solvers see the same instance in every trial. Each solve is one
+    task: it generates its trial's instance from the seed, so a trial's
+    plain and inertial solves can run side by side. Tasks run in
+    ``config.jobs`` worker processes (no more than there are solves), one
+    BLAS thread each; a thread pool made ``jobs=2`` slower than serial,
+    since the solves hold the GIL and each thread drove a 2-thread BLAS
+    (on 2 CPUs, a 64 x 64 grid of 3 cells and 2 seeds took 2.0-2.2 s at 2
+    threads, 1.4 s at 1, and takes 0.8 s in 2 workers). A failed solve,
+    or one whose worker died, is recorded as a cell error. Records are
+    assembled in deterministic grid order regardless of scheduling.
 
     A grid with DCT-II cells loads the DCT-II kernel (see
     :func:`iprox.numkit._dct_kernel`) before the workers fork, so every
@@ -346,25 +345,25 @@ def run_grid(config):
     if DCT2 in config.transforms:
         _dct_kernel()
     alphas = tuple(config.alphas) if config.alphas is not None else (config.alpha,)
+    labels = (None, *alphas)  # None: the plain solve
     cells = list(itertools.product(
         config.sizes, config.ranks, config.nnz_ratios,
         config.q_ratios, config.transforms,
     ))
-    # a forked pool starts all its workers at the first submit: no more than trials
-    with _worker_pool(min(config.jobs, len(cells) * len(config.seeds))) as pool:
-        futs = {
-            (ci, seed): pool.submit(_run_trial, cells[ci], seed, config, alphas)
-            for ci in range(len(cells)) for seed in config.seeds
-        }
-    results = {key: _trial_result(fut, key[1]) for key, fut in futs.items()}
+    tasks = [(ci, seed, a) for ci in range(len(cells)) for seed in config.seeds
+             for a in labels]
+    # a forked pool starts all its workers at the first submit: no more than tasks
+    with _worker_pool(min(config.jobs, len(tasks))) as pool:
+        futs = [pool.submit(_run_solve, cells[ci], seed, config, a) for ci, seed, a in tasks]
+    results = dict(zip(tasks, map(_task_result, futs)))
 
     env = _environment()
     records = []
     for ci, cell in enumerate(cells):
         size, rank, nnz_ratio, q_ratio, kind = cell
-        per_seed = [results[(ci, seed)] for seed in config.seeds]
-        failed = [t for t in per_seed if "error" in t]
-        for a in alphas:
+        per_seed = [[results[(ci, seed, a)] for a in labels] for seed in config.seeds]
+        failed = [s for solves in per_seed for s in solves if "error" in s]
+        for i, a in enumerate(alphas, 1):
             rec = RunRecord(
                 m=size, n=size, r=rank, nnz_ratio=float(nnz_ratio),
                 q_ratio=float(q_ratio), transform=kind, alpha=float(a),
@@ -375,13 +374,12 @@ def run_grid(config):
                 rec.traceback = failed[0]["traceback"]
                 records.append(rec)
                 continue
-            rec.q = per_seed[0]["q"]
-            rec.nnz = per_seed[0]["nnz"]
-            rec.dof = per_seed[0]["dof"]
+            first = per_seed[0][0]
+            rec.q, rec.nnz, rec.dof = first["q"], first["nnz"], first["dof"]
             rec.q_over_dof = rec.q / rec.dof
             rec.trials = [
-                {"seed": t["seed"], "ladmm": t["ladmm"], "iladmm": t["iladmm"][a]}
-                for t in per_seed
+                {"seed": seed, "ladmm": solves[0]["outcome"], "iladmm": solves[i]["outcome"]}
+                for seed, solves in zip(config.seeds, per_seed)
             ]
             for solver in ("ladmm", "iladmm"):
                 runs = [t[solver] for t in rec.trials]
@@ -471,20 +469,22 @@ VERIFY_SCALE = 0.1
 def run_verification():
     """Acceptance criteria 1-9 of :mod:`iprox.checks` at fixture scale.
 
-    Criteria 1-6 and 9 run at ``VERIFY_SCALE``. Criteria 7 and 8 share
-    one 32x32 instance solved plainly and at 0.28; one instance that
-    small converges in under 80 iterations, where extrapolation saves
-    about 5 %, so criterion 8 here only asks the inertial solve not to
-    be slower. Returns one :class:`~iprox.checks.CheckResult` per
-    criterion, in order.
+    Criteria 1-6 and 9 run at ``VERIFY_SCALE``. Criteria 7 and 8 read one
+    :func:`run_grid` sweep cell of a single 32x32 instance, solved plainly
+    and at 0.28 in two worker processes; one instance that small
+    converges in under 80 iterations, where extrapolation saves about
+    5 %, so criterion 8 here only asks the inertial solve not to be
+    slower. Returns one :class:`~iprox.checks.CheckResult` per criterion,
+    in order.
     """
     scaled = (checks.step_characterization, checks.distance_contraction,
               checks.nonergodic_rate, checks.ergodic_gap,
               checks.residual_envelope, checks.objective_rate)
     results = [check(VERIFY_SCALE) for check in scaled]
-    batch = checks.recovery_batch(32, 2, 0.8, seeds=(7,),
-                                  alphas=(checks.INERTIAL_ALPHA,))
-    results.append(checks.recovery(batch))
-    results.append(checks.inertial_speedup(batch, ratio_gate=1.0))
+    records = run_grid(RunConfig(sizes=(32,), ranks=(2,), nnz_ratios=(0.05,),
+                                 q_ratios=(0.8,), seeds=(7,),
+                                 alphas=(checks.INERTIAL_ALPHA,), jobs=2))
+    results.append(checks.recovery(records))
+    results.append(checks.inertial_speedup(records, ratio_gate=1.0))
     results.append(checks.exact_identities(VERIFY_SCALE))
     return results

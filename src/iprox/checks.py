@@ -16,7 +16,9 @@ Each check builds its fixtures from fixed seeds and returns a
 :class:`CheckResult`. ``scale`` shrinks fixture counts and iteration
 limits: at ``scale=1`` a check is the acceptance gate, and ``iprox
 verify`` runs the same checks at a smaller scale. Criteria 7 and 8 read
-one shared :class:`RecoveryBatch` instead, whose size the caller picks.
+instead the records of one sweep cell of :func:`iprox.bench.run_grid`
+(the plain solve and each factor, over the cell's seeds), whose size
+the caller picks.
 
 The checks reach the package through module attributes
 (``splitting.run_ladmm``, ``cpcp.ladmm_cpcp``), so a caller that wraps
@@ -174,85 +176,48 @@ def objective_rate(scale=1.0):
         f"max k^2 gap {float(scaled.max()):.3f} vs bound {bound:.3f} over k <= {n}")
 
 
-@dataclass
-class RecoveryBatch:
-    """Recovery metrics on generated DCT2 instances, 5 % sparse.
-
-    ``runs`` holds one dict per seed, mapping 0.0 to the plain solver's
-    :class:`~iprox.cpcp.RecoveryMetrics` and each inertial factor to the
-    inertial solver's; all solves use the default solver settings.
-    """
-
-    size: int
-    runs: list
-
-    @classmethod
-    def from_records(cls, records):
-        """The batch of one cell's sweep records (:func:`iprox.bench.run_grid`
-        with ``alphas`` set): one run per seed, holding the plain solve and
-        each record's factor. Records of several cells raise ValueError, and
-        a cell error raises RuntimeError with the worker's traceback."""
-        if len({(r.m, r.n, r.r, r.nnz_ratio, r.q_ratio, r.transform)
-                for r in records}) != 1:
-            raise ValueError("the records must cover exactly one cell")
-        runs = None
-        for rec in records:
-            if rec.error is not None:
-                raise RuntimeError(f"{rec.error}\n{rec.traceback}")
-            if runs is None:
-                runs = [{0.0: _metrics(t["ladmm"])} for t in rec.trials]
-            for run, trial in zip(runs, rec.trials):
-                run[rec.alpha] = _metrics(trial["iladmm"])
-        return cls(records[0].m, runs)
+def _cell(records):
+    """One grid cell's sweep records (:func:`iprox.bench.run_grid`), keyed
+    by factor. Records of several cells, or with no 0.28 record, raise
+    ValueError, and a cell error raises RuntimeError with the worker's
+    traceback."""
+    if len({(r.m, r.n, r.r, r.nnz_ratio, r.q_ratio, r.transform)
+            for r in records}) != 1:
+        raise ValueError("the records must cover exactly one cell")
+    for rec in records:
+        if rec.error is not None:
+            raise RuntimeError(f"{rec.error}\n{rec.traceback}")
+    by_alpha = {rec.alpha: rec for rec in records}
+    if INERTIAL_ALPHA not in by_alpha:
+        raise ValueError(f"the records hold no solve at {INERTIAL_ALPHA:g}")
+    return by_alpha
 
 
-def _metrics(outcome):
-    """The :class:`~iprox.cpcp.RecoveryMetrics` of a grid trial's solve."""
-    return cpcp.RecoveryMetrics(outcome["rel_l"], outcome["rel_s"], outcome["iters"],
-                                outcome["converged"])
-
-
-def recovery_batch(size, rank, q_ratio, seeds, alphas):
-    """Solve one ``size x size`` instance per seed plainly and at each
-    factor in ``alphas``, in this process; the batch criteria 7 and 8
-    read. :meth:`RecoveryBatch.from_records` reads the same batch off a
-    grid run, whose solves run in worker processes."""
-    q, nnz = cpcp.counts_from_ratios(size, size, q_ratio, 0.05)
-    runs = []
-    for seed in seeds:
-        inst = cpcp.generate_instance(size, size, rank, nnz, "dct2", q, seed)
-        state, _ = cpcp.ladmm_cpcp(inst)
-        run = {0.0: cpcp.recovery_metrics(state, inst)}
-        for alpha in alphas:
-            state, _ = cpcp.iladmm_cpcp(inst, alpha=alpha)
-            run[alpha] = cpcp.recovery_metrics(state, inst)
-        runs.append(run)
-    return RecoveryBatch(size, runs)
-
-
-def recovery(batch):
-    """Criterion 7: every plain and 0.28 solve of ``batch`` converged with
-    relative L and S errors within 1e-4."""
-    mets = [run[a] for run in batch.runs for a in (0.0, INERTIAL_ALPHA)]
-    worst_err = max(max(m.rel_l, m.rel_s) for m in mets)
-    ok = all(m.converged and m.iters <= 1000 for m in mets) and worst_err <= 1e-4
+def recovery(records):
+    """Criterion 7: every plain and 0.28 solve in one cell's grid records
+    converged with relative L and S errors within 1e-4."""
+    rec = _cell(records)[INERTIAL_ALPHA]
+    solves = [t[solver] for t in rec.trials for solver in ("ladmm", "iladmm")]
+    worst_err = max(max(s["rel_l"], s["rel_s"]) for s in solves)
+    ok = all(s["converged"] and s["iters"] <= 1000 for s in solves) and worst_err <= 1e-4
     return CheckResult(
         "recovery", ok,
-        f"{len(mets)} runs at {batch.size}x{batch.size} converged, "
-        f"max iters {max(m.iters for m in mets)}, max rel err {worst_err:.2e}")
+        f"{len(solves)} runs at {rec.m}x{rec.n} converged, "
+        f"max iters {max(s['iters'] for s in solves)}, max rel err {worst_err:.2e}")
 
 
-def inertial_speedup(batch, ratio_gate=0.90):
-    """Criterion 8: mean 0.28 iterations over mean plain iterations within
-    ``ratio_gate``, and 0.28 faster than each smaller factor in ``batch``."""
-    mean = {a: float(np.mean([run[a].iters for run in batch.runs]))
-            for a in batch.runs[0]}
-    ratio = mean[INERTIAL_ALPHA] / mean[0.0]
-    smaller = [a for a in mean if 0.0 < a < INERTIAL_ALPHA]
-    ok = ratio <= ratio_gate and all(mean[INERTIAL_ALPHA] < mean[a] for a in smaller)
-    detail = f"iter ratio {ratio:.3f} (gate {ratio_gate:.2f})" + "".join(
-        f"; mean iters {INERTIAL_ALPHA:g}: {mean[INERTIAL_ALPHA]:.1f} "
-        f"vs {a:g}: {mean[a]:.1f}" for a in smaller)
+def inertial_speedup(records, ratio_gate=0.90):
+    """Criterion 8 on one cell's grid records: mean 0.28 iterations over
+    mean plain iterations within ``ratio_gate``, and 0.28 faster than each
+    smaller factor in the records."""
+    by_alpha = _cell(records)
+    inertial = by_alpha[INERTIAL_ALPHA]
+    smaller = [a for a in by_alpha if 0.0 < a < INERTIAL_ALPHA]
+    ok = inertial.iter_ratio <= ratio_gate and all(
+        inertial.mean_iter_iladmm < by_alpha[a].mean_iter_iladmm for a in smaller)
+    detail = f"iter ratio {inertial.iter_ratio:.3f} (gate {ratio_gate:.2f})" + "".join(
+        f"; mean iters {INERTIAL_ALPHA:g}: {inertial.mean_iter_iladmm:.1f} "
+        f"vs {a:g}: {by_alpha[a].mean_iter_iladmm:.1f}" for a in smaller)
     return CheckResult("inertial-speedup", ok, detail)
 
 

@@ -372,10 +372,12 @@ def iladmm_step(prob, params, w, w_prev, alpha):
 
 
 def run_ladmm(prob, params, tol=1e-5, max_iter=1000, w_star=None):
-    """Iterate :func:`ladmm_step` from the zero point until the relative
+    """Run the plain linearized step from the zero point until the relative
     step rule fires.
 
-    Stops when ``||w_{k+1} - w_k|| / (1 + ||w_k||) < tol``. The trace
+    The step is :func:`ladmm_step`'s update, run as ``_step`` through
+    :func:`_run` in :func:`~iprox.vi_core.inertial_loop`, which carries
+    ``A x`` and ``B y`` instead of applying A and B again. Stops when ``||w_{k+1} - w_k|| / (1 + ||w_k||) < tol``. The trace
     stores packed iterates, squared G-norm step residuals, and, when the
     packed point ``w_star`` is given, the distances
     ``phi_k = ||w_k - w*||_G^2``. This is :func:`run_iladmm` at zero
@@ -387,9 +389,13 @@ def run_ladmm(prob, params, tol=1e-5, max_iter=1000, w_star=None):
 
 
 def run_iladmm(prob, params, schedule, tol=1e-5, max_iter=1000):
-    """Iterate :func:`iladmm_step` from the zero point under an
+    """Run the inertial linearized step from the zero point under an
     extrapolation schedule.
 
+    :func:`~iprox.vi_core.inertial_loop` extrapolates the carried point
+    ``(x, y, p, A x, B y)`` and runs ``_step`` from it (see :func:`_run`).
+    :func:`iladmm_step` extrapolates ``(x, y, p)`` and applies A and B
+    again, so its iterates follow these up to rounding, not bit for bit.
     The stopping rule compares against the extrapolated point:
     ``||w_{k+1} - wbar_k|| / (1 + ||wbar_k||) < tol``.
     """

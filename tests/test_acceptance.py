@@ -37,12 +37,13 @@ def report(num, result):
 
 @pytest.fixture(scope="module")
 def desk_batch():
-    """256 x 256, rank 5, q = 0.6 area, seeds 0-4: plain, 0.28 and 0.05,
-    solved in the grid's two worker processes at one BLAS thread each."""
+    """The grid records of 256 x 256, rank 5, q = 0.6 area, seeds 0-4:
+    plain, 0.28 and 0.05, solved in the grid's two worker processes at
+    one BLAS thread each."""
     config = bench.RunConfig(sizes=(256,), ranks=(5,), nnz_ratios=(0.05,),
                              q_ratios=(0.6,), seeds=tuple(range(5)),
                              alphas=(0.28, 0.05), jobs=2)
-    return checks.RecoveryBatch.from_records(bench.run_grid(config))
+    return bench.run_grid(config)
 
 
 def test_criterion_01_step_characterization():

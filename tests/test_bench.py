@@ -4,7 +4,9 @@ Grid runs here use tiny instances so the full file stays in the second
 range; determinism checks compare complete artifacts byte for byte.
 """
 
+import copy
 import ctypes
+import dataclasses
 import inspect
 import json
 import math
@@ -47,8 +49,6 @@ def strip_wall_times(doc):
 
 
 def record_docs(records):
-    import dataclasses
-
     return strip_wall_times([dataclasses.asdict(r) for r in records])
 
 
@@ -186,16 +186,16 @@ class TestRunConfig:
             bench.RunConfig.from_yaml(path)
 
 
-_RUN_TRIAL = bench._run_trial
+_RUN_SOLVE = bench._run_solve
 _WORKER_POOL = bench._worker_pool
 
 
-def _exit_on_wht_seed_one(cell, seed, config, alphas):
-    """``bench._run_trial``, except that the worker running the wht cell's
-    seed 1 exits at once, as a crashed worker would."""
+def _exit_on_wht_seed_one(cell, seed, config, alpha):
+    """``bench._run_solve``, except that the worker running a solve of the
+    wht cell's seed 1 exits at once, as a crashed worker would."""
     if cell[-1] == "wht" and seed == 1:
         os._exit(1)
-    return _RUN_TRIAL(cell, seed, config, alphas)
+    return _RUN_SOLVE(cell, seed, config, alpha)
 
 
 def _blas_threads():
@@ -268,10 +268,10 @@ class TestRunGrid:
         config = tiny_config(jobs=2)
         assert record_docs(bench.run_grid(config)) == record_docs(records)
         cell = (32, 2, 0.05, 0.8, "dct2")
-        direct = [bench._run_trial(cell, seed, config, (config.alpha,))
+        trials = [{"seed": seed,
+                   "ladmm": bench._run_solve(cell, seed, config, None)["outcome"],
+                   "iladmm": bench._run_solve(cell, seed, config, config.alpha)["outcome"]}
                   for seed in config.seeds]
-        trials = [{"seed": t["seed"], "ladmm": t["ladmm"], "iladmm": t["iladmm"][config.alpha]}
-                  for t in direct]
         assert strip_wall_times(trials) == record_docs(records)[0]["trials"]
 
     def test_workers_run_one_blas_thread(self):
@@ -282,7 +282,8 @@ class TestRunGrid:
             counts = [pool.submit(_blas_threads).result() for _ in range(2)]
         assert counts == [[1] * len(loaded)] * 2
 
-    def test_no_more_workers_than_trials(self, monkeypatch):
+    def test_no_more_workers_than_solves(self, monkeypatch):
+        # one trial is two solves, one task each
         asked = []
 
         def recording_pool(jobs):
@@ -291,13 +292,13 @@ class TestRunGrid:
 
         monkeypatch.setattr(bench, "_worker_pool", recording_pool)
         bench.run_grid(tiny_config(sizes=(16,), ranks=(1,), seeds=(0,), eps=1e-4, jobs=3))
-        assert asked == [1]
+        assert asked == [2]
 
     def test_dead_worker_fails_its_cell_not_the_grid(self, monkeypatch):
         config = tiny_config(sizes=(16,), ranks=(1,), transforms=("dct2", "wht"),
                              seeds=(0, 1), eps=1e-4, jobs=1)
         intact = bench.run_grid(config)
-        monkeypatch.setattr(bench, "_run_trial", _exit_on_wht_seed_one)
+        monkeypatch.setattr(bench, "_run_solve", _exit_on_wht_seed_one)
         records = bench.run_grid(config)
         assert record_docs(records[:1]) == record_docs(intact[:1])
         assert records[1].error.startswith("BrokenProcessPool: ")
@@ -320,21 +321,6 @@ class TestRunGrid:
         assert zero.iter_ratio == 1.0
         assert zero.mean_rel_l_iladmm == zero.mean_rel_l_ladmm
 
-    def test_sweep_records_give_the_in_process_recovery_batch(self):
-        # criteria 7 and 8 read their batch off a sweep run by the grid
-        seeds, alphas = (0, 1), (0.28, 0.1)
-        records = bench.run_grid(tiny_config(sizes=(24,), seeds=seeds, alphas=alphas,
-                                             max_iter=1000, jobs=2))
-        got = checks.RecoveryBatch.from_records(records)
-        want = checks.recovery_batch(24, 2, 0.8, seeds, alphas)
-        assert got == want and len(got.runs) == 2 and set(got.runs[0]) == {0.0, *alphas}
-        with pytest.raises(ValueError, match="one cell"):
-            checks.RecoveryBatch.from_records(
-                bench.run_grid(tiny_config(sizes=(16, 24), seeds=(0,))))
-        failed = bench.run_grid(tiny_config(sizes=(16,), ranks=(40,), seeds=(0,)))
-        with pytest.raises(RuntimeError, match="generate_instance"):
-            checks.RecoveryBatch.from_records(failed)
-
     def test_failing_cell_is_recorded_not_raised(self):
         records = bench.run_grid(
             tiny_config(sizes=(16,), ranks=(40,), seeds=(0,), max_iter=5)
@@ -344,6 +330,55 @@ class TestRunGrid:
         assert "rank" in records[0].error
         assert "generate_instance" in records[0].traceback
         assert math.isnan(records[0].mean_iter_ladmm)
+
+
+class TestRecordCriteria:
+    """Criteria 7 and 8 read the records of one grid cell."""
+
+    CHECKS = (checks.recovery, checks.inertial_speedup)
+
+    def test_one_cell_with_a_solve_at_0_28(self, records):
+        rec = records[0]
+        for bad in ([rec, dataclasses.replace(rec, m=16, n=16)], []):
+            for check in self.CHECKS:
+                with pytest.raises(ValueError, match="exactly one cell"):
+                    check(bad)
+        for check in self.CHECKS:
+            with pytest.raises(ValueError, match="no solve at 0.28"):
+                check([dataclasses.replace(rec, alpha=0.1)])
+
+    def test_failed_cell_raises_with_the_worker_traceback(self):
+        failed = bench.run_grid(tiny_config(sizes=(16,), ranks=(40,), seeds=(0,)))
+        for check in self.CHECKS:
+            with pytest.raises(RuntimeError, match="generate_instance"):
+                check(failed)
+
+    def test_an_unconverged_trial_fails_recovery(self, records):
+        result = checks.recovery(records)
+        assert result.ok and result.detail.startswith("4 runs at 32x32 converged, ")
+        for solver in ("ladmm", "iladmm"):
+            rec = copy.deepcopy(records[0])
+            rec.trials[1][solver]["converged"] = False
+            assert not checks.recovery([rec]).ok
+        short = bench.run_grid(tiny_config(seeds=(7,), max_iter=20))
+        assert not short[0].all_converged_ladmm and not checks.recovery(short).ok
+
+    def test_inertial_speedup_reads_the_record_means(self, records):
+        rec = records[0]
+        assert checks.inertial_speedup(records, ratio_gate=rec.iter_ratio).ok
+        assert not checks.inertial_speedup(records, ratio_gate=rec.iter_ratio - 1e-3).ok
+        mean = rec.mean_iter_iladmm
+
+        def at(alpha, iters):
+            return dataclasses.replace(rec, alpha=alpha, mean_iter_iladmm=iters)
+
+        slower = checks.inertial_speedup([rec, at(0.1, mean + 1)], ratio_gate=1.0)
+        assert slower.ok and slower.detail.endswith(
+            f"; mean iters 0.28: {mean:.1f} vs 0.1: {mean + 1:.1f}")
+        assert not checks.inertial_speedup([rec, at(0.1, mean)], ratio_gate=1.0).ok
+        # neither a larger factor nor zero extrapolation is held against 0.28
+        assert checks.inertial_speedup([at(0.0, 1.0), rec, at(0.35, 1.0)],
+                                       ratio_gate=1.0).ok
 
 
 class TestEmitters:

@@ -45,20 +45,20 @@ def holdings():
             "blas": blas}
 """
 
-# runs a grid in which each worker, after each trial, reports what it holds
+# runs a grid in which each worker, after each solve, reports what it holds
 GRID = HOLDINGS + """
 import json, os
 from iprox import bench
 
-run_trial = bench._run_trial
+run_solve = bench._run_solve
 
-def reporting_trial(cell, seed, config, alphas):
-    out = run_trial(cell, seed, config, alphas)
-    with open(os.path.join(sys.argv[1], f"{os.getpid()}-{seed}.json"), "w") as fh:
+def reporting_solve(cell, seed, config, alpha):
+    out = run_solve(cell, seed, config, alpha)
+    with open(os.path.join(sys.argv[1], f"{os.getpid()}-{seed}-{alpha}.json"), "w") as fh:
         json.dump({"error": out.get("error"), **holdings()}, fh)
     return out
 
-bench._run_trial = reporting_trial
+bench._run_solve = reporting_solve
 before = holdings()
 config = bench.RunConfig(sizes=(16,), ranks=(1,), nnz_ratios=(0.05,), q_ratios=(0.8,),
                          transforms=(sys.argv[2],), eps=1e-4, seeds=(0, 1), jobs=2)
@@ -110,7 +110,7 @@ def test_grid_loads_no_scipy_module_and_no_other_blas(tmp_path, kind):
     assert parent["after"] == parent["before"]
     assert parent["after"]["scipy"] == []
     reports = [json.loads(p.read_text()) for p in sorted(tmp_path.glob("*.json"))]
-    assert len(reports) == 2
+    assert len(reports) == 4  # 2 seeds, plain and inertial
     for r in reports:
         assert r["error"] is None and r["scipy"] == []
         assert r["blas"] == {lib: 1 for lib in parent["before"]["blas"]}

@@ -281,6 +281,24 @@ class TestRuns:
         for name in ("phi", "step_residuals", "stop_residuals", "delta"):
             assert np.array_equal(getattr(plain, name), getattr(inertial, name))
 
+    def test_runs_follow_their_named_steps(self):
+        # the runs carry A x and B y through the loop, where ladmm_step and
+        # iladmm_step apply A and B again; at 0.28 the loop extrapolates the
+        # carried products, so the iterates agree up to rounding
+        prob, _ = random_qp(8, 8, 8, SeededRng(3000))  # criterion 2's first fixture
+        params = safe_params(prob)
+        plain = sp.run_ladmm(prob, params, tol=0.0, max_iter=50)
+        inertial = sp.run_iladmm(prob, params, InertialSchedule.constant(0.28),
+                                 tol=0.0, max_iter=50)
+        assert len(plain.iterates) == len(inertial.iterates) == 51
+        w = w_inertial = w_prev = sp.zeros_point(prob)
+        for want_plain, want_inertial in zip(plain.iterates[1:], inertial.iterates[1:]):
+            w = sp.ladmm_step(prob, params, w)
+            assert np.abs(w - want_plain).max() <= 1e-12
+            _, w_next = sp.iladmm_step(prob, params, w_inertial, w_prev, 0.28)
+            w_prev, w_inertial = w_inertial, w_next
+            assert np.abs(w_inertial - want_inertial).max() <= 1e-12
+
     def test_distance_contraction(self):
         # phi_{k+1} <= phi_k - ||w_{k+1} - w_k||_G^2 on the plain iteration
         prob, star = tiny_qp(seed=101)
