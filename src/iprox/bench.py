@@ -156,7 +156,7 @@ class RunConfig:
             if not 0.0 <= a < 1.0:
                 raise ValueError(f"alpha {a} outside [0, 1)")
             if (self.alphas is None
-                    and not InertialSchedule.constant(a).guaranteed_regime):
+                    and not InertialSchedule(a).guaranteed_regime):
                 raise ValueError(
                     f"alpha {a} is outside the guaranteed range [0, 1/3); "
                     "probe larger factors with `iprox sweep-alpha` or solver.alphas"

@@ -1,6 +1,7 @@
 """The solver guarantees as checks, one function per acceptance criterion.
 
- 1. every linearized step satisfies its variational characterization
+ 1. every step of a plain linearized run satisfies its variational
+    characterization
  2. strict distance contraction toward the solution set
  3. nonergodic residual rate with monotone decay and an o(1/k) trend
  4. ergodic saddle-gap envelope for averaged iterates
@@ -13,12 +14,13 @@
     orthonormality, thresholded spectra
 
 Each check builds its fixtures from fixed seeds and returns a
-:class:`CheckResult`. ``scale`` shrinks fixture counts and iteration
-limits: at ``scale=1`` a check is the acceptance gate, and ``iprox
-verify`` runs the same checks at a smaller scale. Criteria 7 and 8 read
-instead the records of one sweep cell of :func:`iprox.bench.run_grid`
-(the plain solve and each factor, over the cell's seeds), whose size
-the caller picks.
+:class:`CheckResult`. Criteria 1-4 read :func:`iprox.splitting.run_ladmm`
+traces, so they check the iterates the solver's own loop produced.
+``scale`` shrinks fixture counts and iteration limits: at ``scale=1`` a
+check is the acceptance gate, and ``iprox verify`` runs the same checks
+at a smaller scale. Criteria 7 and 8 read instead the records of one
+sweep cell of :func:`iprox.bench.run_grid` (the plain solve and each
+factor, over the cell's seeds), whose size the caller picks.
 
 The checks reach the package through module attributes
 (``splitting.run_ladmm``, ``cpcp.ladmm_cpcp``), so a caller that wraps
@@ -60,7 +62,8 @@ def _params(prob, beta=1.0):
 
 
 def step_characterization(scale=1.0):
-    """Criterion 1 on 20 QP fixtures x 10 steps x 100 probes."""
+    """Criterion 1 on 20 QP fixtures x 10 steps x 100 probes: the pairs
+    ``(w_k, w_{k+1})`` of a plain run's trace."""
     t0 = time.perf_counter()
     n_fix, n_steps = _count(20, scale), _count(10, scale)
     worst = np.inf
@@ -69,11 +72,10 @@ def step_characterization(scale=1.0):
         params = _params(prob)
         probes = splitting.sample_probes(prob, star, 2.0, 100,
                                          numkit.SeededRng(2000 + seed))
-        w = splitting.zeros_point(prob)
-        for _ in range(n_steps):
-            w1 = splitting.ladmm_step(prob, params, w)
-            worst = min(worst, splitting.vi_residual_check(prob, params, w, w1, probes))
-            w = w1
+        w = splitting.run_ladmm(prob, params, tol=0.0, max_iter=n_steps).iterates
+        for w_k, w_next in zip(w, w[1:]):
+            worst = min(worst, splitting.vi_residual_check(prob, params, w_k, w_next,
+                                                           probes))
     elapsed = time.perf_counter() - t0
     return CheckResult(
         "step-characterization", worst >= -1e-8 and elapsed < 10.0,
@@ -104,7 +106,7 @@ def nonergodic_rate(scale=1.0):
     early = max(1, n // 10)
     prob, star = fixtures.random_qp(4, 4, 3, numkit.SeededRng(20240814).derive("qp"))
     params = _params(prob, beta=0.1)
-    trace = splitting.run_ladmm(prob, params, tol=0.0, max_iter=n, w_star=star)
+    trace = splitting.run_ladmm(prob, params, tol=0.0, max_iter=n)
     rep = splitting.nonergodic_report(trace, prob, params, star)
     last, first = rep.scaled[n - 1], rep.scaled[early - 1]
     return CheckResult(
@@ -143,7 +145,7 @@ def residual_envelope(scale=1.0):
             8, numkit.SeededRng(6000 + seed))
         G = vi_core.WeightOperator(np.eye(8))
         trace = vi_core.run_inertial_ppa(
-            problem, G, vi_core.InertialSchedule.constant(INERTIAL_ALPHA),
+            problem, G, vi_core.InertialSchedule(INERTIAL_ALPHA),
             np.ones(8) * 2.0, tol=0.0, max_iter=_count(500, scale),
         )
         rep = vi_core.check_residual_rate_bound(trace, G, w_star)

@@ -27,7 +27,6 @@ from .vi_core import (
     ProbeSet,
     WeightOperator,
     _point,
-    _sq,
     gippa_slack,
     inertial_loop,
     stopping_residual,
@@ -266,12 +265,12 @@ def _check_step_bounds(prob, tau, eta):
                       "semidefinite", stacklevel=3)
 
 
-def _gquad(beta, tau, eta, d, sq=None):
+def _gquad(beta, tau, eta, d, sq):
     """``<d, G d>`` for the G of :func:`gladmm_operator`, in closed form at
-    ``d = (dx, dy, dp, A dx, B dy)``, so it needs no matrix; ``sq`` may pass
-    the squared block norms ``(|dx|^2, |dy|^2, |dp|^2)`` already formed."""
-    dx, dy, dp, adx, bdy = d
-    xx, yy, pp = sq or map(_sq, (dx, dy, dp))
+    ``d = (dx, dy, dp, A dx, B dy)``, so it needs no matrix; ``sq`` holds
+    the squared block norms ``(|dx|^2, |dy|^2, |dp|^2)``."""
+    _, _, dp, adx, bdy = d
+    xx, yy, pp = sq
     return (beta * (xx / tau - float(adx @ adx)) + (beta / eta) * yy
             - 2.0 * float(bdy @ dp) + pp / beta)
 
@@ -375,17 +374,24 @@ def run_ladmm(prob, params, tol=1e-5, max_iter=1000, w_star=None):
     """Run the plain linearized step from the zero point until the relative
     step rule fires.
 
-    The step is :func:`ladmm_step`'s update, run as ``_step`` through
-    :func:`_run` in :func:`~iprox.vi_core.inertial_loop`, which carries
-    ``A x`` and ``B y`` instead of applying A and B again. Stops when ``||w_{k+1} - w_k|| / (1 + ||w_k||) < tol``. The trace
-    stores packed iterates, squared G-norm step residuals, and, when the
-    packed point ``w_star`` is given, the distances
-    ``phi_k = ||w_k - w*||_G^2``. This is :func:`run_iladmm` at zero
+    The step is ``_step`` run through :func:`_run` in
+    :func:`~iprox.vi_core.inertial_loop`, which carries ``A x`` and
+    ``B y`` instead of applying A and B again. Stops when
+    ``||w_{k+1} - w_k|| / (1 + ||w_k||) < tol``. The trace stores packed
+    iterates and squared G-norm step residuals. When the packed point
+    ``w_star`` is given, ``trace.phi`` holds the distances
+    ``phi_k = ||w_k - w*||_G^2`` over the iterates, formed after the run
+    under :func:`gladmm_operator`'s G, so a problem given through
+    operators raises its TypeError. This is :func:`run_iladmm` at zero
     extrapolation, which reproduces the plain steps bitwise.
     """
-    return _run(prob, _fixed_penalty(params.beta), params.tau, params.eta,
-                InertialSchedule.constant(0.0), tol, max_iter, w_star,
-                keep_iterates=True)
+    trace = _run(prob, _fixed_penalty(params.beta), params.tau, params.eta,
+                 InertialSchedule(0.0), tol, max_iter, keep_iterates=True)
+    if w_star is not None:
+        G = gladmm_operator(prob, params)
+        w_star = _point(w_star, G.matrix.shape[0], "w_star")
+        trace.phi = [G.quad(w - w_star) for w in trace.iterates]
+    return trace
 
 
 def run_iladmm(prob, params, schedule, tol=1e-5, max_iter=1000):
@@ -407,8 +413,8 @@ def _fixed_penalty(beta):
     return BetaController(beta, active_iters=0, beta_min=beta, beta_max=beta)
 
 
-def _run(prob, penalty, tau, eta, schedule, tol, max_iter, w_star=None,
-         keep_iterates=False, stop=stopping_residual):
+def _run(prob, penalty, tau, eta, schedule, tol, max_iter, keep_iterates=False,
+         stop=stopping_residual):
     """Linearized ADMM in :func:`~iprox.vi_core.inertial_loop` from the
     zero point, on points ``(x, y, p, A x, B y)``: ``A x`` and ``B y``
     are carried, so the weighted norms cost no operator call. ``penalty``
@@ -433,9 +439,8 @@ def _run(prob, penalty, tau, eta, schedule, tol, max_iter, w_star=None,
         return nxt, objective
 
     trace, last = inertial_loop(
-        step, lambda d, sq=None: _gquad(penalty.beta, tau, eta, d, sq), schedule.alpha,
-        _carried(prob, None), tol, max_iter, blocks=3,
-        w_star=None if w_star is None else _carried(prob, w_star), objective=[],
+        step, lambda d, sq: _gquad(penalty.beta, tau, eta, d, sq), schedule.alpha,
+        _carried(prob, None), tol, max_iter, blocks=3, objective=[],
         keep_iterates=keep_iterates, before=rebalance, stop=stop,
     )
     measured = last[3] + last[4]

@@ -106,21 +106,20 @@ class InertialSchedule:
 class SolverTrace:
     """Per-iteration diagnostics, filled by :func:`inertial_loop`.
 
-    Lengths: with ``K = iterations``, ``iterates`` and ``phi`` (when
-    present) hold K + 1 entries starting at the initial point, while the
-    per-step lists hold K entries. ``step_residuals`` are squared G-norms
-    of ``w_{k+1} - wbar_k``; ``stop_residuals`` the relative stopping
-    quantities; ``delta`` the weighted inertia terms
-    ``2 alpha_k ||w_k - w_{k-1}||_G^2``; ``objective`` K + 1 entries from
-    :func:`nesterov_ippa`, K from :mod:`iprox.splitting`, and none from
-    the VI engine.
+    Lengths: with ``K = iterations``, ``iterates`` holds K + 1 entries
+    starting at the initial point, while the per-step lists hold K
+    entries. ``step_residuals`` are squared G-norms of
+    ``w_{k+1} - wbar_k``; ``stop_residuals`` the relative stopping
+    quantities; ``objective`` K + 1 entries from :func:`nesterov_ippa`, K
+    from :mod:`iprox.splitting`, and none from the VI engine. ``phi``,
+    the distances ``||w_k - w*||_G^2`` over ``iterates``, is filled only
+    by :func:`iprox.splitting.run_ladmm`, after the run.
     """
 
     iterates: Optional[list] = None
     alphas: list = field(default_factory=list)
     step_residuals: list = field(default_factory=list)
     stop_residuals: list = field(default_factory=list)
-    delta: list = field(default_factory=list)
     phi: Optional[list] = None
     objective: Optional[list] = None
     extras: dict = field(default_factory=dict)
@@ -147,7 +146,7 @@ def _point(w, dim, name):
 
 
 def inertial_loop(step, gquad, alpha, w, tol, max_iter, *, blocks=1,
-                  w_star=None, objective=None, keep_iterates=True, before=None,
+                  objective=None, keep_iterates=True, before=None,
                   stop=stopping_residual):
     """The iteration loop behind every solver of the package, from ``w``.
 
@@ -158,8 +157,8 @@ def inertial_loop(step, gquad, alpha, w, tol, max_iter, *, blocks=1,
     ``alpha_k`` is 0), and calls ``step(wbar_k)`` for ``(w_{k+1},
     objective at w_{k+1})``. The step must not modify ``wbar_k``, and the
     arrays it returns must share memory with no point the loop holds.
-    ``gquad(d, sq=None)`` is ``||d||_G^2``, ``sq`` being the squared block
-    norms of ``d`` when already formed. ``before(k, w_k, objective at
+    ``gquad(d, sq)`` is ``||d||_G^2``, ``sq`` being the squared norms of
+    the first ``blocks`` arrays of ``d``. ``before(k, w_k, objective at
     w_k)``, when given, runs first in each step, for updates that change G
     such as a penalty rule.
 
@@ -176,9 +175,8 @@ def inertial_loop(step, gquad, alpha, w, tol, max_iter, *, blocks=1,
 
     Stops when ``stop(||w_{k+1} - wbar_k||^2, ||wbar_k||^2) < tol``, the
     norms taken over the blocks, or after ``max_iter`` steps. The trace's
-    objective list starts as ``objective`` (None records none); ``phi`` is
-    recorded when ``w_star`` (a point) is given. Returns the trace and the
-    last point.
+    objective list starts as ``objective`` (None records none). Returns
+    the trace and the last point.
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
@@ -189,22 +187,18 @@ def inertial_loop(step, gquad, alpha, w, tol, max_iter, *, blocks=1,
         return np.concatenate(w[:blocks], axis=None)
 
     prev = w  # w_{k-1}
-    trace = SolverTrace(
-        iterates=[pack(w)] if keep_iterates else None,
-        phi=None if w_star is None else [gquad([u - v for u, v in zip(w, w_star)])],
-        objective=objective,
-    )
+    trace = SolverTrace(iterates=[pack(w)] if keep_iterates else None,
+                        objective=objective)
     obj = None
     for k in range(max_iter):
         if before is not None:
             before(k, w, obj)
-        a, dsq, wbar = alpha(k), 0.0, w
+        a, wbar = alpha(k), w
         if a < 0:
             raise ValueError(f"alpha_{k} = {a} is negative")
         if a:
             # d_k, turned into wbar_k in place
             wbar = [np.subtract(u, v, out=v if k else None) for u, v in zip(w, prev)]
-            dsq = gquad(wbar)
             for u, du in zip(w, wbar):
                 du *= a
                 du += u
@@ -219,14 +213,11 @@ def inertial_loop(step, gquad, alpha, w, tol, max_iter, *, blocks=1,
         trace.step_residuals.append(gquad(diff, sq))
         del diff
         trace.alphas.append(a)
-        trace.delta.append(2.0 * a * dsq)
         trace.stop_residuals.append(rel)
         if trace.objective is not None:
             trace.objective.append(obj)
         if trace.iterates is not None:
             trace.iterates.append(pack(nxt))
-        if trace.phi is not None:
-            trace.phi.append(gquad([u - v for u, v in zip(nxt, w_star)]))
         prev, w = w, nxt
         trace.iterations = k + 1
         if rel < tol:
@@ -243,23 +234,21 @@ def inertial_ppa_step(problem, G, wbar):
     return np.array(problem.resolvent(wbar, G), dtype=np.float64)
 
 
-def run_inertial_ppa(problem, G, schedule, w0, tol=1e-5, max_iter=1000, w_star=None):
+def run_inertial_ppa(problem, G, schedule, w0, tol=1e-5, max_iter=1000):
     """Run the inertial engine from ``w0`` (the pre-iterate equals ``w0``).
 
-    Each step is :func:`inertial_ppa_step` inside :func:`inertial_loop`.
-    Stops when ``||w_next - wbar|| / (1 + ||wbar||) < tol`` or at
-    ``max_iter``. When ``w_star`` is given the trace records
-    ``phi_k = ||w_k - w*||_G^2``. ``w0`` is copied, not modified.
+    Each step is :func:`inertial_ppa_step` inside :func:`inertial_loop`,
+    and each step residual one ``G.quad``. Stops when
+    ``||w_next - wbar|| / (1 + ||wbar||) < tol`` or at ``max_iter``.
+    ``w0`` is copied, not modified.
     """
     w = _point(w0, problem.dim, "w0").copy()
 
     def step(wbar):
         return (inertial_ppa_step(problem, G, wbar[0]),), None
 
-    return inertial_loop(
-        step, lambda d, sq=None: G.quad(d[0]), schedule.alpha, (w,), tol, max_iter,
-        w_star=None if w_star is None else (_point(w_star, problem.dim, "w_star"),),
-    )[0]
+    return inertial_loop(step, lambda d, sq: G.quad(d[0]), schedule.alpha, (w,), tol,
+                         max_iter)[0]
 
 
 @dataclass(frozen=True)
@@ -394,7 +383,7 @@ def nesterov_ippa(prox_f, w0, n_iters, objective=None):
         return (w_next,), None if objective is None else float(objective(w_next))
 
     trace, _ = inertial_loop(
-        step, lambda d, sq=None: sq[0] if sq else _sq(d[0]),
+        step, lambda d, sq: sq[0],
         lambda k: (t[k] - 1.0) / t[k + 1], (w,), 0.0, n_iters,
         objective=None if objective is None else [float(objective(w))],
     )

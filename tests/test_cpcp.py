@@ -212,7 +212,8 @@ class TestNorms:
             dS = rng.normal(size=(16, 16))
             dp = rng.normal(size=inst.q)
             d = (dL, dS, dp, inst.meas.apply(dL), inst.meas.apply(dS))
-            assert _gquad(beta, tau, eta, d) == pytest.approx(
+            sq = [float(np.vdot(u, u)) for u in (dL, dS, dp)]
+            assert _gquad(beta, tau, eta, d, sq) == pytest.approx(
                 G.quad(packed(dL, dS, dp)), rel=1e-12)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.28])
@@ -233,24 +234,6 @@ class TestNorms:
             Lb, Sb, pb = (x + a * dx for x, dx in zip((cur.L, cur.S, cur.p), d))
             step = G.quad(packed(nxt.L - Lb, nxt.S - Sb, nxt.p - pb))
             assert trace.step_residuals[k] == pytest.approx(step, rel=1e-12)
-
-    def test_inertia_term_recorded(self):
-        # delta_k = 2 alpha ||w_k - w_{k-1}||_G^2 at every step: the loop
-        # forms the difference whenever alpha_k is nonzero
-        inst = small_instance()
-        alpha = 0.28
-
-        def run(k):
-            return cpcp.iladmm_cpcp(inst, alpha=alpha, max_iter=k, tol=0.0)[0]
-
-        _, trace = cpcp.iladmm_cpcp(inst, alpha=alpha, max_iter=12, tol=0.0)
-        assert trace.delta[0] == 0.0
-        for k in (1, 2, 5, 11):
-            G = weighting(inst, trace.extras["beta"][k])
-            prev, cur = run(k - 1), run(k)
-            dsq = G.quad(packed(cur.L - prev.L, cur.S - prev.S, cur.p - prev.p))
-            assert dsq > 0.0
-            assert trace.delta[k] == pytest.approx(2.0 * alpha * dsq, rel=1e-12)
 
     def test_triple_gnorm_nonnegative_below_unit_steps(self):
         # below unit steps the dense G is positive definite, and a solve at
@@ -406,7 +389,7 @@ class TestSolvers:
         K = trace.iterations
         assert K == 50 and not trace.converged
         for field in (trace.extras["beta"], trace.objective, trace.step_residuals,
-                      trace.stop_residuals, trace.delta, trace.alphas):
+                      trace.stop_residuals, trace.alphas):
             assert len(field) == K
         assert all(g >= -1e-10 for g in trace.step_residuals)
         # the objective is read off the prox steps: ||L||_* + lam ||S||_1

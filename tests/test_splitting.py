@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from iprox import checks
+from iprox import checks, cpcp
 from iprox import splitting as sp
 from iprox.fixtures import random_qp
 from iprox.numkit import SeededRng
@@ -246,7 +246,7 @@ class TestProximalEquivalence:
                 for a, b in zip(engine.iterates, direct.iterates)
             )
             assert worst < 1e-10
-            for name in ("step_residuals", "stop_residuals", "delta"):
+            for name in ("step_residuals", "stop_residuals"):
                 got, want = getattr(engine, name), getattr(direct, name)
                 assert len(got) == len(want) == 50
                 np.testing.assert_allclose(got, want, rtol=1e-8, atol=0.0)
@@ -278,7 +278,7 @@ class TestRuns:
         )
         for a, b in zip(plain.iterates, inertial.iterates):
             assert np.array_equal(a, b)
-        for name in ("phi", "step_residuals", "stop_residuals", "delta"):
+        for name in ("step_residuals", "stop_residuals", "objective"):
             assert np.array_equal(getattr(plain, name), getattr(inertial, name))
 
     def test_runs_follow_their_named_steps(self):
@@ -319,6 +319,28 @@ class TestRuns:
         assert len(trace.phi) == 16
         assert len(trace.step_residuals) == 15
         assert all(a == 0.0 for a in trace.alphas)
+
+    def test_phi_is_the_dense_distance_over_the_iterates(self):
+        prob, star = tiny_qp()
+        params = safe_params(prob)
+        trace = sp.run_ladmm(prob, params, tol=0.0, max_iter=15, w_star=star)
+        G = sp.gladmm_operator(prob, params)
+        assert trace.phi == [G.quad(w - star) for w in trace.iterates]
+
+    def test_phi_needs_matrix_data(self):
+        inst = cpcp.generate_instance(8, 8, 1, 3, "dct2", 40, 0)
+        prob = cpcp.separable_problem(inst)
+        with pytest.raises(TypeError, match="matrix data"):
+            sp.run_ladmm(prob, sp.LadmmParams(1.0, 0.99, 0.99), tol=0.0, max_iter=2,
+                         w_star=np.zeros(2 * 64 + inst.q))
+
+    def test_step_characterization_reads_the_run(self, monkeypatch):
+        # criterion 1 checks the pairs of a run's trace, not a separate step
+        def refuse(*args):
+            raise AssertionError("ladmm_step called")
+
+        monkeypatch.setattr(sp, "ladmm_step", refuse)
+        assert checks.step_characterization(0.1).ok
 
 
 class TestCertificates:

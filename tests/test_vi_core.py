@@ -165,15 +165,14 @@ def _misshapen():
     qp, star = random_qp(4, 4, 3, SeededRng(20240814))
     params = splitting.LadmmParams(beta=0.1, tau=0.9 / qp.rho_ata, eta=0.9 / qp.rho_btb)
 
-    def ppa(w_star=None):
+    def ppa():
         return run_inertial_ppa(vi, eye_weight(8), InertialSchedule(0.28),
-                                np.ones(8) * 2.0, tol=0.0, max_iter=5, w_star=w_star)
+                                np.ones(8) * 2.0, tol=0.0, max_iter=5)
 
     def ladmm(w_star=None):
         return splitting.run_ladmm(qp, params, tol=0.0, max_iter=5, w_star=w_star)
 
     return {
-        "run_inertial_ppa": (lambda: ppa(np.array([0.5])), 8),
         "check_residual_rate_bound": (lambda: check_residual_rate_bound(
             ppa(), eye_weight(8), np.array([0.5])), 8),
         "nonergodic_report": (lambda: splitting.nonergodic_report(
@@ -222,7 +221,6 @@ class TestRunInertialPpa:
             np.zeros(5),
             tol=1e-12,
             max_iter=5000,
-            w_star=w_star,
         )
         assert trace.converged
         assert np.abs(trace.iterates[-1] - w_star).max() < 1e-9
@@ -236,15 +234,12 @@ class TestRunInertialPpa:
             np.zeros(3),
             tol=0.0,
             max_iter=20,
-            w_star=np.full(3, -1.0),
         )
         K = trace.iterations
         assert K == 20 and not trace.converged
         assert len(trace.iterates) == K + 1
-        assert len(trace.phi) == K + 1
-        assert trace.objective is None
-        for seq in (trace.alphas, trace.step_residuals,
-                    trace.stop_residuals, trace.delta):
+        assert trace.objective is None and trace.phi is None
+        for seq in (trace.alphas, trace.step_residuals, trace.stop_residuals):
             assert len(seq) == K
 
     def test_plain_ppa_distance_nonincreasing(self):
@@ -259,9 +254,8 @@ class TestRunInertialPpa:
             np.ones(6) * 3.0,
             tol=0.0,
             max_iter=200,
-            w_star=w_star,
         )
-        phi = np.asarray(trace.phi)
+        phi = np.array([eye_weight(6).quad(w - w_star) for w in trace.iterates])
         assert np.all(np.diff(phi) <= 1e-12)
 
     def test_input_validation(self):
@@ -277,10 +271,9 @@ class TestRunInertialPpa:
                 np.zeros(2), tol=-1.0,
             )
 
-    @pytest.mark.parametrize("alpha, per_step", [(0.0, 1), (0.28, 2)])
-    def test_difference_formed_only_under_inertia(self, alpha, per_step):
-        # without w_star, G.quad weighs each step residual, and the last
-        # difference w_k - w_{k-1} only when alpha_k is nonzero
+    @pytest.mark.parametrize("alpha", [0.0, 0.28])
+    def test_one_weighted_norm_per_step(self, alpha):
+        # G.quad weighs each step residual and nothing else, at any factor
         problem, _ = strongly_monotone_affine_vi(4, SeededRng(9))
         calls = []
 
@@ -294,7 +287,7 @@ class TestRunInertialPpa:
             np.ones(4) * 5.0, tol=0.0, max_iter=30,
         )
         assert trace.iterations == 30
-        assert len(calls) == per_step * 30
+        assert len(calls) == 30
 
 
 class TestResidualRateBound:
@@ -364,8 +357,7 @@ class TestNesterov:
         trace = nesterov_ippa(prox_f, w0, 300, objective=f)
         assert trace.iterations == 300 and not trace.converged
         assert len(trace.objective) == len(trace.iterates) == 301
-        for seq in (trace.alphas, trace.stop_residuals,
-                    trace.step_residuals, trace.delta):
+        for seq in (trace.alphas, trace.stop_residuals, trace.step_residuals):
             assert len(seq) == 300
         # the residuals are Euclidean: ||w_{k+1} - wbar_k||^2
         w1 = trace.iterates[1]
@@ -389,9 +381,8 @@ class TestAffineFixtures:
             affine_vi(np.eye(3), np.zeros(2))
 
 
-def reference_loop(step, gquad, alpha, w, tol, max_iter, *, blocks=1, w_star=None,
-                   objective=None, keep_iterates=True, before=None,
-                   stop=stopping_residual):
+def reference_loop(step, gquad, alpha, w, tol, max_iter, *, blocks=1, objective=None,
+                   keep_iterates=True, before=None, stop=stopping_residual):
     """``inertial_loop`` with every difference and extrapolated point in
     fresh arrays and ``w_{k-1}`` kept through the step: the reference for
     the loop that reuses the storage of the points it retires."""
@@ -402,19 +393,15 @@ def reference_loop(step, gquad, alpha, w, tol, max_iter, *, blocks=1, w_star=Non
     def sq(u):
         return float(np.vdot(u, u))
 
-    trace = SolverTrace(
-        iterates=[pack(w)] if keep_iterates else None,
-        phi=None if w_star is None else [gquad([u - v for u, v in zip(w, w_star)])],
-        objective=objective,
-    )
+    trace = SolverTrace(iterates=[pack(w)] if keep_iterates else None,
+                        objective=objective)
     w_prev, obj = w, None
     for k in range(max_iter):
         if before is not None:
             before(k, w, obj)
-        a, dsq, wbar = alpha(k), 0.0, w
+        a, wbar = alpha(k), w
         if a:
             d = [u - v for u, v in zip(w, w_prev)]
-            dsq = gquad(d)
             wbar = [u + a * du for u, du in zip(w, d)]
         nxt, obj = step(wbar)
         diff = [u - v for u, v in zip(nxt, wbar)]
@@ -422,14 +409,11 @@ def reference_loop(step, gquad, alpha, w, tol, max_iter, *, blocks=1, w_star=Non
         rel = stop(sum(sqs), sum(sq(u) for u in wbar[:blocks]))
         trace.step_residuals.append(gquad(diff, sqs))
         trace.alphas.append(a)
-        trace.delta.append(2.0 * a * dsq)
         trace.stop_residuals.append(rel)
         if trace.objective is not None:
             trace.objective.append(obj)
         if trace.iterates is not None:
             trace.iterates.append(pack(nxt))
-        if trace.phi is not None:
-            trace.phi.append(gquad([u - v for u, v in zip(nxt, w_star)]))
         w_prev, w = w, nxt
         trace.iterations = k + 1
         if rel < tol:
@@ -461,7 +445,7 @@ def _solves():
     caller's start or reference points, unchanged."""
     qp, star = random_qp(8, 8, 8, SeededRng(3000))
     params = splitting.LadmmParams(beta=1.0, tau=0.9 / qp.rho_ata, eta=0.9 / qp.rho_btb)
-    vi, vi_star = strongly_monotone_affine_vi(8, SeededRng(6000))
+    vi, _ = strongly_monotone_affine_vi(8, SeededRng(6000))
     # a resolvent that returns its argument: only the step's copy keeps the
     # loop from writing w_{k+1} - wbar_k into w_{k+1}
     identity = MixedViProblem(dim=8, theta=vi.theta, F=vi.F, resolvent=lambda z, G: z)
@@ -472,8 +456,8 @@ def _solves():
         return [], lambda: splitting.run_iladmm(qp, params, schedule, tol=0.0, max_iter=60)
 
     def ppa(schedule, problem=vi):
-        return [np.ones(8) * 2.0, vi_star], lambda w0, ws: run_inertial_ppa(
-            problem, eye_weight(8), schedule, w0, tol=0.0, max_iter=60, w_star=ws)
+        return [np.ones(8) * 2.0], lambda w0: run_inertial_ppa(
+            problem, eye_weight(8), schedule, w0, tol=0.0, max_iter=60)
 
     def nesterov(prox_f, objective=None):
         return [np.linspace(-1.0, 1.0, 10)], lambda w0: nesterov_ippa(
@@ -532,7 +516,7 @@ class TestStorageReuse:
         try:
             base = tracemalloc.get_traced_memory()[0]
             # the loop owns its start point: no reference to it is kept here
-            vi_core.inertial_loop(step, lambda d, sq=None: sum(map(vi_core._sq, d)),
+            vi_core.inertial_loop(step, lambda d, sq: sum(sq),
                                   InertialSchedule(alpha).alpha,
                                   (np.ones(n), np.full(n, 2.0)), 0.0, 6,
                                   keep_iterates=False)
