@@ -74,8 +74,8 @@ def step_characterization(scale=1.0):
                                          numkit.SeededRng(2000 + seed))
         w = splitting.run_ladmm(prob, params, tol=0.0, max_iter=n_steps).iterates
         for w_k, w_next in zip(w, w[1:]):
-            worst = min(worst, splitting.vi_residual_check(prob, params, w_k, w_next,
-                                                           probes))
+            worst = np.minimum(worst, splitting.vi_residual_check(prob, params, w_k,
+                                                                  w_next, probes))
     elapsed = time.perf_counter() - t0
     return CheckResult(
         "step-characterization", worst >= -1e-8 and elapsed < 10.0,
@@ -93,7 +93,7 @@ def distance_contraction(scale=1.0):
                                     max_iter=n_steps, w_star=star)
         phi = np.asarray(trace.phi)
         res = np.asarray(trace.step_residuals)
-        worst = max(worst, float((phi[1:] - phi[:-1] + res).max()))
+        worst = np.maximum(worst, (phi[1:] - phi[:-1] + res).max())
     return CheckResult(
         "distance-contraction", worst <= 1e-10,
         f"max contraction violation {worst:.2e} over {n_fix} x {n_steps} steps")
@@ -130,7 +130,7 @@ def ergodic_gap(scale=1.0):
         rep = splitting.ergodic_report(trace, prob, params, probes, ks=ks)
         for k in ks:
             excess = np.asarray(rep.gaps[k]) - np.asarray(rep.bounds[k])
-            worst = max(worst, float(excess.max()))
+            worst = np.maximum(worst, excess.max())
     return CheckResult(
         "ergodic-gap", worst <= 1e-8,
         f"max gap excess {worst:.2e} at k in {ks}, 50 probes, {n_fix} fixtures")
@@ -230,11 +230,8 @@ def exact_identities(scale=1.0):
     n = _count(60, scale)
     s_plain, _ = cpcp.ladmm_cpcp(inst, max_iter=n, tol=0.0)
     s_zero, _ = cpcp.iladmm_cpcp(inst, alpha=0.0, max_iter=n, tol=0.0)
-    coincide = max(
-        float(np.abs(s_plain.L - s_zero.L).max()),
-        float(np.abs(s_plain.S - s_zero.S).max()),
-        float(np.abs(s_plain.p - s_zero.p).max()),
-    )
+    coincide = np.max([np.abs(a - b).max() for a, b in (
+        (s_plain.L, s_zero.L), (s_plain.S, s_zero.S), (s_plain.p, s_zero.p))])
 
     gram_err = 0.0
     for kind in ("wht", "dct2"):
@@ -243,7 +240,7 @@ def exact_identities(scale=1.0):
         gram = np.column_stack([
             meas.apply(meas.adjoint(e)) for e in np.eye(meas.measurement_dim)
         ])
-        gram_err = max(gram_err, float(np.abs(gram - np.eye(120)).max()))
+        gram_err = np.maximum(gram_err, np.abs(gram - np.eye(120)).max())
 
     spec_err = 0.0
     rng = np.random.default_rng(9000)
@@ -252,7 +249,7 @@ def exact_identities(scale=1.0):
         s_in = numkit.singular_values(M)
         s_out = numkit.singular_values(prox.svt(M, kappa))
         want = prox.soft_threshold(s_in, kappa)
-        spec_err = max(spec_err, float(np.abs(np.sort(s_out) - np.sort(want)).max()))
+        spec_err = np.maximum(spec_err, np.abs(np.sort(s_out) - np.sort(want)).max())
 
     ok = coincide <= 1e-14 and gram_err <= 1e-12 and spec_err <= 1e-10
     return CheckResult(

@@ -91,7 +91,7 @@ def _cmd_solve(args):
     q, nnz = counts_from_ratios(args.size, n, args.q_ratio, args.nnz_ratio)
     inst = generate_instance(args.size, n, args.rank, nnz, args.transform, q,
                              args.seed)
-    state, trace, met = bench._solve(inst, config, alpha=args.alpha)
+    _, trace, met = bench._solve(inst, config, alpha=args.alpha)
     solver = "iladmm" if args.alpha > 0 else "ladmm"
     print(f"instance: m={inst.m} n={inst.n} r={inst.r} nnz={inst.nnz} "
           f"q={inst.q} transform={inst.kind} seed={inst.seed} "
@@ -101,7 +101,7 @@ def _cmd_solve(args):
     status = "converged" if met["converged"] else "max iterations reached"
     print(f"iterations: {met['iters']} ({status})")
     print(f"rel_l={met['rel_l']:.6e} rel_s={met['rel_s']:.6e} "
-          f"final_beta={state.beta:.6g} "
+          f"final_beta={trace.extras['beta'][-1]:.6g} "
           f"relative_feasibility={trace.extras['relative_feasibility']:.3e}")
     if args.json:
         doc = {
@@ -113,7 +113,7 @@ def _cmd_solve(args):
                        "max_iter": args.max_iter},
             "result": {"iters": met["iters"], "converged": met["converged"],
                        "rel_l": met["rel_l"], "rel_s": met["rel_s"],
-                       "final_beta": state.beta},
+                       "final_beta": trace.extras["beta"][-1]},
             "environment": bench._environment(),
         }
         Path(args.json).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n",

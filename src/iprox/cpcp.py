@@ -124,12 +124,12 @@ def generate_instance(m, n, r, nnz, kind, q, seed):
 
 @dataclass
 class CpcpState:
-    """Solver state: the primal pair, the multiplier, and bookkeeping."""
+    """Solver state: the primal pair, the multiplier, and bookkeeping; the
+    penalties are the trace's ``extras["beta"]``."""
 
     L: np.ndarray
     S: np.ndarray
     p: np.ndarray
-    beta: float
     iters: int = 0
     converged: bool = False
 
@@ -175,7 +175,7 @@ def _run_cpcp(inst, tau, eta, alpha, controller, tol, max_iter):
     trace.extras["svt_path"] = warm.paths
     L, S, p = problem.split(trace.extras["final"])
     return CpcpState(L.reshape(inst.m, inst.n), S.reshape(inst.m, inst.n), p,
-                     controller.beta, trace.iterations, trace.converged), trace
+                     trace.iterations, trace.converged), trace
 
 
 def ladmm_cpcp(inst, tau=0.99, eta=0.99, controller=None, tol=1e-5,
@@ -186,12 +186,12 @@ def ladmm_cpcp(inst, tau=0.99, eta=0.99, controller=None, tol=1e-5,
     norm, or at ``max_iter`` (then ``converged`` is False). The trace is
     the one the :mod:`iprox.splitting` loop fills; its ``extras`` hold the
     carried ``measurement`` ``A(L + S)``, the ``feasibility``, and per
-    iteration the SVT output rank (``svt_rank``) and the path that SVT
-    took (``svt_path``): ``"top"``, the certified subspace iteration on
-    the Gram matrix while the rank is small; ``"gram"``, the certified
-    eigh of the same Gram matrix, which serves the high-rank phase; or
-    ``"full"``, the full SVD when neither is certified (see
-    :func:`iprox.numkit.svd`).
+    iteration the penalty (``beta``), the SVT output rank (``svt_rank``)
+    and the path that SVT took (``svt_path``): ``"top"``, the certified
+    subspace iteration on the Gram matrix while the rank is small;
+    ``"gram"``, the certified eigh of the same Gram matrix, which serves
+    the high-rank phase; or ``"full"``, the full SVD when neither is
+    certified (see :func:`iprox.numkit.svd`).
     """
     return _run_cpcp(inst, tau, eta, 0.0, controller, tol, max_iter)
 

@@ -27,6 +27,7 @@ from .vi_core import (
     ProbeSet,
     WeightOperator,
     _point,
+    _sq,
     gippa_slack,
     inertial_loop,
     stopping_residual,
@@ -418,7 +419,8 @@ def _run(prob, penalty, tau, eta, schedule, tol, max_iter, keep_iterates=False,
     """Linearized ADMM in :func:`~iprox.vi_core.inertial_loop` from the
     zero point, on points ``(x, y, p, A x, B y)``: ``A x`` and ``B y``
     are carried, so the weighted norms cost no operator call. ``penalty``
-    is a :class:`BetaController`, fixed when its active window is empty.
+    is a :class:`BetaController`, fixed when its active window is empty,
+    that the step rebalances from ``w_k`` and its objective before step k.
     ``trace.extras`` holds the penalty per step (``beta``), the carried
     ``measurement`` ``A x + B y``, its ``feasibility`` and
     ``relative_feasibility``, and the packed returned point (``final``).
@@ -426,22 +428,20 @@ def _run(prob, penalty, tau, eta, schedule, tol, max_iter, keep_iterates=False,
     if tau <= 0 or eta <= 0:
         raise ValueError("tau and eta must be positive")
     _check_step_bounds(prob, tau, eta)
-    betas = []
-
-    def rebalance(k, w, objective):
-        if penalty.active(k):
-            r = w[3] + w[4] - prob.b
-            penalty.apply_rule(float(r @ r), objective)
+    betas, out = [], None  # out: the last _step output, w_k and its objective
 
     def step(wbar):
+        nonlocal out
+        if penalty.active(len(betas)):  # no residual is held through the step
+            penalty.apply_rule(_sq(out[3] + out[4] - prob.b), out[5])
         betas.append(penalty.beta)
-        *nxt, objective = _step(prob, penalty.beta, tau, eta, *wbar)
-        return nxt, objective
+        out = _step(prob, penalty.beta, tau, eta, *wbar)
+        return out[:5], out[5]
 
     trace, last = inertial_loop(
         step, lambda d, sq: _gquad(penalty.beta, tau, eta, d, sq), schedule.alpha,
-        _carried(prob, None), tol, max_iter, blocks=3, objective=[],
-        keep_iterates=keep_iterates, before=rebalance, stop=stop,
+        _carried(prob, None), tol, max_iter, blocks=3,
+        keep_iterates=keep_iterates, stop=stop,
     )
     measured = last[3] + last[4]
     feas = float(np.linalg.norm(measured - prob.b))
@@ -526,7 +526,7 @@ def ergodic_report(trace, prob, params, probes, ks, tol=1e-8):
         xb, yb, pb = prob.split(np.mean(trace.iterates[1 : k + 2], axis=0))
         gaps[k] = lagrangian(prob, xb, yb, mult) - (probes.theta - feas @ pb)
         bounds[k] = dist / (2.0 * (k + 1))
-        violations += [(k, int(j)) for j in np.flatnonzero(gaps[k] > bounds[k] + tol)]
+        violations += [(k, int(j)) for j in np.flatnonzero(~(gaps[k] <= bounds[k] + tol))]
     return ErgodicReport(list(ks), gaps, bounds, violations, not violations)
 
 
@@ -568,12 +568,12 @@ def nonergodic_report(trace, prob, params, w_star, mono_rtol=1e-12, tol=1e-8):
     mono = [
         int(k + 1)
         for k in range(1, res.size)
-        if res[k] > res[k - 1] * (1.0 + mono_rtol)
+        if not res[k] <= res[k - 1] * (1.0 + mono_rtol)
     ]
     phi0 = G.quad(iters[0] - _point(w_star, iters[0].size, "w_star"))
     ks = np.arange(1, res.size + 1)
     scaled = ks * res**2
-    bound = [int(k) for k, s in zip(ks, scaled) if s > phi0 + tol]
+    bound = [int(k) for k, s in zip(ks, scaled) if not s <= phi0 + tol]
     return NonergodicReport(
         residuals=res,
         scaled=scaled,

@@ -110,8 +110,9 @@ class SolverTrace:
     starting at the initial point, while the per-step lists hold K
     entries. ``step_residuals`` are squared G-norms of
     ``w_{k+1} - wbar_k``; ``stop_residuals`` the relative stopping
-    quantities; ``objective`` K + 1 entries from :func:`nesterov_ippa`, K
-    from :mod:`iprox.splitting`, and none from the VI engine. ``phi``,
+    quantities. ``objective`` is always a list: K + 1 entries from
+    :func:`nesterov_ippa` given an objective, K from
+    :mod:`iprox.splitting`, and none from the VI engine. ``phi``,
     the distances ``||w_k - w*||_G^2`` over ``iterates``, is filled only
     by :func:`iprox.splitting.run_ladmm`, after the run.
     """
@@ -121,7 +122,7 @@ class SolverTrace:
     step_residuals: list = field(default_factory=list)
     stop_residuals: list = field(default_factory=list)
     phi: Optional[list] = None
-    objective: Optional[list] = None
+    objective: list = field(default_factory=list)
     extras: dict = field(default_factory=dict)
     converged: bool = False
     iterations: int = 0
@@ -146,21 +147,24 @@ def _point(w, dim, name):
 
 
 def inertial_loop(step, gquad, alpha, w, tol, max_iter, *, blocks=1,
-                  objective=None, keep_iterates=True, before=None,
-                  stop=stopping_residual):
+                  keep_iterates=True, stop=stopping_residual):
     """The iteration loop behind every solver of the package, from ``w``.
 
-    A point is a tuple of arrays whose first ``blocks`` entries form the
-    iterate; any further ones are data carried with it, such as ``A x``.
+    Its callables are the method's four pieces: the step, the G-norm, the
+    factor and the stopping rule. A point is a tuple of arrays whose first
+    ``blocks`` entries form the iterate; the rest are carried data, such as
+    the ``A x`` that the linearized ADMM step reads instead of applying A.
     Step k takes ``alpha_k = alpha(k)``, which must be nonnegative, forms
     ``wbar_k = w_k + alpha_k (w_k - w_{k-1})`` (``w_k`` itself when
     ``alpha_k`` is 0), and calls ``step(wbar_k)`` for ``(w_{k+1},
-    objective at w_{k+1})``. The step must not modify ``wbar_k``, and the
-    arrays it returns must share memory with no point the loop holds.
-    ``gquad(d, sq)`` is ``||d||_G^2``, ``sq`` being the squared norms of
-    the first ``blocks`` arrays of ``d``. ``before(k, w_k, objective at
-    w_k)``, when given, runs first in each step, for updates that change G
-    such as a penalty rule.
+    objective at w_{k+1})``, recording the objective unless it is None. The
+    step must not modify ``wbar_k``, may read ``w_k`` (intact until the
+    step returns, as a penalty rule needs), and must return arrays that
+    share memory with no point the loop holds. ``gquad(d, sq)`` is
+    ``||d||_G^2``, ``sq`` being the squared norms of the first ``blocks``
+    arrays of ``d``. ``keep_iterates`` records the packed iterates that
+    certificates read; ``stop`` lets a wrapper on
+    ``cpcp.stopping_residual`` see each call.
 
     The loop owns ``w`` and reuses the storage of the points it retires,
     so an inertial step holds three points (``w_k``, ``wbar_k``,
@@ -174,9 +178,8 @@ def inertial_loop(step, gquad, alpha, w, tol, max_iter, *, blocks=1,
       ``alpha_{k+1}`` is nonzero.
 
     Stops when ``stop(||w_{k+1} - wbar_k||^2, ||wbar_k||^2) < tol``, the
-    norms taken over the blocks, or after ``max_iter`` steps. The trace's
-    objective list starts as ``objective`` (None records none). Returns
-    the trace and the last point.
+    norms taken over the blocks, or after ``max_iter`` steps. Returns the
+    trace and the last point.
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
@@ -187,12 +190,8 @@ def inertial_loop(step, gquad, alpha, w, tol, max_iter, *, blocks=1,
         return np.concatenate(w[:blocks], axis=None)
 
     prev = w  # w_{k-1}
-    trace = SolverTrace(iterates=[pack(w)] if keep_iterates else None,
-                        objective=objective)
-    obj = None
+    trace = SolverTrace(iterates=[pack(w)] if keep_iterates else None)
     for k in range(max_iter):
-        if before is not None:
-            before(k, w, obj)
         a, wbar = alpha(k), w
         if a < 0:
             raise ValueError(f"alpha_{k} = {a} is negative")
@@ -214,7 +213,7 @@ def inertial_loop(step, gquad, alpha, w, tol, max_iter, *, blocks=1,
         del diff
         trace.alphas.append(a)
         trace.stop_residuals.append(rel)
-        if trace.objective is not None:
+        if obj is not None:
             trace.objective.append(obj)
         if trace.iterates is not None:
             trace.iterates.append(pack(nxt))
@@ -347,7 +346,7 @@ def check_residual_rate_bound(trace, G, w_star, tol=1e-10):
     running_min = np.minimum.accumulate(res)
     ks = np.arange(1, res.size + 1)
     bounds = constant * phi0 / ks
-    violations = [int(k) for k, r, b in zip(ks, running_min, bounds) if r > b + tol]
+    violations = [int(k) for k, r, b in zip(ks, running_min, bounds) if not r <= b + tol]
     return RateReport(
         ks=ks,
         min_residuals=running_min,
@@ -371,9 +370,11 @@ def nesterov_ippa(prox_f, w0, n_iters, objective=None):
     objective gap decays as O(1/k^2). Runs all ``n_iters`` steps of
     :func:`inertial_loop`, whose residuals here are Euclidean.
 
-    Returns a :class:`SolverTrace`; ``extras["t"]`` holds t_0..t_K.
+    Returns a :class:`SolverTrace`; ``extras["t"]`` holds t_0..t_K, and
+    ``objective``, when given, K + 1 values from ``objective(w0)`` on.
     """
     w = np.asarray(w0, dtype=np.float64).copy()
+    f0 = [] if objective is None else [float(objective(w))]  # the loop overwrites w
     t = [1.0]
     for _ in range(n_iters):
         t.append((1.0 + math.sqrt(1.0 + 4.0 * t[-1] * t[-1])) / 2.0)
@@ -385,7 +386,7 @@ def nesterov_ippa(prox_f, w0, n_iters, objective=None):
     trace, _ = inertial_loop(
         step, lambda d, sq: sq[0],
         lambda k: (t[k] - 1.0) / t[k + 1], (w,), 0.0, n_iters,
-        objective=None if objective is None else [float(objective(w))],
     )
+    trace.objective[:0] = f0
     trace.extras["t"] = t
     return trace

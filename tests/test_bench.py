@@ -500,6 +500,25 @@ class TestCli:
         assert doc["result"]["converged"] is True
         assert doc["instance"]["m"] == 16
 
+    def test_solve_reports_the_last_penalty_of_the_trace(self, tmp_path, capsys,
+                                                         monkeypatch):
+        traces = []
+
+        def recording_solve(*args, **kw):
+            result = solve(*args, **kw)
+            traces.append(result[1])
+            return result
+
+        solve = bench._solve
+        monkeypatch.setattr(bench, "_solve", recording_solve)
+        out = tmp_path / "solve.json"
+        cli.main(["solve", "--size", "16", "--rank", "1", "--max-iter", "5",
+                  "--json", str(out)])
+        (trace,) = traces
+        final = trace.extras["beta"][-1]
+        assert json.loads(out.read_text())["result"]["final_beta"] == final
+        assert f"final_beta={final:.6g} " in capsys.readouterr().out
+
     def test_solve_exit_one_without_convergence(self, capsys):
         rc = cli.main([
             "solve", "--size", "16", "--rank", "1", "--max-iter", "3",

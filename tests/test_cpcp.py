@@ -431,7 +431,7 @@ class TestRecoveryMetrics:
         inst = small_instance()
         state = cpcp.CpcpState(
             L=inst.L0.copy(), S=inst.S0.copy(),
-            p=np.zeros(inst.meas.measurement_dim), beta=1.0,
+            p=np.zeros(inst.meas.measurement_dim),
             iters=5, converged=True,
         )
         metrics = cpcp.recovery_metrics(state, inst)
@@ -443,7 +443,7 @@ class TestRecoveryMetrics:
         inst = small_instance()
         state = cpcp.CpcpState(
             L=2.0 * inst.L0, S=inst.S0.copy(),
-            p=np.zeros(inst.meas.measurement_dim), beta=1.0,
+            p=np.zeros(inst.meas.measurement_dim),
         )
         assert cpcp.recovery_metrics(state, inst).rel_l == pytest.approx(1.0)
         # zero truth: the error is reported unnormalized

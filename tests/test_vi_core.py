@@ -238,7 +238,7 @@ class TestRunInertialPpa:
         K = trace.iterations
         assert K == 20 and not trace.converged
         assert len(trace.iterates) == K + 1
-        assert trace.objective is None and trace.phi is None
+        assert trace.objective == [] and trace.phi is None
         for seq in (trace.alphas, trace.step_residuals, trace.stop_residuals):
             assert len(seq) == K
 
@@ -367,6 +367,18 @@ class TestNesterov:
         for k in range(1, 301):
             assert k * k * gaps[k] <= bound + 1e-10
 
+    def test_objective_starts_at_the_caller_start_point(self):
+        # the loop overwrites its own copy of w0, so f(w0) is taken before it
+        w0 = np.linspace(-1.0, 1.0, 10)
+
+        def f(w):
+            return float(np.sum(w**3)) + 0.1
+
+        trace = nesterov_ippa(lambda z, lam: z * 0.5 - lam * 0.01, w0, 6, objective=f)
+        assert trace.objective == [f(w) for w in trace.iterates]
+        assert trace.objective[0] == f(np.linspace(-1.0, 1.0, 10))
+        assert nesterov_ippa(lambda z, lam: z * 0.5, w0, 6).objective == []
+
 
 class TestAffineFixtures:
     def test_unboxed_solution_is_linear_solve(self):
@@ -381,8 +393,8 @@ class TestAffineFixtures:
             affine_vi(np.eye(3), np.zeros(2))
 
 
-def reference_loop(step, gquad, alpha, w, tol, max_iter, *, blocks=1, objective=None,
-                   keep_iterates=True, before=None, stop=stopping_residual):
+def reference_loop(step, gquad, alpha, w, tol, max_iter, *, blocks=1,
+                   keep_iterates=True, stop=stopping_residual):
     """``inertial_loop`` with every difference and extrapolated point in
     fresh arrays and ``w_{k-1}`` kept through the step: the reference for
     the loop that reuses the storage of the points it retires."""
@@ -393,12 +405,9 @@ def reference_loop(step, gquad, alpha, w, tol, max_iter, *, blocks=1, objective=
     def sq(u):
         return float(np.vdot(u, u))
 
-    trace = SolverTrace(iterates=[pack(w)] if keep_iterates else None,
-                        objective=objective)
-    w_prev, obj = w, None
+    trace = SolverTrace(iterates=[pack(w)] if keep_iterates else None)
+    w_prev = w
     for k in range(max_iter):
-        if before is not None:
-            before(k, w, obj)
         a, wbar = alpha(k), w
         if a:
             d = [u - v for u, v in zip(w, w_prev)]
@@ -410,7 +419,7 @@ def reference_loop(step, gquad, alpha, w, tol, max_iter, *, blocks=1, objective=
         trace.step_residuals.append(gquad(diff, sqs))
         trace.alphas.append(a)
         trace.stop_residuals.append(rel)
-        if trace.objective is not None:
+        if obj is not None:
             trace.objective.append(obj)
         if trace.iterates is not None:
             trace.iterates.append(pack(nxt))
