@@ -391,6 +391,15 @@ def run_grid(config):
     return records
 
 
+def _iter_cells(rec, ratio_format):
+    """A record's mean iterations per solver and their ratio as table
+    cells, each the sentinel unless every trial it averages converged."""
+    plain, inertial = rec.all_converged_ladmm, rec.all_converged_iladmm
+    return (f"{rec.mean_iter_ladmm:.1f}" if plain else SENTINEL,
+            f"{rec.mean_iter_iladmm:.1f}" if inertial else SENTINEL,
+            format(rec.iter_ratio, ratio_format) if plain and inertial else SENTINEL)
+
+
 def emit_csv(records, path):
     """Write the aggregate table; iteration columns of cells with any
     non-converged trial render as the sentinel, as does their ratio."""
@@ -405,10 +414,7 @@ def emit_csv(records, path):
         if rec.error is not None:
             row = head + [SENTINEL] * 8
         else:
-            iter1 = f"{rec.mean_iter_ladmm:.1f}" if rec.all_converged_ladmm else SENTINEL
-            iter2 = f"{rec.mean_iter_iladmm:.1f}" if rec.all_converged_iladmm else SENTINEL
-            both = rec.all_converged_ladmm and rec.all_converged_iladmm
-            ratio = f"{rec.iter_ratio:.4f}" if both else SENTINEL
+            iter1, iter2, ratio = _iter_cells(rec, ".4f")
             row = head + [
                 f"{rec.q_over_dof:.4f}",
                 f"{rec.mean_rel_l_ladmm:.6e}", f"{rec.mean_rel_s_ladmm:.6e}", iter1,

@@ -155,8 +155,8 @@ def _run_and_write(config, out):
             if rec.error is not None:
                 print(f"{row}  failed: {rec.error}")
                 continue
-            print(f"{row}  {rec.mean_iter_ladmm:>10.1f}  "
-                  f"{rec.mean_iter_iladmm:>13.1f}  {rec.iter_ratio:>5.3f}")
+            iter1, iter2, ratio = bench._iter_cells(rec, ".3f")
+            print(f"{row}  {iter1:>10}  {iter2:>13}  {ratio:>5}")
         # one row per cell (square, so m = n) and factor
         bench.emit_plot_data(records, out / "alpha_sweep.csv",
                              axis=("m", "r", "nnz_ratio", "q_ratio", "transform", "alpha"))

@@ -134,7 +134,7 @@ class CpcpState:
     converged: bool = False
 
 
-def separable_problem(inst, warm=None):
+def separable_problem(inst, warm):
     """The instance as a :class:`~iprox.splitting.SeparableProblem`:
     ``A = B = inst.meas``, ``f = ||.||_*``, ``g = lam ||.||_1``.
 
@@ -142,12 +142,10 @@ def separable_problem(inst, warm=None):
     costs no second SVD. The oracles call this module's
     ``svt_with_values`` and ``soft_threshold`` by name, so wrappers
     installed on those attributes see each call. Every SVT of the problem
-    shares ``warm``, a :class:`~iprox.numkit.SvtWarmStart` (a fresh one when
-    not given), so a problem serves one solve.
+    shares ``warm``, a :class:`~iprox.numkit.SvtWarmStart`, so a problem
+    serves one solve.
     """
     lam = inst.lam
-    if warm is None:
-        warm = SvtWarmStart()
 
     def nuclear(z, kappa):
         L, shrunk = svt_with_values(z, kappa, warm)

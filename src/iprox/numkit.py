@@ -45,13 +45,13 @@ class SvdError(RuntimeError):
     """Raised when the SVD backend fails to converge."""
 
 
-def as_matrix(a, name="matrix"):
+def as_matrix(a):
     """Coerce to a finite 2-D float64 array, copying only if needed."""
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
+        raise ValueError(f"svd input must be 2-D, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} has non-finite entries")
+        raise ValueError("svd input has non-finite entries")
     return m
 
 
@@ -131,7 +131,7 @@ def svd(mat, above=None, warm=None):
     """
     if warm is not None and above is None:
         raise ValueError("svd: warm is only for calls with above")
-    m = as_matrix(mat, "svd input")
+    m = as_matrix(mat)
     if above is not None and min(m.shape) >= _GRAM_MIN:
         out = _gram_svd(m, above, warm)
         if out is not None:
@@ -363,7 +363,7 @@ def _top_pairs(g, k2, delta, warm):
 def singular_values(mat):
     """Singular values of ``mat`` in nonincreasing order, without the
     vectors; same input check and :class:`SvdError` as :func:`svd`."""
-    m = as_matrix(mat, "svd input")
+    m = as_matrix(mat)
     try:
         return np.linalg.svd(m, compute_uv=False)
     except np.linalg.LinAlgError as exc:

@@ -30,7 +30,8 @@ def soft_threshold(v, kappa):
 
 
 def svt_with_values(mat, kappa, warm=None):
-    """Singular value thresholding, also returning the shrunk spectrum.
+    """Singular value thresholding, the prox of ``kappa * ||.||_*``, and
+    the shrunk spectrum: ``(out, shrunk)``.
 
     The spectrum is nonincreasing, so the nonzero shrunk values are a
     prefix; only those triplets are recomposed. ``shrunk`` keeps its full
@@ -51,15 +52,6 @@ def svt_with_values(mat, kappa, warm=None):
     shrunk = np.maximum(s - kappa, 0.0)
     r = int(np.count_nonzero(shrunk))
     return (u[:, :r] * shrunk[:r]) @ v[:, :r].T, shrunk
-
-
-def svt(mat, kappa):
-    """Singular value thresholding: prox of ``kappa * ||.||_*``.
-
-    Applies :func:`soft_threshold` to the singular values and recomposes.
-    """
-    out, _ = svt_with_values(mat, kappa)
-    return out
 
 
 @dataclass

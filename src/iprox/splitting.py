@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -197,8 +197,8 @@ class BetaController:
     freezes after the active window so the proximal weighting stops
     changing.
 
-    The ratio compares the penalty against the balance point recorded at
-    the first tuned iterate: ``balance = 2 * s_scale * obj_1 / feas_sq_1``
+    The ratio compares the penalty against ``balance``, run state recorded
+    at the first tuned iterate: ``balance = 2 * s_scale * obj_1 / feas_sq_1``
     is the penalty that would weight the quadratic infeasibility term to
     ``s_scale`` times the objective there, and ``ratio = balance / beta``.
     The infeasibility itself decays geometrically while the objective
@@ -212,7 +212,7 @@ class BetaController:
     active_iters: int = 30
     beta_min: float = 1e-3
     beta_max: float = 1e2
-    balance: Optional[float] = None
+    balance: Optional[float] = field(default=None, init=False)
 
     def __post_init__(self):
         if self.beta <= 0:
@@ -489,7 +489,8 @@ class ErgodicReport:
     For each requested k, ``gaps[k][j]`` is the gap of probe j against
     the average of the first k+1 iterates and ``bounds[k][j]`` the
     guaranteed envelope ``||w_j - w_0||_G^2 / (2 (k + 1))``, both as
-    arrays over the probes.
+    arrays over the probes. A gap above its bound by more than 1e-8 is a
+    violation ``(k, j)``.
     """
 
     ks: list
@@ -499,7 +500,7 @@ class ErgodicReport:
     ok: bool
 
 
-def ergodic_report(trace, prob, params, probes, ks, tol=1e-8):
+def ergodic_report(trace, prob, params, probes, ks):
     """Check the O(1/k) saddle-gap certificate on a plain-step trace,
     against the ``probes`` :func:`sample_probes` drew for ``prob`` (a set
     drawn for another problem raises ValueError).
@@ -526,7 +527,7 @@ def ergodic_report(trace, prob, params, probes, ks, tol=1e-8):
         xb, yb, pb = prob.split(np.mean(trace.iterates[1 : k + 2], axis=0))
         gaps[k] = lagrangian(prob, xb, yb, mult) - (probes.theta - feas @ pb)
         bounds[k] = dist / (2.0 * (k + 1))
-        violations += [(k, int(j)) for j in np.flatnonzero(~(gaps[k] <= bounds[k] + tol))]
+        violations += [(k, int(j)) for j in np.flatnonzero(~(gaps[k] <= bounds[k] + 1e-8))]
     return ErgodicReport(list(ks), gaps, bounds, violations, not violations)
 
 
@@ -534,12 +535,12 @@ def ergodic_report(trace, prob, params, probes, ks, tol=1e-8):
 class NonergodicReport:
     """Step-residual certificate for the last iterate.
 
-    ``residuals[k-1] = ||w_k - w_{k-1}||_G``; the sequence must be
-    nonincreasing and ``k * residuals[k-1]^2`` must stay below
-    ``phi0 = ||w_0 - w*||_G^2``.
+    The step norms ``||w_k - w_{k-1}||_G``, square roots of the trace's
+    ``step_residuals``, must not rise by a relative 1e-12, and
+    ``scaled[k-1]``, k times the k-th squared, must stay within 1e-8 of
+    ``phi0 = ||w_0 - w*||_G^2``; the violation lists name the k that fail.
     """
 
-    residuals: np.ndarray
     scaled: np.ndarray
     phi0: float
     monotonicity_violations: list
@@ -547,7 +548,7 @@ class NonergodicReport:
     ok: bool
 
 
-def nonergodic_report(trace, prob, params, w_star, mono_rtol=1e-12, tol=1e-8):
+def nonergodic_report(trace, prob, params, w_star):
     """Check residual monotonicity and the O(1/k) envelope on a plain
     (non-extrapolated) trace.
 
@@ -568,14 +569,13 @@ def nonergodic_report(trace, prob, params, w_star, mono_rtol=1e-12, tol=1e-8):
     mono = [
         int(k + 1)
         for k in range(1, res.size)
-        if not res[k] <= res[k - 1] * (1.0 + mono_rtol)
+        if not res[k] <= res[k - 1] * (1.0 + 1e-12)
     ]
     phi0 = G.quad(iters[0] - _point(w_star, iters[0].size, "w_star"))
     ks = np.arange(1, res.size + 1)
     scaled = ks * res**2
-    bound = [int(k) for k, s in zip(ks, scaled) if not s <= phi0 + tol]
+    bound = [int(k) for k, s in zip(ks, scaled) if not s <= phi0 + 1e-8]
     return NonergodicReport(
-        residuals=res,
         scaled=scaled,
         phi0=phi0,
         monotonicity_violations=mono,

@@ -111,8 +111,8 @@ class SolverTrace:
     entries. ``step_residuals`` are squared G-norms of
     ``w_{k+1} - wbar_k``; ``stop_residuals`` the relative stopping
     quantities. ``objective`` is always a list: K + 1 entries from
-    :func:`nesterov_ippa` given an objective, K from
-    :mod:`iprox.splitting`, and none from the VI engine. ``phi``,
+    :func:`nesterov_ippa`, f(w_0) first, K from :mod:`iprox.splitting`,
+    and none from the VI engine. ``phi``,
     the distances ``||w_k - w*||_G^2`` over ``iterates``, is filled only
     by :func:`iprox.splitting.run_ladmm`, after the run.
     """
@@ -310,7 +310,7 @@ class RateReport:
     ``bounds[k-1]`` the guaranteed envelope ``constant * phi0 / k``, and
     ``scaled[k-1] = k * min_residuals[k-1]`` (should trail off when the
     rate is in fact o(1/k)). ``violations`` lists every k where the
-    envelope failed by more than the tolerance.
+    envelope failed by more than 1e-10.
     """
 
     ks: np.ndarray
@@ -323,7 +323,7 @@ class RateReport:
     ok: bool
 
 
-def check_residual_rate_bound(trace, G, w_star, tol=1e-10):
+def check_residual_rate_bound(trace, G, w_star):
     """Check the O(1/k) envelope on the best squared step residual.
 
     Requires a trace produced under a nondecreasing extrapolation schedule
@@ -346,7 +346,7 @@ def check_residual_rate_bound(trace, G, w_star, tol=1e-10):
     running_min = np.minimum.accumulate(res)
     ks = np.arange(1, res.size + 1)
     bounds = constant * phi0 / ks
-    violations = [int(k) for k, r, b in zip(ks, running_min, bounds) if not r <= b + tol]
+    violations = [int(k) for k, r, b in zip(ks, running_min, bounds) if not r <= b + 1e-10]
     return RateReport(
         ks=ks,
         min_residuals=running_min,
@@ -359,7 +359,7 @@ def check_residual_rate_bound(trace, G, w_star, tol=1e-10):
     )
 
 
-def nesterov_ippa(prox_f, w0, n_iters, objective=None):
+def nesterov_ippa(prox_f, w0, n_iters, objective):
     """Accelerated proximal point iteration for minimizing a convex f.
 
     Uses the scalar sequence ``t_0 = 1``,
@@ -371,22 +371,22 @@ def nesterov_ippa(prox_f, w0, n_iters, objective=None):
     :func:`inertial_loop`, whose residuals here are Euclidean.
 
     Returns a :class:`SolverTrace`; ``extras["t"]`` holds t_0..t_K, and
-    ``objective``, when given, K + 1 values from ``objective(w0)`` on.
+    ``objective`` K + 1 values from ``objective(w0)`` on.
     """
     w = np.asarray(w0, dtype=np.float64).copy()
-    f0 = [] if objective is None else [float(objective(w))]  # the loop overwrites w
+    f0 = float(objective(w))  # the loop overwrites w
     t = [1.0]
     for _ in range(n_iters):
         t.append((1.0 + math.sqrt(1.0 + 4.0 * t[-1] * t[-1])) / 2.0)
 
     def step(wbar):
         w_next = np.array(prox_f(wbar[0], 1.0), dtype=np.float64)
-        return (w_next,), None if objective is None else float(objective(w_next))
+        return (w_next,), float(objective(w_next))
 
     trace, _ = inertial_loop(
         step, lambda d, sq: sq[0],
         lambda k: (t[k] - 1.0) / t[k + 1], (w,), 0.0, n_iters,
     )
-    trace.objective[:0] = f0
+    trace.objective.insert(0, f0)
     trace.extras["t"] = t
     return trace

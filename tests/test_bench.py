@@ -683,6 +683,18 @@ class TestCli:
         b = strip_wall_times(json.loads((out2 / "alpha_records.json").read_text()))
         assert a == b
 
+    def test_sweep_table_averages_only_converged_trials(self, tmp_path, capsys):
+        # seed 0 takes 360 plain and 234 inertial steps, so at 300 only the
+        # inertial solve converges: the table shows what alpha_sweep.csv does
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep-alpha", "--size", "16", "--rank", "1", "--seeds", "0",
+                         "--alphas", "0.28", "--max-iter", "300", "--out", str(out)]) == 0
+        row = capsys.readouterr().out.splitlines()[1]
+        assert row == ("  16    1       0.05      0.6       dct2   0.28"
+                       "           -          234.0      -")
+        assert (out / "alpha_sweep.csv").read_text().splitlines()[1] == (
+            "16,1,0.05,0.6,dct2,0.28,-,234.0000")
+
     def test_sweep_keeps_cells_apart(self, tmp_path, capsys):
         # two cells, two factors: four table rows, each with its own cell
         doc = yaml.safe_load(TINY_YAML)

@@ -4,7 +4,8 @@ Python's ``min`` and ``max`` skip a NaN, and a ``>`` test never flags
 one as a violation. Each test here patches NaN into the values a check
 reads, through the module attribute the check calls, and asserts that
 the check fails. Unpatched, every check passes at this scale (``iprox
-verify`` runs them there).
+verify`` runs them there). Criterion 7 reads grid records, built here by
+hand.
 """
 
 import dataclasses
@@ -12,7 +13,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from iprox import checks, fixtures, numkit, splitting, vi_core
+from iprox import bench, checks, fixtures, numkit, splitting, vi_core
 
 NAN = float("nan")
 SCALE = 0.1
@@ -65,6 +66,28 @@ def test_criterion_9_fails_on_a_nan_spectrum(monkeypatch):
                         lambda M: np.full(min(np.shape(M)), NAN))
     result = checks.exact_identities(SCALE)
     assert not result.ok and "spectrum error nan" in result.detail
+
+
+def _recovery_cell(**changes):
+    """Records of one 32x32 cell at 0.28 with one converged trial; each
+    keyword names a solver and the outcome fields to change in it."""
+    solve = {"converged": True, "iters": 100, "rel_l": 1e-6, "rel_s": 1e-6}
+    trial = {s: dict(solve, **changes.get(s, {})) for s in ("ladmm", "iladmm")}
+    return [bench.RunRecord(32, 32, 2, 0.05, 0.8, "dct2", 0.28, trials=[trial])]
+
+
+@pytest.mark.parametrize("solver", ["ladmm", "iladmm"])
+def test_criterion_7_fails_on_a_nan_recovery_error(solver):
+    assert checks.recovery(_recovery_cell()).ok
+    result = checks.recovery(_recovery_cell(**{solver: {"rel_l": NAN}}))
+    assert not result.ok and "max rel err nan" in result.detail
+
+
+def test_criterion_7_counts_the_converged_runs_only_when_some_did_not():
+    result = checks.recovery(_recovery_cell())
+    assert result.detail.startswith("2 runs at 32x32 converged, ")
+    result = checks.recovery(_recovery_cell(iladmm={"converged": False}))
+    assert not result.ok and result.detail.startswith("1 of 2 runs at 32x32 converged, ")
 
 
 @pytest.fixture(scope="module")

@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from iprox import cpcp, prox
-from iprox.numkit import SeededRng, make_measurement_op
-from iprox.prox import svt
+from iprox.numkit import SeededRng, SvtWarmStart, make_measurement_op
 from iprox.splitting import LadmmParams, SeparableProblem, _gquad, gladmm_operator
 
 
@@ -22,7 +21,8 @@ def small_instance(seed=3, m=16, n=16, r=1, nnz=5, q=100, kind="dct2"):
 
 
 def _subgradient_certificate(Z, L1, kappa):
-    """Optimality certificate of a thresholding step ``L1 = svt(Z, kappa)``.
+    """Optimality certificate of a thresholding step
+    ``L1 = svt_with_values(Z, kappa)[0]``.
 
     Returns ``(spectral_excess, pairing_gap)`` for ``W = (Z - L1)/kappa``:
     a correct step has ``||W||_2 <= 1`` and ``<W, L1> = ||L1||_*``, so both
@@ -245,7 +245,7 @@ class TestNorms:
         assert min(trace.step_residuals) >= 0.0
 
     def test_operator_problem_has_no_dense_weighting(self):
-        prob = cpcp.separable_problem(small_instance())
+        prob = cpcp.separable_problem(small_instance(), SvtWarmStart())
         with pytest.raises(TypeError, match="matrix data"):
             gladmm_operator(prob, LadmmParams(1.0, 0.99, 0.99))
 
@@ -369,7 +369,7 @@ class TestSolvers:
         U = inst.meas.adjoint(-inst.b)
         Z = -tau * U
         kappa = tau / beta
-        L1 = svt(Z, kappa)
+        L1 = prox.svt_with_values(Z, kappa)[0]
         excess, pairing = _subgradient_certificate(Z, L1, kappa)
         assert excess <= 1e-10
         assert pairing <= 1e-8
@@ -459,7 +459,8 @@ class TestSubgradientCertificate:
         rng = np.random.default_rng(4)
         for kappa in (0.3, 1.0, 4.0):
             Z = rng.normal(size=(8, 6)) * 2.0
-            excess, pairing = _subgradient_certificate(Z, svt(Z, kappa), kappa)
+            L1 = prox.svt_with_values(Z, kappa)[0]
+            excess, pairing = _subgradient_certificate(Z, L1, kappa)
             assert excess <= 1e-10
             assert pairing <= 1e-8
 

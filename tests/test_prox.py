@@ -85,7 +85,7 @@ class TestSvt:
         for shape in [(6, 6), (8, 5)]:
             M = rng.normal(size=shape)
             _, s_in, _ = svd(M)
-            out = prox.svt(M, 0.8)
+            out = prox.svt_with_values(M, 0.8)[0]
             _, s_out, _ = svd(out)
             want = prox.soft_threshold(s_in, 0.8)
             assert np.abs(np.sort(s_out) - np.sort(want)).max() < 1e-10
@@ -95,7 +95,7 @@ class TestSvt:
         rng = np.random.default_rng(3)
         M = rng.normal(size=(7, 6))
         kappa = 0.9
-        X = prox.svt(M, kappa)
+        X = prox.svt_with_values(M, kappa)[0]
         base = kappa * nuclear_norm(X) + 0.5 * np.sum((X - M) ** 2)
         for _ in range(50):
             Y = X + rng.normal(size=X.shape) * rng.choice([1e-3, 1e-1, 1.0])
@@ -114,7 +114,7 @@ class TestSvt:
         rng = np.random.default_rng(5)
         M = rng.normal(size=(4, 4))
         _, s, _ = svd(M)
-        assert np.all(prox.svt(M, s[0] + 1.0) == 0.0)
+        assert np.all(prox.svt_with_values(M, s[0] + 1.0)[0] == 0.0)
 
 
 class TestOracles:

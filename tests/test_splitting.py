@@ -15,7 +15,7 @@ import pytest
 from iprox import checks, cpcp
 from iprox import splitting as sp
 from iprox.fixtures import random_qp
-from iprox.numkit import SeededRng
+from iprox.numkit import SeededRng, SvtWarmStart
 from iprox.prox import l1_oracle
 from iprox.vi_core import (
     InertialSchedule,
@@ -329,7 +329,7 @@ class TestRuns:
 
     def test_phi_needs_matrix_data(self):
         inst = cpcp.generate_instance(8, 8, 1, 3, "dct2", 40, 0)
-        prob = cpcp.separable_problem(inst)
+        prob = cpcp.separable_problem(inst, SvtWarmStart())
         with pytest.raises(TypeError, match="matrix data"):
             sp.run_ladmm(prob, sp.LadmmParams(1.0, 0.99, 0.99), tol=0.0, max_iter=2,
                          w_star=np.zeros(2 * 64 + inst.q))

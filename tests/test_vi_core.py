@@ -153,7 +153,8 @@ def _refused():
         "run_iladmm-max_iter": (lambda: splitting.run_iladmm(
             qp, params, InertialSchedule(0.1), max_iter=-1),
             "max_iter must be nonnegative, got -1"),
-        "nesterov_ippa-max_iter": (lambda: nesterov_ippa(lambda z, lam: z, np.ones(2), -2),
+        "nesterov_ippa-max_iter": (lambda: nesterov_ippa(lambda z, lam: z, np.ones(2), -2,
+                                                         lambda w: 0.0),
                                    "max_iter must be nonnegative, got -2"),
     }
 
@@ -334,7 +335,7 @@ class TestResidualRateBound:
 class TestNesterov:
     def test_t_sequence_values(self):
         prox_f = lambda z, lam: z
-        trace = nesterov_ippa(prox_f, np.zeros(2), 3)
+        trace = nesterov_ippa(prox_f, np.zeros(2), 3, lambda w: 0.0)
         t = trace.extras["t"]
         assert t[0] == 1.0
         assert t[1] == pytest.approx(GOLDEN, abs=1e-15)
@@ -377,7 +378,6 @@ class TestNesterov:
         trace = nesterov_ippa(lambda z, lam: z * 0.5 - lam * 0.01, w0, 6, objective=f)
         assert trace.objective == [f(w) for w in trace.iterates]
         assert trace.objective[0] == f(np.linspace(-1.0, 1.0, 10))
-        assert nesterov_ippa(lambda z, lam: z * 0.5, w0, 6).objective == []
 
 
 class TestAffineFixtures:
@@ -468,7 +468,7 @@ def _solves():
         return [np.ones(8) * 2.0], lambda w0: run_inertial_ppa(
             problem, eye_weight(8), schedule, w0, tol=0.0, max_iter=60)
 
-    def nesterov(prox_f, objective=None):
+    def nesterov(prox_f, objective):
         return [np.linspace(-1.0, 1.0, 10)], lambda w0: nesterov_ippa(
             prox_f, w0, 40, objective=objective)
 
@@ -492,8 +492,10 @@ def _solves():
         "run_inertial_ppa-identity-switching": ppa(SWITCHING, identity),
         "nesterov_ippa": nesterov(lambda z, lam: (z + lam * c) / (1.0 + lam),
                                   lambda w: 0.5 * float(np.sum((w - c) ** 2))),
-        "nesterov_ippa-identity": nesterov(lambda z, lam: z),
-        "nesterov_ippa-l1": nesterov(lambda z, lam: prox.soft_threshold(z - 0.3, lam)),
+        "nesterov_ippa-identity": nesterov(lambda z, lam: z, lambda w: 0.0),
+        # soft_threshold(z - 0.3, 1) is the prox of ||w||_1 + 0.3 sum(w)
+        "nesterov_ippa-l1": nesterov(lambda z, lam: prox.soft_threshold(z - 0.3, lam),
+                                     lambda w: float(np.abs(w).sum() + 0.3 * w.sum())),
         "cpcp-plain": cpcp_solve(0.0),
         "cpcp": cpcp_solve(0.28),
     }
