@@ -458,10 +458,23 @@ def _group_mean(values, converged):
     return f"{float(np.mean(values)):.4f}" if converged else SENTINEL
 
 
+def _finite_or_null(doc):
+    """``doc`` with every non-finite float, such as the NaN aggregates of a
+    failed cell, replaced by None, which JSON writes as ``null``."""
+    if isinstance(doc, float):
+        return doc if math.isfinite(doc) else None
+    if isinstance(doc, dict):
+        return {k: _finite_or_null(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_finite_or_null(v) for v in doc]
+    return doc
+
+
 def write_records_json(records, path):
-    docs = [dataclasses.asdict(rec) for rec in records]
+    """Write the records as strict JSON: a non-finite number is ``null``."""
+    docs = _finite_or_null([dataclasses.asdict(rec) for rec in records])
     Path(path).write_text(
-        json.dumps(docs, sort_keys=True, indent=1) + "\n", encoding="utf8"
+        json.dumps(docs, sort_keys=True, indent=1, allow_nan=False) + "\n", encoding="utf8"
     )
 
 

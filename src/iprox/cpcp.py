@@ -61,7 +61,15 @@ def counts_from_ratios(m, n, q_ratio, nnz_ratio):
 
 @dataclass
 class CpcpInstance:
-    """A generated recovery problem with its ground truth."""
+    """A generated recovery problem with its ground truth.
+
+    The truth is held in the form it is drawn in: ``L0`` as the factors
+    ``left`` (m x r) and ``right`` (r x n), ``S0`` as ``values`` at the
+    sorted flat indices ``support``. The dense ``L0`` and ``S0`` are
+    read-only properties, rebuilt on each read with the operations that
+    drew them, so an instance holds no m x n array for its truth. ``b``
+    holds the ``q`` measurements of ``L0 + S0``.
+    """
 
     m: int
     n: int
@@ -72,10 +80,25 @@ class CpcpInstance:
     seed: int
     lam: float
     dof: int
-    L0: np.ndarray
-    S0: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    support: np.ndarray
+    values: np.ndarray
     meas: object
     b: np.ndarray
+
+    @property
+    def L0(self):
+        """The low-rank truth ``left @ right``, a new array on each read."""
+        return self.left @ self.right
+
+    @property
+    def S0(self):
+        """The sparse truth, ``values`` scattered onto ``support`` of a
+        zero m x n array, a new array on each read."""
+        S0 = np.zeros(self.m * self.n)
+        S0[self.support] = self.values
+        return S0.reshape(self.m, self.n)
 
     @property
     def q_over_dof(self):
@@ -89,7 +112,9 @@ def generate_instance(m, n, r, nnz, kind, q, seed):
     surely), ``S0`` has ``nnz`` entries uniform on [-10, 10] at a support
     drawn without replacement, and the measurement indices are sampled
     uniformly from the kind's valid set. Separate named substreams feed
-    each part, so the pieces stay independent and reproducible.
+    each part, so the pieces stay independent and reproducible. The
+    instance keeps the factors, the support and the values; ``b`` is
+    measured once, from a transient ``L0 + S0``.
     """
     if not 1 <= r <= min(m, n):
         raise ValueError(f"rank {r} out of range for {m}x{n}")
@@ -97,15 +122,11 @@ def generate_instance(m, n, r, nnz, kind, q, seed):
         raise ValueError(f"nnz {nnz} out of range for {m}x{n}")
     rng = SeededRng(seed)
     low = rng.derive("lowrank")
-    L0 = low.normal(m, r) @ low.normal(r, n)
+    left = low.normal(m, r)
+    right = low.normal(r, n)
     support = rng.derive("support").choice_without_replacement(m * n, nnz)
     values = rng.derive("values").uniform(-10.0, 10.0, nnz) if nnz else np.zeros(0)
-    S0 = np.zeros(m * n)
-    S0[support] = values
-    S0 = S0.reshape(m, n)
-    meas = make_measurement_op(kind, m, n, q, rng.derive("measurement"))
-    b = meas.apply(L0 + S0)
-    return CpcpInstance(
+    inst = CpcpInstance(
         m=m,
         n=n,
         r=r,
@@ -115,11 +136,15 @@ def generate_instance(m, n, r, nnz, kind, q, seed):
         seed=int(seed),
         lam=penalty_weight(m),
         dof=degrees_of_freedom(m, n, r, nnz),
-        L0=L0,
-        S0=S0,
-        meas=meas,
-        b=b,
+        left=left,
+        right=right,
+        support=support,
+        values=values,
+        meas=make_measurement_op(kind, m, n, q, rng.derive("measurement")),
+        b=None,
     )
+    inst.b = inst.meas.apply(inst.L0 + inst.S0)
+    return inst
 
 
 @dataclass
@@ -218,12 +243,13 @@ def recovery_metrics(state, inst):
     """Relative recovery errors against the ground truth.
 
     Errors are relative in Frobenius norm, or absolute when the true
-    component is zero.
+    component is zero. Each dense truth is rebuilt once per call.
     """
-    l_den = float(np.linalg.norm(inst.L0))
-    s_den = float(np.linalg.norm(inst.S0))
-    rel_l = float(np.linalg.norm(state.L - inst.L0)) / (l_den if l_den > 0 else 1.0)
-    rel_s = float(np.linalg.norm(state.S - inst.S0)) / (s_den if s_den > 0 else 1.0)
+    L0, S0 = inst.L0, inst.S0
+    l_den = float(np.linalg.norm(L0))
+    s_den = float(np.linalg.norm(S0))
+    rel_l = float(np.linalg.norm(state.L - L0)) / (l_den if l_den > 0 else 1.0)
+    rel_s = float(np.linalg.norm(state.S - S0)) / (s_den if s_den > 0 else 1.0)
     return RecoveryMetrics(
         rel_l=rel_l,
         rel_s=rel_s,

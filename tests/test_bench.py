@@ -52,6 +52,16 @@ def record_docs(records):
     return strip_wall_times([dataclasses.asdict(r) for r in records])
 
 
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def strict_json(path):
+    """The JSON document at ``path``, refusing NaN and Infinity as a strict
+    parser does."""
+    return json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
 TINY_YAML = """\
 grid:
   sizes: [16]
@@ -469,10 +479,25 @@ class TestEmitters:
 
     def test_records_json(self, tmp_path):
         path = tmp_path / "records.json"
-        bench.write_records_json([self.good_record()], path)
-        docs = json.loads(path.read_text())
+        rec = self.good_record()
+        bench.write_records_json([rec], path)
+        docs = strict_json(path)
         assert docs[0]["m"] == 32
         assert docs[0]["iter_ratio"] == 0.75
+        # finite records are written exactly as json.dumps writes them
+        assert path.read_text() == json.dumps(
+            [dataclasses.asdict(rec)], sort_keys=True, indent=1) + "\n"
+
+    def test_records_json_of_a_failed_cell_is_strict(self, tmp_path):
+        records = bench.run_grid(tiny_config(sizes=(16,), ranks=(40,), seeds=(0,)))
+        path = tmp_path / "records.json"
+        bench.write_records_json(records, path)
+        (doc,) = strict_json(path)
+        assert "rank" in doc["error"]
+        for key in ("mean_iter_ladmm", "mean_rel_l_ladmm", "mean_rel_s_ladmm",
+                    "mean_iter_iladmm", "mean_rel_l_iladmm", "mean_rel_s_iladmm",
+                    "iter_ratio"):
+            assert doc[key] is None
 
 
 class TestVerification:
@@ -573,7 +598,7 @@ class TestCli:
         stdout, err = capsys.readouterr()
         assert rc != 0
         assert "no successful records" in err
-        (doc,) = json.loads((out / "records.json").read_text())
+        (doc,) = strict_json(out / "records.json")
         assert "generate_instance" in doc["traceback"]
         assert "failed cell m=16 r=20 nnz_ratio=0.05 q_ratio=0.8 dct2: ValueError" in stdout
 
@@ -581,7 +606,7 @@ class TestCli:
                        "--alphas", "0.1", "--out", str(out)])
         stdout, _ = capsys.readouterr()
         assert rc != 0
-        (doc,) = json.loads((out / "alpha_records.json").read_text())
+        (doc,) = strict_json(out / "alpha_records.json")
         assert "generate_instance" in doc["traceback"]
         assert "failed: ValueError" in stdout
 

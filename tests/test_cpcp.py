@@ -6,6 +6,8 @@ certificates (subgradient pairing, objective comparison against random
 perturbations) rather than against the solver's own arithmetic.
 """
 
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -18,6 +20,12 @@ from iprox.splitting import LadmmParams, SeparableProblem, _gquad, gladmm_operat
 
 def small_instance(seed=3, m=16, n=16, r=1, nnz=5, q=100, kind="dct2"):
     return cpcp.generate_instance(m, n, r, nnz, kind, q, seed)
+
+
+def desk_instance():
+    """Seed 0 of the 256 x 256, rank 5, 5 % sparse, q = 0.6 area DCT-II
+    workload."""
+    return cpcp.generate_instance(256, 256, 5, 3277, "dct2", 39321, 0)
 
 
 def _subgradient_certificate(Z, L1, kappa):
@@ -105,7 +113,37 @@ class TestGenerateInstance:
 
     def test_measurements_match_truth(self):
         inst = small_instance()
-        assert np.allclose(inst.b, inst.meas.apply(inst.L0 + inst.S0), atol=1e-12)
+        assert np.array_equal(inst.b, inst.meas.apply(inst.L0 + inst.S0))
+
+    def test_truth_is_stored_as_drawn(self):
+        inst = desk_instance()
+        m, n, r, nnz = inst.m, inst.n, inst.r, inst.nnz
+        arrays = [v for v in vars(inst).values() if isinstance(v, np.ndarray)]
+        assert all(a.size != m * n for a in arrays)
+        truth = (inst.left, inst.right, inst.support, inst.values)
+        assert sum(a.nbytes for a in truth) <= ((m + n) * r + 2 * nnz) * 8
+        assert np.linalg.matrix_rank(inst.L0) == r
+        assert np.count_nonzero(inst.S0) == nnz
+
+    def test_seed_0_truth_and_measurements_are_pinned(self):
+        # the bits of the dense L0, S0 and b: how an instance stores its
+        # truth must not move them
+        inst = desk_instance()
+        digest = hashlib.sha256()
+        for a in (inst.L0, inst.S0, inst.b):
+            digest.update(a.tobytes())
+        assert digest.hexdigest() == (
+            "df8cd2c88ce2398443a4494ff982b0f1a868c7561e8911bda69f9b731659dfa5")
+
+    def test_truth_reads_are_copies(self):
+        inst = small_instance()
+        L0, S0 = inst.L0, inst.S0
+        L0[:] = 1.0
+        S0[:] = 1.0
+        assert np.array_equal(inst.L0, small_instance().L0)
+        assert np.array_equal(inst.S0, small_instance().S0)
+        with pytest.raises(AttributeError):
+            inst.L0 = L0
 
     def test_rank_validation(self):
         with pytest.raises(ValueError):
@@ -257,7 +295,9 @@ class TestSolvers:
             m=8, n=8, r=1, nnz=0, kind="dct2", q=20, seed=0,
             lam=cpcp.penalty_weight(8),
             dof=cpcp.degrees_of_freedom(8, 8, 1, 0),
-            L0=np.zeros((8, 8)), S0=np.zeros((8, 8)), meas=meas, b=np.zeros(20),
+            left=np.zeros((8, 1)), right=np.zeros((1, 8)),
+            support=np.zeros(0, dtype=np.int64), values=np.zeros(0),
+            meas=meas, b=np.zeros(20),
         )
         state, trace = cpcp.ladmm_cpcp(inst)
         assert state.converged and state.iters == 1
@@ -447,7 +487,7 @@ class TestRecoveryMetrics:
         )
         assert cpcp.recovery_metrics(state, inst).rel_l == pytest.approx(1.0)
         # zero truth: the error is reported unnormalized
-        inst.S0 = np.zeros_like(inst.S0)
+        inst = dataclasses.replace(inst, support=inst.support[:0], values=inst.values[:0])
         state.S = np.full_like(inst.S0, 0.25)
         assert cpcp.recovery_metrics(state, inst).rel_s == pytest.approx(
             float(np.linalg.norm(state.S))
