@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__, checks
+from . import __version__, checks, cpcp
 from .cpcp import (
     BetaController,
     counts_from_ratios,
@@ -42,7 +42,7 @@ from .numkit import (
     _one_blas_thread,
     measurement_domain,
 )
-from .vi_core import InertialSchedule
+from .vi_core import MAX_ITER, TOL, InertialSchedule
 
 CSV_COLUMNS = [
     "m", "n", "r", "nnz_ratio", "q_ratio", "transform", "q_over_dof",
@@ -80,14 +80,14 @@ class RunConfig:
     nnz_ratios: tuple
     q_ratios: tuple
     transforms: tuple = ("dct2",)
-    tau: float = 0.99
-    eta: float = 0.99
-    eps: float = 1e-5
-    max_iter: int = 1000
-    alpha: float = 0.28
+    tau: float = cpcp.TAU
+    eta: float = cpcp.ETA
+    eps: float = TOL
+    max_iter: int = MAX_ITER
+    alpha: float = cpcp.ALPHA
     alphas: Optional[tuple] = None
     beta0: Optional[float] = None
-    s_scale: float = 10.0
+    s_scale: float = BetaController.S_SCALE
     seeds: tuple = (0, 1, 2, 3, 4)
     jobs: int = 1
 

@@ -98,7 +98,8 @@ def _cmd_solve(args):
           f"q/dof={inst.q_over_dof:.4f}")
     print(f"solver: {solver} alpha={args.alpha:g} tau={args.tau:g} "
           f"eta={args.eta:g} eps={args.eps:g}")
-    status = "converged" if met["converged"] else "max iterations reached"
+    status = {"converged": "converged", "max_iter": "max iterations reached",
+              "non_finite": "non-finite iterate"}[trace.status]
     print(f"iterations: {met['iters']} ({status})")
     print(f"rel_l={met['rel_l']:.6e} rel_s={met['rel_s']:.6e} "
           f"final_beta={trace.extras['beta'][-1]:.6g} "

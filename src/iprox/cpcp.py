@@ -24,7 +24,10 @@ import numpy as np
 from .numkit import SeededRng, SvtWarmStart, make_measurement_op
 from .prox import ProxOracle, l1_oracle, nuclear_oracle, soft_threshold, svt_with_values
 from .splitting import BetaController, SeparableProblem, _run, stopping_residual
-from .vi_core import InertialSchedule
+from .vi_core import MAX_ITER, TOL, InertialSchedule
+
+TAU = ETA = 0.99  # the default steps, inside the bound 1 / rho(A* A) = 1
+ALPHA = 0.28  # the default extrapolation factor
 
 
 def penalty_weight(m):
@@ -201,12 +204,13 @@ def _run_cpcp(inst, tau, eta, alpha, controller, tol, max_iter):
                      trace.iterations, trace.converged), trace
 
 
-def ladmm_cpcp(inst, tau=0.99, eta=0.99, controller=None, tol=1e-5,
-               max_iter=1000):
+def ladmm_cpcp(inst, tau=TAU, eta=ETA, controller=None, tol=TOL,
+               max_iter=MAX_ITER):
     """Plain linearized solver from the zero start.
 
     Stops when ``||w_{k+1} - w_k|| / (1 + ||w_k||) < tol`` in the combined
-    norm, or at ``max_iter`` (then ``converged`` is False). The trace is
+    norm, or at ``max_iter`` or a non-finite step (then ``converged`` is
+    False, and the trace's ``status`` tells which). The trace is
     the one the :mod:`iprox.splitting` loop fills; its ``extras`` hold the
     carried ``measurement`` ``A(L + S)``, the ``feasibility``, and per
     iteration the penalty (``beta``), the SVT output rank (``svt_rank``)
@@ -219,8 +223,8 @@ def ladmm_cpcp(inst, tau=0.99, eta=0.99, controller=None, tol=1e-5,
     return _run_cpcp(inst, tau, eta, 0.0, controller, tol, max_iter)
 
 
-def iladmm_cpcp(inst, tau=0.99, eta=0.99, alpha=0.28, controller=None,
-                tol=1e-5, max_iter=1000):
+def iladmm_cpcp(inst, tau=TAU, eta=ETA, alpha=ALPHA, controller=None,
+                tol=TOL, max_iter=MAX_ITER):
     """Inertial linearized solver from the zero start.
 
     ``alpha`` is the constant extrapolation factor, in [0, 1). All three

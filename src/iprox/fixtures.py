@@ -63,9 +63,9 @@ def random_qp(n1, n2, m, rng):
 
     ``f`` and ``g`` are strongly convex quadratics, the coupling matrices
     are dense Gaussian. Returns ``(problem, w_star)`` with ``w_star`` the
-    packed point ``(x, y, p)`` from one dense solve of the KKT system; the
-    multiplier sign convention matches the Lagrangian
-    ``f + g - <p, Ax + By - b>``.
+    packed point ``(x, y, p)`` from one dense solve of the problem's
+    :meth:`~iprox.splitting.SeparableProblem.kkt_system`; the multiplier
+    sign convention matches the Lagrangian ``f + g - <p, Ax + By - b>``.
     """
     if min(n1, n2, m) < 1:
         raise ValueError("dimensions must be positive")
@@ -88,14 +88,4 @@ def random_qp(n1, n2, m, rng):
         f_quad=(Pf, cf),
         g_quad=(Pg, cg),
     )
-
-    dim = n1 + n2 + m
-    K = np.zeros((dim, dim))
-    K[:n1, :n1] = Pf
-    K[n1 : n1 + n2, n1 : n1 + n2] = Pg
-    K[:n1, n1 + n2 :] = -A.T
-    K[n1 : n1 + n2, n1 + n2 :] = -B.T
-    K[n1 + n2 :, :n1] = A
-    K[n1 + n2 :, n1 : n1 + n2] = B
-    rhs = np.concatenate([-cf, -cg, b])
-    return prob, np.linalg.solve(K, rhs)
+    return prob, np.linalg.solve(*prob.kkt_system())

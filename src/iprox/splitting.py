@@ -22,6 +22,8 @@ import numpy as np
 
 from .prox import ProxOracle
 from .vi_core import (
+    MAX_ITER,
+    TOL,
     InertialSchedule,
     MixedViProblem,
     ProbeSet,
@@ -125,6 +127,21 @@ class SeparableProblem:
         n1, n2 = self.n1, self.n2
         return w[:n1], w[n1 : n1 + n2], w[n1 + n2 :]
 
+    def kkt_system(self):
+        """The KKT matrix ``[[Pf, 0, -A'], [0, Pg, -B'], [A, B, 0]]`` and
+        right-hand side ``(-cf, -cg, b)`` of matrix data with quadratic
+        blocks ``(Pf, cf)`` and ``(Pg, cg)``, built anew on each call;
+        raises :class:`ExactSubproblemError` without that data."""
+        if self.f_quad is None or self.g_quad is None:
+            raise ExactSubproblemError(
+                "no closed-form resolvent: quadratic block data is required")
+        (Pf, cf), (Pg, cg) = self.f_quad, self.g_quad
+        n1, n2, m = self.n1, self.n2, self.m
+        K = np.block([[Pf, np.zeros((n1, n2)), -self.A.T],
+                      [np.zeros((n2, n1)), Pg, -self.B.T],
+                      [self.A, self.B, np.zeros((m, m))]])
+        return K, np.concatenate([-np.asarray(cf), -np.asarray(cg), self.b])
+
     @cached_property
     def mixed_vi(self):
         """Mixed-VI form of the optimality system, built on first use.
@@ -137,7 +154,6 @@ class SeparableProblem:
         carry quadratic data; otherwise it raises
         :class:`ExactSubproblemError`.
         """
-        n1, n2, m = self.n1, self.n2, self.m
         A, B, b = self.A, self.B, self.b
 
         def theta(w):
@@ -149,19 +165,13 @@ class SeparableProblem:
             return np.concatenate([-(A.T @ p), -(B.T @ p), A @ x + B @ y - b])
 
         def resolvent(z, G):
-            if self.f_quad is None or self.g_quad is None:
-                raise ExactSubproblemError(
-                    "no closed-form resolvent: quadratic block data is required")
-            (Pf, cf), (Pg, cg) = self.f_quad, self.g_quad
-            # the KKT matrix, built here so that the certificates, which
+            # the KKT system is built per call, so the certificates, which
             # never call the resolvent, keep no dense matrix with the form
-            K = np.block([[Pf, np.zeros((n1, n2)), -A.T],
-                          [np.zeros((n2, n1)), Pg, -B.T],
-                          [A, B, np.zeros((m, m))]])
-            shift = np.concatenate([-np.asarray(cf), -np.asarray(cg), b])
+            K, shift = self.kkt_system()
             return np.linalg.solve(K + G.matrix, G.apply(z) + shift)
 
-        return MixedViProblem(dim=n1 + n2 + m, theta=theta, F=F, resolvent=resolvent)
+        return MixedViProblem(dim=self.n1 + self.n2 + self.m, theta=theta, F=F,
+                              resolvent=resolvent)
 
 
 def zeros_point(prob):
@@ -193,9 +203,9 @@ class BetaController:
     iterations and then frozen; ``active_iters = 0`` keeps it fixed.
 
     It moves by factors of two (doubled when the tuning ratio exceeds 5,
-    halved below 0.1), always kept inside ``[beta_min, beta_max]``, and
-    freezes after the active window so the proximal weighting stops
-    changing.
+    halved below 0.1) inside ``[BETA_MIN, BETA_MAX]``, where
+    :meth:`for_instance` also starts it, and freezes after the active
+    window so the proximal weighting stops changing.
 
     The ratio compares the penalty against ``balance``, run state recorded
     at the first tuned iterate: ``balance = 2 * s_scale * obj_1 / feas_sq_1``
@@ -207,11 +217,10 @@ class BetaController:
     geometric walk from the initial penalty to the balance zone.
     """
 
+    BETA_MIN, BETA_MAX, S_SCALE = 1e-3, 1e2, 10.0  # the rule's bounds and balance scale
     beta: float
-    s_scale: float = 10.0
+    s_scale: float = S_SCALE
     active_iters: int = 30
-    beta_min: float = 1e-3
-    beta_max: float = 1e2
     balance: Optional[float] = field(default=None, init=False)
 
     def __post_init__(self):
@@ -219,16 +228,17 @@ class BetaController:
             raise ValueError("beta must be positive")
         if self.s_scale <= 0:
             raise ValueError("s_scale must be positive")
-        self.beta = float(min(max(self.beta, self.beta_min), self.beta_max))
 
     @classmethod
-    def for_instance(cls, inst, beta0=None, s_scale=10.0):
-        """Start a CPCP instance at ``0.1 q / ||b||_1``."""
+    def for_instance(cls, inst, beta0=None, s_scale=S_SCALE):
+        """Start a CPCP instance at ``0.1 q / ||b||_1`` or ``beta0``, clamped to the bounds."""
         if beta0 is None:
             b1 = float(np.abs(inst.b).sum())
             # all-zero measurements: any penalty works, the zero start is optimal
             beta0 = 0.1 * inst.q / b1 if b1 > 0 else 1.0
-        return cls(beta=float(beta0), s_scale=float(s_scale))
+        elif not beta0 > 0:
+            raise ValueError("beta0 must be positive")
+        return cls(min(max(float(beta0), cls.BETA_MIN), cls.BETA_MAX), float(s_scale))
 
     def active(self, k):
         """Whether the rule still applies before step ``k`` (0-based).
@@ -249,9 +259,9 @@ class BetaController:
         else:
             ratio = 0.0
         if ratio < 0.1:
-            self.beta = max(0.5 * self.beta, self.beta_min)
+            self.beta = max(0.5 * self.beta, self.BETA_MIN)
         elif ratio > 5.0:
-            self.beta = min(2.0 * self.beta, self.beta_max)
+            self.beta = min(2.0 * self.beta, self.BETA_MAX)
         return self.beta
 
 
@@ -371,9 +381,9 @@ def iladmm_step(prob, params, w, w_prev, alpha):
     return wbar, np.concatenate([x1, y1, p1], axis=None)
 
 
-def run_ladmm(prob, params, tol=1e-5, max_iter=1000, w_star=None):
-    """Run the plain linearized step from the zero point until the relative
-    step rule fires.
+def run_ladmm(prob, params, tol=TOL, max_iter=MAX_ITER, w_star=None):
+    """Run the plain linearized step at the fixed penalty ``params.beta``
+    from the zero point until the relative step rule fires.
 
     The step is ``_step`` run through :func:`_run` in
     :func:`~iprox.vi_core.inertial_loop`, which carries ``A x`` and
@@ -386,8 +396,8 @@ def run_ladmm(prob, params, tol=1e-5, max_iter=1000, w_star=None):
     operators raises its TypeError. This is :func:`run_iladmm` at zero
     extrapolation, which reproduces the plain steps bitwise.
     """
-    trace = _run(prob, _fixed_penalty(params.beta), params.tau, params.eta,
-                 InertialSchedule(0.0), tol, max_iter, keep_iterates=True)
+    trace = _run(prob, BetaController(params.beta, active_iters=0), params.tau,
+                 params.eta, InertialSchedule(0.0), tol, max_iter, keep_iterates=True)
     if w_star is not None:
         G = gladmm_operator(prob, params)
         w_star = _point(w_star, G.matrix.shape[0], "w_star")
@@ -395,9 +405,9 @@ def run_ladmm(prob, params, tol=1e-5, max_iter=1000, w_star=None):
     return trace
 
 
-def run_iladmm(prob, params, schedule, tol=1e-5, max_iter=1000):
-    """Run the inertial linearized step from the zero point under an
-    extrapolation schedule.
+def run_iladmm(prob, params, schedule, tol=TOL, max_iter=MAX_ITER):
+    """Run the inertial linearized step at the fixed penalty ``params.beta``
+    from the zero point under an extrapolation schedule.
 
     :func:`~iprox.vi_core.inertial_loop` extrapolates the carried point
     ``(x, y, p, A x, B y)`` and runs ``_step`` from it (see :func:`_run`).
@@ -406,12 +416,8 @@ def run_iladmm(prob, params, schedule, tol=1e-5, max_iter=1000):
     The stopping rule compares against the extrapolated point:
     ``||w_{k+1} - wbar_k|| / (1 + ||wbar_k||) < tol``.
     """
-    return _run(prob, _fixed_penalty(params.beta), params.tau, params.eta,
-                schedule, tol, max_iter, keep_iterates=True)
-
-
-def _fixed_penalty(beta):
-    return BetaController(beta, active_iters=0, beta_min=beta, beta_max=beta)
+    return _run(prob, BetaController(params.beta, active_iters=0), params.tau,
+                params.eta, schedule, tol, max_iter, keep_iterates=True)
 
 
 def _run(prob, penalty, tau, eta, schedule, tol, max_iter, keep_iterates=False,
@@ -419,8 +425,8 @@ def _run(prob, penalty, tau, eta, schedule, tol, max_iter, keep_iterates=False,
     """Linearized ADMM in :func:`~iprox.vi_core.inertial_loop` from the
     zero point, on points ``(x, y, p, A x, B y)``: ``A x`` and ``B y``
     are carried, so the weighted norms cost no operator call. ``penalty``
-    is a :class:`BetaController`, fixed when its active window is empty,
-    that the step rebalances from ``w_k`` and its objective before step k.
+    is a :class:`BetaController`, which the step rebalances from ``w_k``
+    and its objective before step k while its window is active.
     ``trace.extras`` holds the penalty per step (``beta``), the carried
     ``measurement`` ``A x + B y``, its ``feasibility`` and
     ``relative_feasibility``, and the packed returned point (``final``).

@@ -26,6 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 _GUARANTEED_CAP = 1.0 / 3.0
+TOL, MAX_ITER = 1e-5, 1000  # every solver's default stopping rule and limit
 
 
 class WeightOperator:
@@ -114,7 +115,9 @@ class SolverTrace:
     :func:`nesterov_ippa`, f(w_0) first, K from :mod:`iprox.splitting`,
     and none from the VI engine. ``phi``,
     the distances ``||w_k - w*||_G^2`` over ``iterates``, is filled only
-    by :func:`iprox.splitting.run_ladmm`, after the run.
+    by :func:`iprox.splitting.run_ladmm`, after the run. ``status`` tells
+    why the run stopped: ``"converged"``, ``"max_iter"`` or
+    ``"non_finite"`` (a stopping residual that is not finite).
     """
 
     iterates: Optional[list] = None
@@ -124,8 +127,13 @@ class SolverTrace:
     phi: Optional[list] = None
     objective: list = field(default_factory=list)
     extras: dict = field(default_factory=dict)
-    converged: bool = False
+    status: str = "max_iter"
     iterations: int = 0
+
+    @property
+    def converged(self):
+        """Whether the stopping rule fired."""
+        return self.status == "converged"
 
 
 def stopping_residual(step_sq, ref_sq):
@@ -178,8 +186,9 @@ def inertial_loop(step, gquad, alpha, w, tol, max_iter, *, blocks=1,
       ``alpha_{k+1}`` is nonzero.
 
     Stops when ``stop(||w_{k+1} - wbar_k||^2, ||wbar_k||^2) < tol``, the
-    norms taken over the blocks, or after ``max_iter`` steps. Returns the
-    trace and the last point.
+    norms taken over the blocks, at the first step where that value is
+    not finite, or after ``max_iter`` steps. Returns the trace and the
+    last point.
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
@@ -220,7 +229,10 @@ def inertial_loop(step, gquad, alpha, w, tol, max_iter, *, blocks=1,
         prev, w = w, nxt
         trace.iterations = k + 1
         if rel < tol:
-            trace.converged = True
+            trace.status = "converged"
+            break
+        if not math.isfinite(rel):
+            trace.status = "non_finite"
             break
     return trace, w
 
@@ -233,12 +245,13 @@ def inertial_ppa_step(problem, G, wbar):
     return np.array(problem.resolvent(wbar, G), dtype=np.float64)
 
 
-def run_inertial_ppa(problem, G, schedule, w0, tol=1e-5, max_iter=1000):
+def run_inertial_ppa(problem, G, schedule, w0, tol=TOL, max_iter=MAX_ITER):
     """Run the inertial engine from ``w0`` (the pre-iterate equals ``w0``).
 
     Each step is :func:`inertial_ppa_step` inside :func:`inertial_loop`,
     and each step residual one ``G.quad``. Stops when
-    ``||w_next - wbar|| / (1 + ||wbar||) < tol`` or at ``max_iter``.
+    ``||w_next - wbar|| / (1 + ||wbar||) < tol``, at a step where that is
+    not finite, or at ``max_iter``.
     ``w0`` is copied, not modified.
     """
     w = _point(w0, problem.dim, "w0").copy()

@@ -551,6 +551,12 @@ class TestCli:
         assert rc == 1
         assert "max iterations reached" in capsys.readouterr().out
 
+    def test_solve_exit_one_at_a_non_finite_iterate(self, capsys, monkeypatch):
+        monkeypatch.setattr(cpcp, "stopping_residual", lambda step_sq, ref_sq: math.inf)
+        rc = cli.main(["solve", "--size", "16", "--rank", "1"])
+        assert rc == 1
+        assert "iterations: 1 (non-finite iterate)" in capsys.readouterr().out
+
     def test_solve_bad_ratio_is_usage_error(self, capsys):
         rc = cli.main(["solve", "--size", "16", "--q-ratio", "0"])
         assert rc == 2

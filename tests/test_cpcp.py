@@ -159,6 +159,14 @@ class TestBetaController:
         assert c.beta == pytest.approx(0.1 * inst.q / np.abs(inst.b).sum())
         assert cpcp.BetaController.for_instance(inst, beta0=2.5).beta == 2.5
 
+    def test_for_instance_clamps_and_validates(self):
+        inst = small_instance()
+        assert cpcp.BetaController.for_instance(inst, beta0=1e9).beta == 1e2
+        assert cpcp.BetaController.for_instance(inst, beta0=1e-9).beta == 1e-3
+        for beta0 in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="beta0"):
+                cpcp.BetaController.for_instance(inst, beta0=beta0)
+
     def test_snapshot_taken_at_first_call(self):
         c = cpcp.BetaController(beta=2.0, s_scale=10.0)
         c.apply_rule(4.0, 1.0)
@@ -200,9 +208,11 @@ class TestBetaController:
         assert c.apply_rule(1.0, 1.0) == 1e2
         assert c.apply_rule(1.0, 1.0) == 1e2
 
-    def test_constructor_clamps_and_validates(self):
-        assert cpcp.BetaController(beta=1e9).beta == 1e2
-        assert cpcp.BetaController(beta=1e-9).beta == 1e-3
+    def test_constructor_validates_without_clamping(self):
+        # the rule clamps where it starts and moves the penalty, so a fixed
+        # penalty may lie outside its bounds
+        assert cpcp.BetaController(beta=1e9, active_iters=0).beta == 1e9
+        assert cpcp.BetaController(beta=1e-9, active_iters=0).beta == 1e-9
         with pytest.raises(ValueError):
             cpcp.BetaController(beta=0.0)
         with pytest.raises(ValueError):

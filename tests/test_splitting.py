@@ -256,7 +256,7 @@ class TestRuns:
     def test_plain_run_reaches_kkt_solution(self):
         prob, star = tiny_qp()
         trace = sp.run_ladmm(prob, safe_params(prob), tol=1e-10, max_iter=5000)
-        assert trace.converged
+        assert trace.converged and trace.status == "converged"
         assert np.abs(trace.iterates[-1] - star).max() < 1e-7
         assert np.array_equal(trace.extras["final"], trace.iterates[-1])
 
@@ -268,6 +268,13 @@ class TestRuns:
         )
         assert trace.converged
         assert np.abs(trace.iterates[-1] - star).max() < 1e-7
+
+    def test_a_run_keeps_its_penalty_outside_the_rule_bounds(self):
+        # a fixed penalty is the controller's empty window, with no clamp
+        prob, _ = tiny_qp()
+        assert sp.BetaController.BETA_MAX < 500.0
+        trace = sp.run_ladmm(prob, safe_params(prob, beta=500.0), tol=0.0, max_iter=20)
+        assert trace.extras["beta"] == [500.0] * 20
 
     def test_zero_alpha_run_is_bitwise_plain(self):
         prob, _ = tiny_qp()
@@ -341,6 +348,18 @@ class TestRuns:
 
         monkeypatch.setattr(sp, "ladmm_step", refuse)
         assert checks.step_characterization(0.1).ok
+
+    def test_step_characterization_fails_on_a_step_at_a_wrong_tau(self, monkeypatch):
+        # the box probes still score about 11 on these steps; the probes
+        # near each step catch the mismatch with the G the check weights by
+        run = sp.run_ladmm
+
+        def wrong_tau(prob, params, **kw):
+            return run(prob, sp.LadmmParams(params.beta, 1.1 * params.tau, params.eta), **kw)
+
+        monkeypatch.setattr(sp, "run_ladmm", wrong_tau)
+        result = checks.step_characterization(0.1)
+        assert not result.ok and "e+01 box, -" in result.detail
 
 
 class TestCertificates:
@@ -508,10 +527,11 @@ class TestProbeSets:
             w = w1
         assert len(calls) == 110  # one more per step, at the new iterate
         calls.clear()
-        # criterion 1 at scale 1: 20 fixtures x 100 probes, plus one value
-        # per step at 20 x 10 steps (not 20 x 10 x 101)
+        # criterion 1 at scale 1: 20 fixtures x 100 box probes, and per
+        # step at 20 x 10 steps 100 near probes plus one value for each
+        # probe set (not 20 x 10 x 2 x 101)
         assert checks.step_characterization(1.0).ok
-        assert len(calls) == 20 * 100 + 20 * 10
+        assert len(calls) == 20 * 100 + 20 * 10 * (100 + 2)
 
     def test_criterion_1_builds_the_mixed_vi_form_once_per_fixture(self, monkeypatch):
         built = []

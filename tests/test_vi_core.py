@@ -237,11 +237,22 @@ class TestRunInertialPpa:
             max_iter=20,
         )
         K = trace.iterations
-        assert K == 20 and not trace.converged
+        assert K == 20 and not trace.converged and trace.status == "max_iter"
         assert len(trace.iterates) == K + 1
         assert trace.objective == [] and trace.phi is None
         for seq in (trace.alphas, trace.step_residuals, trace.stop_residuals):
             assert len(seq) == K
+
+    def test_stops_at_the_first_non_finite_step(self):
+        vi, _ = strongly_monotone_affine_vi(4, SeededRng(6000))
+        blowup = MixedViProblem(dim=4, theta=vi.theta, F=vi.F,
+                                resolvent=lambda z, G: np.full(4, np.inf))
+        # inf - inf and 0 * inf in the weighted norm are numpy's to warn about
+        with np.errstate(invalid="ignore", over="ignore"):
+            trace = run_inertial_ppa(blowup, eye_weight(4), InertialSchedule(0.28),
+                                     np.ones(4), max_iter=50)
+        assert trace.iterations == 1 and trace.status == "non_finite"
+        assert not trace.converged and trace.stop_residuals == [math.inf]
 
     def test_plain_ppa_distance_nonincreasing(self):
         # alpha = 0 is the exact proximal point method: ||w_k - w*||_G
@@ -426,7 +437,10 @@ def reference_loop(step, gquad, alpha, w, tol, max_iter, *, blocks=1,
         w_prev, w = w, nxt
         trace.iterations = k + 1
         if rel < tol:
-            trace.converged = True
+            trace.status = "converged"
+            break
+        if not math.isfinite(rel):
+            trace.status = "non_finite"
             break
     return trace, w
 
