@@ -244,9 +244,10 @@ def _environment():
 
 
 def _solver_outcome(state, trace, inst, wall):
-    """A solve's summary for ``records.json``: the recovery metrics, the
-    wall time, and how its SVTs ran: the number of calls per path
-    (``svt_paths``) and the output rank of the last one (``svt_rank``)."""
+    """A solve's summary for ``records.json``: the recovery metrics, why
+    the run stopped (the trace's ``status``), the wall time, and how its
+    SVTs ran: the number of calls per path (``svt_paths``) and the output
+    rank of the last one (``svt_rank``)."""
     met = recovery_metrics(state, inst)
     paths = trace.extras["svt_path"]
     ranks = trace.extras["svt_rank"]
@@ -255,6 +256,7 @@ def _solver_outcome(state, trace, inst, wall):
         "rel_l": float(met.rel_l),
         "rel_s": float(met.rel_s),
         "converged": bool(met.converged),
+        "status": trace.status,
         "wall_time": float(wall),
         "svt_paths": {p: paths.count(p) for p in SVT_PATHS},
         "svt_rank": int(ranks[-1]) if ranks else 0,

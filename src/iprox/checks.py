@@ -123,7 +123,11 @@ def nonergodic_rate(scale=1.0):
 
 
 def ergodic_gap(scale=1.0):
-    """Criterion 4 on 3 QP fixtures at k = 50, 100, 200 with 50 probes."""
+    """Criterion 4 on 3 QP fixtures at k = 50, 100, 200 with 50 probes.
+
+    It passes the wrong runs tried so far: its max gap excess is -9.31
+    both for the right run and for a run at 1.1 tau, and -9.34 at 0.5
+    tau, all far inside the 1e-8 gate."""
     n_fix, n_steps = _count(3, scale), _count(220, scale)
     ks = [_count(k, scale) for k in (50, 100, 200)]
     worst = -np.inf
@@ -233,7 +237,12 @@ def inertial_speedup(records, ratio_gate=0.90):
 
 def exact_identities(scale=1.0):
     """Criterion 9: 60 CPCP steps at zero extrapolation, the Gram matrices
-    of two 16x16 measurement operators, and three thresholded spectra."""
+    of two 16x16 measurement operators, and three thresholded spectra.
+
+    The zero-extrapolation half compares ``ladmm_cpcp(inst)`` with
+    ``iladmm_cpcp(inst, alpha=0.0)``, which are the same
+    ``_run_cpcp(inst, TAU, ETA, 0.0, ...)`` call, so it can catch only
+    nondeterminism within one process."""
     inst = cpcp.generate_instance(32, 32, 2, 51, "dct2", 819, 11)
     n = _count(60, scale)
     s_plain, _ = cpcp.ladmm_cpcp(inst, max_iter=n, tol=0.0)

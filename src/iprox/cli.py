@@ -99,7 +99,7 @@ def _cmd_solve(args):
     print(f"solver: {solver} alpha={args.alpha:g} tau={args.tau:g} "
           f"eta={args.eta:g} eps={args.eps:g}")
     status = {"converged": "converged", "max_iter": "max iterations reached",
-              "non_finite": "non-finite iterate"}[trace.status]
+              "non_finite": "non-finite iterate"}[met["status"]]
     print(f"iterations: {met['iters']} ({status})")
     print(f"rel_l={met['rel_l']:.6e} rel_s={met['rel_s']:.6e} "
           f"final_beta={trace.extras['beta'][-1]:.6g} "
@@ -113,8 +113,8 @@ def _cmd_solve(args):
                        "eta": args.eta, "eps": args.eps,
                        "max_iter": args.max_iter},
             "result": {"iters": met["iters"], "converged": met["converged"],
-                       "rel_l": met["rel_l"], "rel_s": met["rel_s"],
-                       "final_beta": trace.extras["beta"][-1]},
+                       "status": met["status"], "rel_l": met["rel_l"],
+                       "rel_s": met["rel_s"], "final_beta": trace.extras["beta"][-1]},
             "environment": bench._environment(),
         }
         Path(args.json).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n",

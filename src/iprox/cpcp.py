@@ -195,13 +195,11 @@ def _run_cpcp(inst, tau, eta, alpha, controller, tol, max_iter):
         controller = BetaController.for_instance(inst)
     warm = SvtWarmStart()
     problem = separable_problem(inst, warm)
-    trace = _run(problem, controller, tau, eta, InertialSchedule(alpha), tol,
-                 max_iter, stop=stopping_residual)
+    trace, (L, S, p) = _run(problem, controller, tau, eta, InertialSchedule(alpha),
+                            tol, max_iter, stop=stopping_residual)
     trace.extras["svt_rank"] = warm.ranks
     trace.extras["svt_path"] = warm.paths
-    L, S, p = problem.split(trace.extras["final"])
-    return CpcpState(L.reshape(inst.m, inst.n), S.reshape(inst.m, inst.n), p,
-                     trace.iterations, trace.converged), trace
+    return CpcpState(L, S, p, trace.iterations, trace.converged), trace
 
 
 def ladmm_cpcp(inst, tau=TAU, eta=ETA, controller=None, tol=TOL,

@@ -93,20 +93,18 @@ class SvtWarmStart:
         self.paths.append(path)
 
 
-def svd(mat, above=None, warm=None):
-    """Thin singular value decomposition ``mat = U @ diag(s) @ V.T``.
+def svd(mat, above, warm=None):
+    """Thin SVD ``mat = U @ diag(s) @ V.T`` for thresholding at ``above``.
 
     Parameters
     ----------
     mat : (m, n) array_like
         Real matrix with finite entries.
-    above : float, optional
-        Only the triplets whose singular values exceed ``above`` are
-        wanted, as by singular value thresholding at ``above``.
+    above : float
+        Only the triplets whose singular values exceed it are wanted.
     warm : SvtWarmStart, optional
-        Only with ``above``: the state shared by one sequence of calls,
-        from which the top path starts; each call logs its path and its
-        rank ``r`` there.
+        The state shared by one sequence of calls, from which the top
+        path starts; each call logs its path and its rank ``r`` there.
 
     Returns
     -------
@@ -115,24 +113,20 @@ def svd(mat, above=None, warm=None):
         Singular values in nonincreasing order, ``p = min(m, n)``.
     V : (n, k) ndarray
 
-    Without ``above`` this is the full SVD (LAPACK ``gesdd``), ``k = p``:
-    ``U`` and ``V`` have orthonormal columns and the reconstruction error
-    is at machine-precision scale relative to ``max(1, ||mat||_F)``.
-
-    With ``above``, let ``r`` be the number of singular values above it.
-    Then ``s[:r]`` are those values, the first ``r`` columns of ``U`` and
-    ``V`` are their vectors, and every entry of ``s`` past ``r`` is
-    certified to lie below ``above``. With at least ``_GRAM_MIN`` rows and
-    columns the triplets are first sought from the Gram matrix (see
+    Let ``r`` be the number of singular values above ``above``. Then
+    ``s[:r]`` are those values, the first ``r`` columns of ``U`` and ``V``
+    are their vectors, and every entry of ``s`` past ``r`` is certified
+    to lie below ``above``. With at least ``_GRAM_MIN`` rows and columns
+    the triplets are first sought from the Gram matrix (see
     :func:`_gram_svd`); if that is accepted, ``U`` and ``V`` have only the
     ``r`` columns, within ``2e-11 s[0]`` of the exact thresholded product,
-    and ``s[r:]`` are estimates. Otherwise the full SVD runs, exactly as
-    without ``above``.
+    and ``s[r:]`` are estimates. Otherwise the full SVD (LAPACK ``gesdd``)
+    runs, ``k = p``: ``U`` and ``V`` have orthonormal columns and the
+    reconstruction error is at machine-precision scale relative to
+    ``max(1, ||mat||_F)``.
     """
-    if warm is not None and above is None:
-        raise ValueError("svd: warm is only for calls with above")
     m = as_matrix(mat)
-    if above is not None and min(m.shape) >= _GRAM_MIN:
+    if min(m.shape) >= _GRAM_MIN:
         out = _gram_svd(m, above, warm)
         if out is not None:
             return out
@@ -575,27 +569,20 @@ class MeasurementOp:
         return np.asarray(flat, dtype=np.float64)
 
     def adjoint(self, b):
-        """Adjoint map: zero-fill coefficients, inverse transform."""
+        """Adjoint map: scatter ``b`` into a zero coefficient image (for
+        fft2, its halves as real and imaginary parts), inverse transform,
+        and keep the real part (times sqrt(2) for fft2)."""
         v = np.asarray(b, dtype=np.float64).ravel()
         if v.size != self.measurement_dim:
             raise ValueError(
                 f"expected measurement vector of length {self.measurement_dim}, "
                 f"got {v.size}"
             )
-        mn = self.image_rows * self.image_cols
-        if self.complex_mode:
-            z = np.zeros(mn, dtype=np.complex128)
-            z[self.indices] = v[: self.q] + 1j * v[self.q :]
-            full = orthonormal_transform(
-                self.kind, z.reshape(self.image_rows, self.image_cols), inverse=True
-            )
-            return _SQRT2 * full.real
-        z = np.zeros(mn, dtype=np.float64)
-        z[self.indices] = v
-        out = orthonormal_transform(
-            self.kind, z.reshape(self.image_rows, self.image_cols), inverse=True
-        )
-        return np.asarray(out, dtype=np.float64)
+        coef = v[: self.q] + 1j * v[self.q :] if self.complex_mode else v
+        z = np.zeros(self.image_rows * self.image_cols, dtype=coef.dtype)
+        z[self.indices] = coef
+        out = orthonormal_transform(self.kind, z.reshape(self.input_shape), inverse=True)
+        return _SQRT2 * out.real if self.complex_mode else out
 
 
 def measurement_domain(kind, image_rows, image_cols, q):

@@ -370,15 +370,14 @@ def iladmm_step(prob, params, w, w_prev, alpha):
     """One inertial linearized step on packed points.
 
     Extrapolates all three blocks, multiplier included,
-    ``wbar = w + alpha (w - w_prev)``, then runs the plain step from
+    ``wbar = w + alpha (w - w_prev)``, then calls :func:`ladmm_step` from
     ``wbar``. Returns ``(wbar, w_next)``. With ``alpha = 0``, ``wbar`` is
-    ``w`` and the step is :func:`ladmm_step`.
+    ``w`` itself.
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     wbar = w + alpha * (w - w_prev) if alpha else w
-    x1, y1, p1, *_ = _step(prob, params.beta, params.tau, params.eta, *_carried(prob, wbar))
-    return wbar, np.concatenate([x1, y1, p1], axis=None)
+    return wbar, ladmm_step(prob, params, wbar)
 
 
 def run_ladmm(prob, params, tol=TOL, max_iter=MAX_ITER, w_star=None):
@@ -389,15 +388,15 @@ def run_ladmm(prob, params, tol=TOL, max_iter=MAX_ITER, w_star=None):
     :func:`~iprox.vi_core.inertial_loop`, which carries ``A x`` and
     ``B y`` instead of applying A and B again. Stops when
     ``||w_{k+1} - w_k|| / (1 + ||w_k||) < tol``. The trace stores packed
-    iterates and squared G-norm step residuals. When the packed point
-    ``w_star`` is given, ``trace.phi`` holds the distances
-    ``phi_k = ||w_k - w*||_G^2`` over the iterates, formed after the run
-    under :func:`gladmm_operator`'s G, so a problem given through
-    operators raises its TypeError. This is :func:`run_iladmm` at zero
-    extrapolation, which reproduces the plain steps bitwise.
+    iterates, the last one the loop's final point, and squared G-norm
+    step residuals. When the packed point ``w_star`` is given,
+    ``trace.phi`` holds the distances ``phi_k = ||w_k - w*||_G^2`` over
+    the iterates, formed after the run under :func:`gladmm_operator`'s
+    G, so a problem given through operators raises its TypeError. This
+    is :func:`run_iladmm` at zero extrapolation, bitwise.
     """
-    trace = _run(prob, BetaController(params.beta, active_iters=0), params.tau,
-                 params.eta, InertialSchedule(0.0), tol, max_iter, keep_iterates=True)
+    trace, _ = _run(prob, BetaController(params.beta, active_iters=0), params.tau,
+                    params.eta, InertialSchedule(0.0), tol, max_iter, keep_iterates=True)
     if w_star is not None:
         G = gladmm_operator(prob, params)
         w_star = _point(w_star, G.matrix.shape[0], "w_star")
@@ -417,7 +416,7 @@ def run_iladmm(prob, params, schedule, tol=TOL, max_iter=MAX_ITER):
     ``||w_{k+1} - wbar_k|| / (1 + ||wbar_k||) < tol``.
     """
     return _run(prob, BetaController(params.beta, active_iters=0), params.tau,
-                params.eta, schedule, tol, max_iter, keep_iterates=True)
+                params.eta, schedule, tol, max_iter, keep_iterates=True)[0]
 
 
 def _run(prob, penalty, tau, eta, schedule, tol, max_iter, keep_iterates=False,
@@ -427,9 +426,10 @@ def _run(prob, penalty, tau, eta, schedule, tol, max_iter, keep_iterates=False,
     are carried, so the weighted norms cost no operator call. ``penalty``
     is a :class:`BetaController`, which the step rebalances from ``w_k``
     and its objective before step k while its window is active.
-    ``trace.extras`` holds the penalty per step (``beta``), the carried
-    ``measurement`` ``A x + B y``, its ``feasibility`` and
-    ``relative_feasibility``, and the packed returned point (``final``).
+    Returns the trace and the loop's last blocks ``(x, y, p)``, in the
+    operators' input shapes. ``trace.extras`` holds the penalty per step
+    (``beta``), the carried ``measurement`` ``A x + B y``, its
+    ``feasibility`` and ``relative_feasibility``.
     """
     if tau <= 0 or eta <= 0:
         raise ValueError("tau and eta must be positive")
@@ -456,8 +456,7 @@ def _run(prob, penalty, tau, eta, schedule, tol, max_iter, keep_iterates=False,
     trace.extras["measurement"] = measured
     trace.extras["feasibility"] = feas
     trace.extras["relative_feasibility"] = feas / bnorm if bnorm > 0 else feas
-    trace.extras["final"] = np.concatenate(last[:3], axis=None)
-    return trace
+    return trace, last[:3]
 
 
 def vi_residual_check(prob, params, w_k, w_kp1, probes):

@@ -544,18 +544,23 @@ class TestCli:
         assert json.loads(out.read_text())["result"]["final_beta"] == final
         assert f"final_beta={final:.6g} " in capsys.readouterr().out
 
-    def test_solve_exit_one_without_convergence(self, capsys):
+    def test_solve_exit_one_without_convergence(self, tmp_path, capsys):
+        out = tmp_path / "solve.json"
         rc = cli.main([
             "solve", "--size", "16", "--rank", "1", "--max-iter", "3",
+            "--json", str(out),
         ])
         assert rc == 1
         assert "max iterations reached" in capsys.readouterr().out
+        assert json.loads(out.read_text())["result"]["status"] == "max_iter"
 
-    def test_solve_exit_one_at_a_non_finite_iterate(self, capsys, monkeypatch):
+    def test_solve_exit_one_at_a_non_finite_iterate(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cpcp, "stopping_residual", lambda step_sq, ref_sq: math.inf)
-        rc = cli.main(["solve", "--size", "16", "--rank", "1"])
+        out = tmp_path / "solve.json"
+        rc = cli.main(["solve", "--size", "16", "--rank", "1", "--json", str(out)])
         assert rc == 1
         assert "iterations: 1 (non-finite iterate)" in capsys.readouterr().out
+        assert json.loads(out.read_text())["result"]["status"] == "non_finite"
 
     def test_solve_bad_ratio_is_usage_error(self, capsys):
         rc = cli.main(["solve", "--size", "16", "--q-ratio", "0"])
@@ -583,6 +588,9 @@ class TestCli:
         for name in ("results.csv", "plot.csv", "records.json"):
             assert (out / name).exists()
         assert "wrote 1 records" in capsys.readouterr().out
+        (doc,) = strict_json(out / "records.json")
+        assert [t[s]["status"] for t in doc["trials"] for s in ("ladmm", "iladmm")] == [
+            "converged"] * 2 * len(doc["trials"])
 
         # reruns are byte-identical apart from wall times
         out2 = tmp_path / "run2"
@@ -694,7 +702,8 @@ class TestCli:
         ])
         assert rc == 0
         assert (out / "alpha_sweep.csv").exists()
-        assert (out / "alpha_records.json").exists()
+        assert {t[s]["status"] for r in strict_json(out / "alpha_records.json")
+                for t in r["trials"] for s in ("ladmm", "iladmm")} == {"converged"}
         text = capsys.readouterr().out
         assert "alpha" in text and "0.28" in text
 

@@ -44,6 +44,14 @@ def test_criterion_2_fails_on_a_nan_distance(monkeypatch):
     assert not result.ok and "violation nan" in result.detail
 
 
+def test_criterion_3_fails_on_a_nan_residual(monkeypatch):
+    # a NaN residual fails the monotone test against both its neighbours
+    _after(monkeypatch, splitting, "run_ladmm",
+           lambda trace: trace.step_residuals.__setitem__(10, NAN))
+    result = checks.nonergodic_rate(SCALE)
+    assert not result.ok and "monotone violations 2," in result.detail
+
+
 def test_criterion_4_fails_on_a_nan_gap(monkeypatch):
     def poison(rep):
         for gaps in rep.gaps.values():
@@ -59,6 +67,13 @@ def test_criterion_5_fails_on_a_nan_residual(monkeypatch):
            lambda trace: trace.step_residuals.__setitem__(0, NAN))
     result = checks.residual_envelope(SCALE)
     assert not result.ok and "[0]" not in result.detail
+
+
+def test_criterion_6_fails_on_a_nan_objective(monkeypatch):
+    _after(monkeypatch, vi_core, "nesterov_ippa",
+           lambda trace: trace.objective.__setitem__(5, NAN))
+    result = checks.objective_rate(SCALE)
+    assert not result.ok and "max k^2 gap nan" in result.detail
 
 
 def test_criterion_9_fails_on_a_nan_spectrum(monkeypatch):

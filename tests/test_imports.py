@@ -97,14 +97,14 @@ def test_detects_an_unreferenced_private_name():
 # public names the package itself never reads, each kept for a reason:
 # - run_iladmm is the paper's inertial linearized ADMM on a general
 #   two-block problem, which tests run against the KKT solution;
-# - ladmm_step and iladmm_step are the tests' reference for the loop's
-#   step (TestRuns::test_runs_follow_their_named_steps), and perfbench/
-#   calls or wraps them;
+# - iladmm_step is the tests' reference for the inertial loop's step
+#   (TestRuns::test_runs_follow_their_named_steps), and perfbench/ wraps
+#   it;
 # - zeros_point is perfbench/'s start point for its criterion-1 steps.
-# The last three go once perfbench/ no longer names them.
+# The last two go once perfbench/ no longer names them.
 # An entry the package reads, or that no module defines, fails the test.
-PUBLIC_API = {"splitting.py:run_iladmm", "splitting.py:ladmm_step",
-              "splitting.py:iladmm_step", "splitting.py:zeros_point"}
+PUBLIC_API = {"splitting.py:run_iladmm", "splitting.py:iladmm_step",
+              "splitting.py:zeros_point"}
 
 
 def public_definitions(tree):

@@ -258,7 +258,16 @@ class TestRuns:
         trace = sp.run_ladmm(prob, safe_params(prob), tol=1e-10, max_iter=5000)
         assert trace.converged and trace.status == "converged"
         assert np.abs(trace.iterates[-1] - star).max() < 1e-7
-        assert np.array_equal(trace.extras["final"], trace.iterates[-1])
+
+    def test_run_returns_its_last_blocks(self):
+        prob, _ = tiny_qp()
+        params = safe_params(prob)
+        for alpha in (0.0, 0.28):
+            trace, blocks = sp._run(prob, sp.BetaController(params.beta, active_iters=0),
+                                    params.tau, params.eta, InertialSchedule(alpha),
+                                    0.0, 7, keep_iterates=True)
+            assert [u.shape for u in blocks] == [(prob.n1,), (prob.n2,), (prob.m,)]
+            assert np.array_equal(np.concatenate(blocks), trace.iterates[-1])
 
     def test_inertial_run_reaches_kkt_solution(self):
         prob, star = tiny_qp()
