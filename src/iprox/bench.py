@@ -26,7 +26,6 @@ import numpy as np
 
 from . import __version__, checks, cpcp
 from .cpcp import (
-    BetaController,
     counts_from_ratios,
     generate_instance,
     iladmm_cpcp,
@@ -53,15 +52,13 @@ SENTINEL = "-"
 # the keys of a config file's two sections
 _CONFIG_KEYS = {
     "grid": ("sizes", "ranks", "nnz_ratios", "q_ratios", "transforms"),
-    "solver": ("tau", "eta", "eps", "max_iter", "alpha", "alphas", "beta0", "s_scale"),
+    "solver": ("tau", "eta", "eps", "max_iter", "alpha", "alphas"),
 }
 # RunConfig fields that hold a list, and those whose values must be integers
-# or finite numbers (entrywise for a list); only _UNSET_FIELDS may be None
+# or finite numbers (entrywise for a list); only alphas may be None
 _LIST_FIELDS = ("sizes", "ranks", "nnz_ratios", "q_ratios", "transforms", "alphas", "seeds")
 _INTEGER_FIELDS = ("sizes", "ranks", "seeds", "max_iter", "jobs")
-_NUMBER_FIELDS = ("nnz_ratios", "q_ratios", "alphas", "tau", "eta", "eps", "alpha",
-                  "beta0", "s_scale")
-_UNSET_FIELDS = ("alphas", "beta0")
+_NUMBER_FIELDS = ("nnz_ratios", "q_ratios", "alphas", "tau", "eta", "eps", "alpha")
 
 
 @dataclass
@@ -86,27 +83,25 @@ class RunConfig:
     max_iter: int = MAX_ITER
     alpha: float = cpcp.ALPHA
     alphas: Optional[tuple] = None
-    beta0: Optional[float] = None
-    s_scale: float = BetaController.S_SCALE
     seeds: tuple = (0, 1, 2, 3, 4)
     jobs: int = 1
 
     def validate(self, cols=None):
         """Check every setting; raises a ValueError naming the first bad
         field, and returns the config otherwise. No list may repeat a
-        value, which would solve a cell or trial twice. Each cell's
-        measurement count is checked on its square image, or on a
+        value, which would solve a cell or trial twice. Each cell's rank
+        and measurement count are checked on its square image, or on a
         ``size x cols`` one when ``cols`` is given, as ``iprox solve
         --cols`` solves."""
         for name in _LIST_FIELDS:
             value = getattr(self, name)
-            if not isinstance(value, tuple) and not (value is None and name in _UNSET_FIELDS):
+            if not isinstance(value, tuple) and not (value is None and name == "alphas"):
                 raise ValueError(f"{name} must be a list, got {value!r}")
         for names, kind, what in ((_INTEGER_FIELDS, numbers.Integral, "an integer"),
                                   (_NUMBER_FIELDS, numbers.Real, "a finite number")):
             for name in names:
                 value = getattr(self, name)
-                if value is None and name in _UNSET_FIELDS:
+                if value is None and name == "alphas":
                     continue
                 for v in value if name in _LIST_FIELDS else (value,):
                     if isinstance(v, bool) or not isinstance(v, kind) or not math.isfinite(v):
@@ -115,6 +110,10 @@ class RunConfig:
             raise ValueError("sizes must be integers >= 2")
         if not self.ranks or any(r < 1 for r in self.ranks):
             raise ValueError("ranks must be positive integers")
+        side = min(self.sizes)
+        n = side if cols is None else cols
+        if max(self.ranks) > min(side, n):
+            raise ValueError(f"rank {max(self.ranks)} out of range for a {side}x{n} image")
         for name, ratios in (("nnz_ratios", self.nnz_ratios),
                              ("q_ratios", self.q_ratios)):
             if not ratios or any(not 0.0 < v <= 1.0 for v in ratios):
@@ -144,10 +143,6 @@ class RunConfig:
             raise ValueError("tau and eta must be positive")
         if self.eps < 0 or self.max_iter < 1:
             raise ValueError("eps must be >= 0 and max_iter >= 1")
-        if self.s_scale <= 0:
-            raise ValueError("s_scale must be positive")
-        if self.beta0 is not None and self.beta0 <= 0:
-            raise ValueError("beta0 must be positive")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         if self.alphas == ():
@@ -269,12 +264,8 @@ def _solve(inst, settings, alpha=None):
     returns the state, the trace and the :func:`_solver_outcome` summary."""
     solver, kw = (ladmm_cpcp, {}) if alpha is None else (iladmm_cpcp, {"alpha": alpha})
     t0 = time.perf_counter()
-    state, trace = solver(
-        inst, tau=settings.tau, eta=settings.eta,
-        controller=BetaController.for_instance(
-            inst, beta0=settings.beta0, s_scale=settings.s_scale),
-        tol=settings.eps, max_iter=settings.max_iter, **kw,
-    )
+    state, trace = solver(inst, tau=settings.tau, eta=settings.eta, tol=settings.eps,
+                          max_iter=settings.max_iter, **kw)
     return state, trace, _solver_outcome(state, trace, inst, time.perf_counter() - t0)
 
 

@@ -90,7 +90,11 @@ def step_characterization(scale=1.0):
 
 
 def distance_contraction(scale=1.0):
-    """Criterion 2 on 3 QP fixtures x 500 steps."""
+    """Criterion 2 on 3 QP fixtures x 500 steps.
+
+    It passes runs that step at 0.5, 0.9, 1.01 and 1.1 tau, which only
+    criterion 1 catches; it fails a step that flips the multiplier's
+    sign (violation 1.2e20 at scale 0.1)."""
     n_fix, n_steps = _count(3, scale), _count(500, scale)
     worst = -np.inf
     for seed in range(n_fix):
@@ -125,9 +129,10 @@ def nonergodic_rate(scale=1.0):
 def ergodic_gap(scale=1.0):
     """Criterion 4 on 3 QP fixtures at k = 50, 100, 200 with 50 probes.
 
-    It passes the wrong runs tried so far: its max gap excess is -9.31
-    both for the right run and for a run at 1.1 tau, and -9.34 at 0.5
-    tau, all far inside the 1e-8 gate."""
+    It passes runs that step at a wrong tau: its max gap excess is -9.31
+    for the right run and at 0.9, 1.01 and 1.1 tau, and -9.34 at 0.5
+    tau, all far inside the 1e-8 gate. It fails a step that flips the
+    multiplier's sign: 2.1e4 at scale 0.1, 9.2e75 at scale 1."""
     n_fix, n_steps = _count(3, scale), _count(220, scale)
     ks = [_count(k, scale) for k in (50, 100, 200)]
     worst = -np.inf

@@ -9,8 +9,8 @@ with ``lam = 1/sqrt(m)``. :func:`separable_problem` states it as a
 two-block problem of :mod:`iprox.splitting` (``A = B =`` the measurement
 operator, ``f = ||.||_*``, ``g = lam ||.||_1``) and the solvers run that
 module's linearized ADMM loop on it: the L-update is singular value
-thresholding, the S-update entrywise shrinkage, and a controller
-rebalances the penalty during the first iterations.
+thresholding, the S-update entrywise shrinkage, and a controller that
+this module starts rebalances the penalty during the first iterations.
 """
 
 from __future__ import annotations
@@ -190,20 +190,23 @@ def separable_problem(inst, warm):
     )
 
 
-def _run_cpcp(inst, tau, eta, alpha, controller, tol, max_iter):
-    if controller is None:
-        controller = BetaController.for_instance(inst)
+def _run_cpcp(inst, tau, eta, alpha, tol, max_iter):
+    """Solve ``inst`` from the zero start. The penalty starts at
+    ``0.1 q / ||b||_1``, clamped to the controller's bounds, or at 1 for
+    all-zero measurements, where the zero start is already optimal."""
+    b1 = float(np.abs(inst.b).sum())
+    beta = (min(max(0.1 * inst.q / b1, BetaController.BETA_MIN), BetaController.BETA_MAX)
+            if b1 > 0 else 1.0)
     warm = SvtWarmStart()
     problem = separable_problem(inst, warm)
-    trace, (L, S, p) = _run(problem, controller, tau, eta, InertialSchedule(alpha),
+    trace, (L, S, p) = _run(problem, BetaController(beta), tau, eta, InertialSchedule(alpha),
                             tol, max_iter, stop=stopping_residual)
     trace.extras["svt_rank"] = warm.ranks
     trace.extras["svt_path"] = warm.paths
     return CpcpState(L, S, p, trace.iterations, trace.converged), trace
 
 
-def ladmm_cpcp(inst, tau=TAU, eta=ETA, controller=None, tol=TOL,
-               max_iter=MAX_ITER):
+def ladmm_cpcp(inst, tau=TAU, eta=ETA, tol=TOL, max_iter=MAX_ITER):
     """Plain linearized solver from the zero start.
 
     Stops when ``||w_{k+1} - w_k|| / (1 + ||w_k||) < tol`` in the combined
@@ -218,11 +221,10 @@ def ladmm_cpcp(inst, tau=TAU, eta=ETA, controller=None, tol=TOL,
     the high-rank phase; or ``"full"``, the full SVD when neither is
     certified (see :func:`iprox.numkit.svd`).
     """
-    return _run_cpcp(inst, tau, eta, 0.0, controller, tol, max_iter)
+    return _run_cpcp(inst, tau, eta, 0.0, tol, max_iter)
 
 
-def iladmm_cpcp(inst, tau=TAU, eta=ETA, alpha=ALPHA, controller=None,
-                tol=TOL, max_iter=MAX_ITER):
+def iladmm_cpcp(inst, tau=TAU, eta=ETA, alpha=ALPHA, tol=TOL, max_iter=MAX_ITER):
     """Inertial linearized solver from the zero start.
 
     ``alpha`` is the constant extrapolation factor, in [0, 1). All three
@@ -230,7 +232,7 @@ def iladmm_cpcp(inst, tau=TAU, eta=ETA, alpha=ALPHA, controller=None,
     compares against the extrapolated point. With ``alpha = 0`` the
     trajectory is bitwise identical to :func:`ladmm_cpcp`.
     """
-    return _run_cpcp(inst, tau, eta, alpha, controller, tol, max_iter)
+    return _run_cpcp(inst, tau, eta, alpha, tol, max_iter)
 
 
 @dataclass

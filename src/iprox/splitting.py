@@ -203,14 +203,15 @@ class BetaController:
     iterations and then frozen; ``active_iters = 0`` keeps it fixed.
 
     It moves by factors of two (doubled when the tuning ratio exceeds 5,
-    halved below 0.1) inside ``[BETA_MIN, BETA_MAX]``, where
-    :meth:`for_instance` also starts it, and freezes after the active
-    window so the proximal weighting stops changing.
+    halved below 0.1) inside ``[BETA_MIN, BETA_MAX]``, and freezes after
+    the active window so the proximal weighting stops changing. The
+    caller picks the start; :mod:`iprox.cpcp` starts its solves inside
+    the same bounds.
 
     The ratio compares the penalty against ``balance``, run state recorded
-    at the first tuned iterate: ``balance = 2 * s_scale * obj_1 / feas_sq_1``
+    at the first tuned iterate: ``balance = 2 * S_SCALE * obj_1 / feas_sq_1``
     is the penalty that would weight the quadratic infeasibility term to
-    ``s_scale`` times the objective there, and ``ratio = balance / beta``.
+    ``S_SCALE`` times the objective there, and ``ratio = balance / beta``.
     The infeasibility itself decays geometrically while the objective
     settles, so a ratio re-read from the current iterate has no stable
     landing point; the frozen snapshot turns the rule into a bounded
@@ -219,26 +220,12 @@ class BetaController:
 
     BETA_MIN, BETA_MAX, S_SCALE = 1e-3, 1e2, 10.0  # the rule's bounds and balance scale
     beta: float
-    s_scale: float = S_SCALE
     active_iters: int = 30
     balance: Optional[float] = field(default=None, init=False)
 
     def __post_init__(self):
         if self.beta <= 0:
             raise ValueError("beta must be positive")
-        if self.s_scale <= 0:
-            raise ValueError("s_scale must be positive")
-
-    @classmethod
-    def for_instance(cls, inst, beta0=None, s_scale=S_SCALE):
-        """Start a CPCP instance at ``0.1 q / ||b||_1`` or ``beta0``, clamped to the bounds."""
-        if beta0 is None:
-            b1 = float(np.abs(inst.b).sum())
-            # all-zero measurements: any penalty works, the zero start is optimal
-            beta0 = 0.1 * inst.q / b1 if b1 > 0 else 1.0
-        elif not beta0 > 0:
-            raise ValueError("beta0 must be positive")
-        return cls(min(max(float(beta0), cls.BETA_MIN), cls.BETA_MAX), float(s_scale))
 
     def active(self, k):
         """Whether the rule still applies before step ``k`` (0-based).
@@ -254,7 +241,7 @@ class BetaController:
         treated as ratio 0 (the penalty backs off)."""
         if objective_value > 0 and feas_sq > 0:
             if self.balance is None:
-                self.balance = 2.0 * self.s_scale * objective_value / feas_sq
+                self.balance = 2.0 * self.S_SCALE * objective_value / feas_sq
             ratio = self.balance / self.beta
         else:
             ratio = 0.0

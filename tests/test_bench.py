@@ -97,20 +97,35 @@ class TestRunConfig:
             dict(eta=-1.0),
             dict(eps=-1e-6),
             dict(max_iter=0),
-            dict(s_scale=0.0),
             dict(jobs=0),
             dict(alpha=1.0),
             dict(alpha=0.4),  # outside the guaranteed range
-            dict(beta0=0.0),
-            dict(beta0=-1.0),
         ]
         for overrides in bad_cases:
             with pytest.raises(ValueError):
                 tiny_config(**overrides)
+        # the start penalty and the balance scale are cpcp's, not settings
+        for name in ("beta0", "s_scale"):
+            with pytest.raises(TypeError):
+                tiny_config(**{name: 1.0})
+
+    def test_rank_must_fit_the_image(self):
+        # every cell's rank fits its image, checked before any solve
+        for overrides, shape in ((dict(ranks=(33,)), "32x32"),
+                                 (dict(sizes=(16, 32), ranks=(1, 17)), "16x16")):
+            with pytest.raises(ValueError, match=f"rank {overrides['ranks'][-1]} "
+                                                 f"out of range for a {shape} image"):
+                tiny_config(**overrides)
+        assert tiny_config(ranks=(32,)).ranks == (32,)
+        config = bench.RunConfig(sizes=(32,), ranks=(5,), nnz_ratios=(0.05,),
+                                 q_ratios=(0.8,))
+        assert config.validate(cols=5) is config
+        with pytest.raises(ValueError, match="rank 5 out of range for a 32x4 image"):
+            config.validate(cols=4)
 
     def test_solver_defaults_agree(self):
         # `bench` and `solve` take RunConfig's defaults, while criteria 7-8
-        # and the benchmark solve with cpcp's; the controller holds s_scale
+        # and the benchmark solve with cpcp's
         def defaults(fn):
             return {k: p.default for k, p in inspect.signature(fn).parameters.items()
                     if p.default is not inspect.Parameter.empty}
@@ -121,8 +136,9 @@ class TestRunConfig:
             assert (solver["tau"], solver["eta"], solver["tol"], solver["max_iter"]) == (
                 run["tau"], run["eta"], run["eps"], run["max_iter"])
         assert inertial["alpha"] == run["alpha"] == checks.INERTIAL_ALPHA
-        assert (defaults(cpcp.BetaController)["s_scale"]
-                == defaults(cpcp.BetaController.for_instance)["s_scale"] == run["s_scale"])
+        # the solvers take the steps, tolerances and factor, and nothing else
+        for solver in (plain, inertial):
+            assert set(solver) <= {"tau", "eta", "alpha", "tol", "max_iter"}
 
     def test_sweep_mode_allows_large_alpha(self):
         config = tiny_config(alphas=(0.1, 0.35))
@@ -159,6 +175,8 @@ class TestRunConfig:
         # misspelt or misplaced keys are errors, not silently dropped
         good = yaml.safe_load(TINY_YAML)
         for section, key, name in (("solver", "max_iters", "solver.max_iters"),
+                                   ("solver", "beta0", "solver.beta0"),
+                                   ("solver", "s_scale", "solver.s_scale"),
                                    ("grid", "transfroms", "grid.transfroms"),
                                    (None, "seed", "seed"),
                                    (None, "tau", "tau")):
@@ -179,7 +197,9 @@ class TestRunConfig:
         every_key = re.sub(r"^( *)# (\w+:)", r"\1\2", block, flags=re.M)
         config = bench.RunConfig.from_dict(yaml.safe_load(every_key))
         assert config.alphas == (0.1, 0.2, 0.3)
-        assert (config.beta0, config.s_scale) == (1.0, 10.0)
+        # every solver key the schema lists is one a config may set
+        assert re.findall(r"^  #? ?(\w+):", block.split("solver:\n")[1].split("seeds:")[0],
+                          flags=re.M) == list(bench._CONFIG_KEYS["solver"])
 
     def test_from_yaml(self, tmp_path):
         path = tmp_path / "config.yaml"
@@ -206,6 +226,19 @@ def _exit_on_wht_seed_one(cell, seed, config, alpha):
     if cell[-1] == "wht" and seed == 1:
         os._exit(1)
     return _RUN_SOLVE(cell, seed, config, alpha)
+
+
+def _generate_at_rank_40(m, n, r, nnz, kind, q, seed):
+    """``bench.generate_instance`` asked for rank 40, which no image of the
+    tests holds: it raises the generator's own ValueError. Forked grid
+    workers inherit the patch."""
+    return cpcp.generate_instance(m, n, 40, nnz, kind, q, seed)
+
+
+@pytest.fixture
+def failing_cells(monkeypatch):
+    """Every grid solve fails, in the generator, as a cell error."""
+    monkeypatch.setattr(bench, "generate_instance", _generate_at_rank_40)
 
 
 def _blas_threads():
@@ -331,9 +364,9 @@ class TestRunGrid:
         assert zero.iter_ratio == 1.0
         assert zero.mean_rel_l_iladmm == zero.mean_rel_l_ladmm
 
-    def test_failing_cell_is_recorded_not_raised(self):
+    def test_failing_cell_is_recorded_not_raised(self, failing_cells):
         records = bench.run_grid(
-            tiny_config(sizes=(16,), ranks=(40,), seeds=(0,), max_iter=5)
+            tiny_config(sizes=(16,), ranks=(1,), seeds=(0,), max_iter=5)
         )
         assert len(records) == 1
         assert records[0].error is not None
@@ -357,8 +390,8 @@ class TestRecordCriteria:
             with pytest.raises(ValueError, match="no solve at 0.28"):
                 check([dataclasses.replace(rec, alpha=0.1)])
 
-    def test_failed_cell_raises_with_the_worker_traceback(self):
-        failed = bench.run_grid(tiny_config(sizes=(16,), ranks=(40,), seeds=(0,)))
+    def test_failed_cell_raises_with_the_worker_traceback(self, failing_cells):
+        failed = bench.run_grid(tiny_config(sizes=(16,), ranks=(1,), seeds=(0,)))
         for check in self.CHECKS:
             with pytest.raises(RuntimeError, match="generate_instance"):
                 check(failed)
@@ -488,8 +521,8 @@ class TestEmitters:
         assert path.read_text() == json.dumps(
             [dataclasses.asdict(rec)], sort_keys=True, indent=1) + "\n"
 
-    def test_records_json_of_a_failed_cell_is_strict(self, tmp_path):
-        records = bench.run_grid(tiny_config(sizes=(16,), ranks=(40,), seeds=(0,)))
+    def test_records_json_of_a_failed_cell_is_strict(self, tmp_path, failing_cells):
+        records = bench.run_grid(tiny_config(sizes=(16,), ranks=(1,), seeds=(0,)))
         path = tmp_path / "records.json"
         bench.write_records_json(records, path)
         (doc,) = strict_json(path)
@@ -602,9 +635,8 @@ class TestCli:
         b = strip_wall_times(json.loads((out2 / "records.json").read_text()))
         assert a == b
 
-    def test_bench_keeps_records_when_every_cell_fails(self, tmp_path, capsys):
+    def test_bench_keeps_records_when_every_cell_fails(self, tmp_path, capsys, failing_cells):
         doc = yaml.safe_load(TINY_YAML)
-        doc["grid"]["ranks"] = [20]
         config = tmp_path / "config.yaml"
         config.write_text(yaml.safe_dump(doc))
         out = tmp_path / "out"
@@ -614,9 +646,9 @@ class TestCli:
         assert "no successful records" in err
         (doc,) = strict_json(out / "records.json")
         assert "generate_instance" in doc["traceback"]
-        assert "failed cell m=16 r=20 nnz_ratio=0.05 q_ratio=0.8 dct2: ValueError" in stdout
+        assert "failed cell m=16 r=1 nnz_ratio=0.05 q_ratio=0.8 dct2: ValueError" in stdout
 
-        rc = cli.main(["sweep-alpha", "--size", "16", "--rank", "20", "--seeds", "0",
+        rc = cli.main(["sweep-alpha", "--size", "16", "--rank", "1", "--seeds", "0",
                        "--alphas", "0.1", "--out", str(out)])
         stdout, _ = capsys.readouterr()
         assert rc != 0
@@ -642,7 +674,7 @@ class TestCli:
         ({"grid.ranks": [1.5]}, "ranks"),
         ({"seeds": [0.5]}, "seeds"),
         ({"jobs": 1.5}, "jobs"),
-        ({"grid.transforms": None}, "transforms"),  # only alphas and beta0 may be unset
+        ({"grid.transforms": None}, "transforms"),  # only alphas may be unset
         ({"jobs": None}, "jobs"),
         ({"grid.transforms": []}, "transforms must be a nonempty list"),
         ({"solver.alphas": []}, "alphas must be a nonempty list"),
@@ -691,6 +723,23 @@ class TestCli:
         assert out == "" and err.count("\n") == 1
         assert "fft2 at size 128 cannot take q_ratio 0.8" in err
         assert not (tmp_path / "out").exists()
+
+    def test_sweep_refuses_a_rank_the_image_cannot_hold(self, tmp_path, capsys):
+        rc = cli.main(["sweep-alpha", "--size", "16", "--rank", "17",
+                       "--out", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == "" and err == "error: rank 17 out of range for a 16x16 image\n"
+        assert not (tmp_path / "out").exists()
+        rc = cli.main(["solve", "--size", "16", "--cols", "4", "--rank", "5"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: rank 5 out of range for a 16x4 image\n"
+
+    @pytest.mark.parametrize("flag", ["--beta0", "--s-scale"])
+    def test_solve_has_no_penalty_flags(self, capsys, flag):
+        # cpcp starts the penalty, and its rule's balance scale is fixed
+        assert cli.main(["solve", "--size", "16", "--rank", "1", flag, "3"]) == 2
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
 
     def test_sweep_alpha(self, tmp_path, capsys):
         out = tmp_path / "sweep"

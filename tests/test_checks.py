@@ -5,7 +5,7 @@ one as a violation. Each test here patches NaN into the values a check
 reads, through the module attribute the check calls, and asserts that
 the check fails. Unpatched, every check passes at this scale (``iprox
 verify`` runs them there). Criterion 7 reads grid records, built here by
-hand.
+hand. The last test gives criteria 1-4 a wrong step instead.
 """
 
 import dataclasses
@@ -145,3 +145,20 @@ def test_residual_rate_bound_flags_a_nan_residual():
     trace.step_residuals[3] = NAN
     rep = vi_core.check_residual_rate_bound(trace, G, w_star)
     assert not rep.ok and rep.violations == list(range(4, 21))
+
+
+def test_criteria_1_to_4_fail_on_a_flipped_multiplier_sign(monkeypatch):
+    # the step returns p1 = pb + beta r instead of pb - beta r, that is
+    # 2 pb - p1; its y-update still reads the right multiplier
+    step = splitting._step
+
+    def flipped(prob, beta, tau, eta, xb, yb, pb, axb, byb):
+        x1, y1, p1, ax1, by1, obj = step(prob, beta, tau, eta, xb, yb, pb, axb, byb)
+        return x1, y1, 2.0 * pb - p1, ax1, by1, obj
+
+    scaled = (checks.step_characterization, checks.distance_contraction,
+              checks.nonergodic_rate, checks.ergodic_gap)
+    assert all(check(SCALE).ok for check in scaled)
+    monkeypatch.setattr(splitting, "_step", flipped)
+    failed = [check(SCALE) for check in scaled]
+    assert not any(result.ok for result in failed), [r.detail for r in failed]

@@ -15,7 +15,8 @@ import pytest
 
 from iprox import cpcp, prox
 from iprox.numkit import SeededRng, SvtWarmStart, make_measurement_op
-from iprox.splitting import LadmmParams, SeparableProblem, _gquad, gladmm_operator
+from iprox.splitting import LadmmParams, SeparableProblem, _gquad, _run, gladmm_operator
+from iprox.vi_core import InertialSchedule
 
 
 def small_instance(seed=3, m=16, n=16, r=1, nnz=5, q=100, kind="dct2"):
@@ -152,25 +153,34 @@ class TestGenerateInstance:
             cpcp.generate_instance(8, 8, 9, 2, "dct2", 10, 0)
 
 
+def start_penalty(inst, scale=1.0):
+    """The penalty a solve of ``inst`` starts at, its measurements scaled
+    by ``scale``, read off the trace of a one-step solve."""
+    _, trace = cpcp.ladmm_cpcp(dataclasses.replace(inst, b=inst.b * scale), max_iter=1)
+    return trace.extras["beta"][0]
+
+
 class TestBetaController:
     def test_initial_penalty_scales_with_measurements(self):
-        inst = small_instance()
-        c = cpcp.BetaController.for_instance(inst)
-        assert c.beta == pytest.approx(0.1 * inst.q / np.abs(inst.b).sum())
-        assert cpcp.BetaController.for_instance(inst, beta0=2.5).beta == 2.5
+        # cpcp starts every solve at 0.1 q / ||b||_1
+        inst = small_instance(seed=0, nnz=13, q=150)
+        beta = start_penalty(inst)
+        assert beta == pytest.approx(0.1 * inst.q / np.abs(inst.b).sum(), rel=1e-15)
+        assert beta == pytest.approx(0.0726, abs=5e-5)
 
-    def test_for_instance_clamps_and_validates(self):
-        inst = small_instance()
-        assert cpcp.BetaController.for_instance(inst, beta0=1e9).beta == 1e2
-        assert cpcp.BetaController.for_instance(inst, beta0=1e-9).beta == 1e-3
-        for beta0 in (0.0, -1.0, float("nan")):
-            with pytest.raises(ValueError, match="beta0"):
-                cpcp.BetaController.for_instance(inst, beta0=beta0)
+    def test_start_penalty_is_clamped_to_the_rule_bounds(self):
+        inst = small_instance(seed=0, nnz=13, q=150)
+        assert start_penalty(inst, 1e6) == cpcp.BetaController.BETA_MIN == 1e-3
+        assert start_penalty(inst, 1e-6) == cpcp.BetaController.BETA_MAX == 1e2
+        # all-zero measurements: the zero start is optimal, at penalty 1
+        _, trace = cpcp.ladmm_cpcp(dataclasses.replace(inst, b=inst.b * 0.0))
+        assert trace.extras["beta"][0] == 1.0
+        assert trace.converged and trace.iterations == 1
 
     def test_snapshot_taken_at_first_call(self):
-        c = cpcp.BetaController(beta=2.0, s_scale=10.0)
+        c = cpcp.BetaController(beta=2.0)
         c.apply_rule(4.0, 1.0)
-        assert c.balance == pytest.approx(5.0)  # 2 * 10 * 1 / 4
+        assert c.balance == pytest.approx(5.0)  # 2 * S_SCALE * 1 / 4, S_SCALE = 10
         assert c.beta == 2.0  # ratio 2.5 sits inside [0.1, 5]
         # later calls keep comparing against the frozen snapshot
         c.apply_rule(1e-12, 1.0)
@@ -213,10 +223,12 @@ class TestBetaController:
         # penalty may lie outside its bounds
         assert cpcp.BetaController(beta=1e9, active_iters=0).beta == 1e9
         assert cpcp.BetaController(beta=1e-9, active_iters=0).beta == 1e-9
-        with pytest.raises(ValueError):
-            cpcp.BetaController(beta=0.0)
-        with pytest.raises(ValueError):
-            cpcp.BetaController(beta=1.0, s_scale=0.0)
+        for beta in (0.0, -1.0):
+            with pytest.raises(ValueError, match="beta must be positive"):
+                cpcp.BetaController(beta=beta)
+        # the balance scale is the rule's, not a setting
+        with pytest.raises(TypeError):
+            cpcp.BetaController(beta=1.0, s_scale=10.0)
 
     def test_active_window(self):
         c = cpcp.BetaController(beta=1.0)
@@ -288,8 +300,10 @@ class TestNorms:
         # a fixed penalty records no negative step residual
         inst = small_instance()
         assert np.linalg.eigvalsh(weighting(inst, 2.0).matrix).min() > 0.0
-        _, trace = cpcp.ladmm_cpcp(inst, controller=cpcp.BetaController(2.0, active_iters=0),
-                                   max_iter=50, tol=0.0)
+        prob = cpcp.separable_problem(inst, SvtWarmStart())
+        trace, _ = _run(prob, cpcp.BetaController(2.0, active_iters=0), 0.99, 0.99,
+                        InertialSchedule(0.0), 0.0, 50)
+        assert trace.extras["beta"] == [2.0] * 50
         assert min(trace.step_residuals) >= 0.0
 
     def test_operator_problem_has_no_dense_weighting(self):
@@ -413,8 +427,7 @@ class TestSolvers:
         # replicate the first update from the zero start and certify both
         # shrinkage solves independently
         inst = small_instance()
-        controller = cpcp.BetaController.for_instance(inst)
-        beta = controller.beta
+        beta = start_penalty(inst)
         tau = eta = 0.99
         U = inst.meas.adjoint(-inst.b)
         Z = -tau * U
