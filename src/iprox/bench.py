@@ -479,24 +479,23 @@ VERIFY_SCALE = 0.1
 
 
 def run_verification():
-    """Acceptance criteria 1-9 of :mod:`iprox.checks` at fixture scale.
+    """Acceptance criteria 1-9 of :mod:`iprox.checks` at fixture scale, in
+    the order of :data:`~iprox.checks.CRITERIA`.
 
-    Criteria 1-6 and 9 run at ``VERIFY_SCALE``. Criteria 7 and 8 read one
-    :func:`run_grid` sweep cell of a single 32x32 instance, solved plainly
-    and at 0.28 in two worker processes; one instance that small
-    converges in under 80 iterations, where extrapolation saves about
-    5 %, so criterion 8 here only asks the inertial solve not to be
-    slower. Returns one :class:`~iprox.checks.CheckResult` per criterion,
-    in order.
+    The scale-taking criteria run at ``VERIFY_SCALE``. Criteria 7 and 8
+    read one :func:`run_grid` sweep cell of a single 32x32 instance,
+    solved plainly and at 0.28 in two worker processes; one instance that
+    small converges in under 80 iterations, where extrapolation saves
+    about 5 %, so criterion 8 here only asks the inertial solve not to be
+    slower. Returns one :class:`~iprox.checks.CheckResult` per criterion.
     """
-    scaled = (checks.step_characterization, checks.distance_contraction,
-              checks.nonergodic_rate, checks.ergodic_gap,
-              checks.residual_envelope, checks.objective_rate)
-    results = [check(VERIFY_SCALE) for check in scaled]
-    records = run_grid(RunConfig(sizes=(32,), ranks=(2,), nnz_ratios=(0.05,),
-                                 q_ratios=(0.8,), seeds=(7,),
-                                 alphas=(checks.INERTIAL_ALPHA,), jobs=2))
-    results.append(checks.recovery(records))
-    results.append(checks.inertial_speedup(records, ratio_gate=1.0))
-    results.append(checks.exact_identities(VERIFY_SCALE))
+    results, records = [], None
+    for num, check in checks.CRITERIA.items():
+        if num not in checks.RECORD_CRITERIA:
+            results.append(check(VERIFY_SCALE))
+            continue
+        records = records or run_grid(RunConfig(
+            sizes=(32,), ranks=(2,), nnz_ratios=(0.05,), q_ratios=(0.8,), seeds=(7,),
+            alphas=(checks.INERTIAL_ALPHA,), jobs=2))
+        results.append(check(records, ratio_gate=1.0) if num == 8 else check(records))
     return results

@@ -55,7 +55,7 @@ def _build_parser():
     b = sub.add_parser("bench", help="run the benchmark grid")
     b.set_defaults(func=_cmd_bench)
     b.add_argument("--config", type=str, default=None,
-                   help="YAML config; the built-in desk grid when omitted")
+                   help="YAML config; the default grid when omitted")
     b.add_argument("--out", type=str, default="results")
     b.add_argument("--jobs", type=int, default=None)
 

@@ -535,12 +535,12 @@ class TestEmitters:
 
 class TestVerification:
     def test_all_checks_pass(self):
-        checks = bench.run_verification()
-        failed = [c.name for c in checks if not c.ok]
-        assert failed == []
-        assert len(checks) == 9
-        assert all(type(c.ok) is bool for c in checks)
-        assert len({c.name for c in checks}) == len(checks)
+        results = bench.run_verification()
+        assert [c.name for c in results if not c.ok] == []
+        assert all(type(c.ok) is bool for c in results)
+        # one result per criterion, in the table's order
+        assert [c.name for c in results] == [
+            check.__name__.replace("_", "-") for check in checks.CRITERIA.values()]
 
 
 class TestCli:
@@ -606,11 +606,19 @@ class TestCli:
         assert cli.main(["solve", "--no-such-flag"]) == 2
         capsys.readouterr()
 
-    def test_verify_runs_clean(self, capsys):
+    def test_verify_runs_clean(self, capsys, monkeypatch):
+        monkeypatch.setattr(bench, "run_verification",
+                            lambda: [checks.CheckResult("first", True, "fine")])
         assert cli.main(["verify"]) == 0
-        out = capsys.readouterr().out
-        assert "checks passed" in out
-        assert "FAIL" not in out
+        assert capsys.readouterr().out == "ok   1 first  fine\n1/1 checks passed\n"
+
+    def test_verify_exits_1_when_a_check_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(bench, "run_verification", lambda: [
+            checks.CheckResult("first", True, "fine"),
+            checks.CheckResult("second", False, "slack -1e-3")])
+        assert cli.main(["verify"]) == 1
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "FAIL 2 second  slack -1e-3", "1/2 checks passed"]
 
     def test_bench_writes_artifacts(self, tmp_path, capsys):
         config = tmp_path / "config.yaml"

@@ -5,7 +5,8 @@ one as a violation. Each test here patches NaN into the values a check
 reads, through the module attribute the check calls, and asserts that
 the check fails. Unpatched, every check passes at this scale (``iprox
 verify`` runs them there). Criterion 7 reads grid records, built here by
-hand. The last test gives criteria 1-4 a wrong step instead.
+hand. Two tests give a wrong run instead: criterion 5 one that never
+extrapolates, and criteria 1-4 a wrong step.
 """
 
 import dataclasses
@@ -63,10 +64,21 @@ def test_criterion_4_fails_on_a_nan_gap(monkeypatch):
 
 
 def test_criterion_5_fails_on_a_nan_residual(monkeypatch):
+    # the running minimum carries the NaN through all 50 steps
     _after(monkeypatch, vi_core, "run_inertial_ppa",
            lambda trace: trace.step_residuals.__setitem__(0, NAN))
     result = checks.residual_envelope(SCALE)
-    assert not result.ok and "[0]" not in result.detail
+    assert not result.ok and " 13.5/50 " in result.detail
+
+
+def test_criterion_5_shows_the_constant_it_measured(monkeypatch):
+    # an unextrapolated run holds the envelope 1 + 2 / (1 - 0) = 3
+    assert checks.residual_envelope(SCALE).detail == (
+        "envelope constant/violations per fixture 13.5/0 (gate 13.5/0)")
+    monkeypatch.setattr(checks, "INERTIAL_ALPHA", 0.0)
+    result = checks.residual_envelope(SCALE)
+    assert not result.ok
+    assert result.detail == "envelope constant/violations per fixture 3/0 (gate 13.5/0)"
 
 
 def test_criterion_6_fails_on_a_nan_objective(monkeypatch):
@@ -125,15 +137,6 @@ def test_nonergodic_report_is_not_ok_on_nan(plain_run, where):
         star = np.full_like(star, NAN)
     rep = splitting.nonergodic_report(trace, prob, params, star)
     assert not rep.ok
-
-
-def test_ergodic_report_flags_a_nan_gap(plain_run):
-    prob, star, params, trace = plain_run
-    probes = splitting.sample_probes(prob, star, 2.0, 5, numkit.SeededRng(6))
-    assert splitting.ergodic_report(trace, prob, params, probes, ks=[5]).ok
-    probes.theta[2] = NAN
-    rep = splitting.ergodic_report(trace, prob, params, probes, ks=[5])
-    assert not rep.ok and rep.violations == [(5, 2)]
 
 
 def test_residual_rate_bound_flags_a_nan_residual():

@@ -397,9 +397,10 @@ class TestCertificates:
         trace = sp.run_ladmm(prob, params, tol=0.0, max_iter=220)
         probes = sp.sample_probes(prob, star, 2.0, 25, SeededRng(7))
         report = sp.ergodic_report(trace, prob, params, probes, ks=[50, 100, 200])
-        assert report.ok and report.violations == []
-        for k in report.ks:
-            assert len(report.gaps[k]) == 25
+        assert sorted(report.gaps) == sorted(report.bounds) == [50, 100, 200]
+        for k in (50, 100, 200):
+            assert report.gaps[k].shape == report.bounds[k].shape == (25,)
+            assert np.all(report.gaps[k] <= report.bounds[k] + 1e-8)
 
     def test_ergodic_report_validation(self):
         prob, star = tiny_qp()
@@ -508,7 +509,7 @@ class TestProbeSets:
             def lag(x, y, p):
                 return prob.objective(x, y) - float(p @ (prob.A @ x + prob.B @ y - prob.b))
 
-            for k in report.ks:
+            for k in report.gaps:
                 xb, yb, pb = prob.split(np.mean(trace.iterates[1 : k + 2], axis=0))
                 for j, v in enumerate(probes.points):
                     x, y, p = prob.split(v)
